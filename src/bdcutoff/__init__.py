@@ -12,21 +12,19 @@ from .errors import (DomainError, EmptyEnsembleError, FeasibilityError,
                      SpectrumError, StallError)
 from .dist import FAMILIES, StationaryDist, make_distribution
 from .kernel import (BDKernel, SuperDiagState, check_feasibility,
-                     kernel_from_subdiagonal, kernel_from_superdiagonal,
-                     metropolis_kernel, subdiagonal_view)
+                     kernel_from_superdiagonal, metropolis_kernel)
 from .sampler import (CoupledTrace, GibbsTrace, SamplerConfig,
                       acceptance_rate, block_update, collect_window,
                       conditional_interval, default_initial_state,
                       greedy_max_state, oracle_sample, oracle_samples,
                       run_coupled_pair, run_gibbs, site_update,
                       stream_fingerprint, substream)
-from .analysis import (AnalysisReport, CutoffProduct, DlpWindow,
-                       EXACT_TAU_LIMIT, MicloBounds, MixingBoundResult,
-                       analyze, cutoff_product, dlp_window,
+from .analysis import (AnalysisReport, DlpWindow, EXACT_TAU_LIMIT,
+                       MicloBounds, MixingBoundResult, analyze, dlp_window,
                        expected_hitting_time, miclo_bounds, mixing_profile,
                        mixing_time, pairwise_distance_profile,
                        sd_mixing_bound, separation_decay_bound,
-                       spectral_gap, tv_distance)
+                       spectral_gap)
 from .compare import (ComparisonFunctionals, ComparisonReport,
                       MetropolisReport, XnSelection, build_functionals,
                       comparison_diagnostic, eval_functionals, find_xn,
@@ -40,18 +38,17 @@ __all__ = [
     "StallError",
     "FAMILIES", "StationaryDist", "make_distribution",
     "BDKernel", "SuperDiagState", "check_feasibility",
-    "kernel_from_subdiagonal", "kernel_from_superdiagonal",
-    "metropolis_kernel", "subdiagonal_view",
+    "kernel_from_superdiagonal", "metropolis_kernel",
     "CoupledTrace", "GibbsTrace", "SamplerConfig", "acceptance_rate",
     "block_update", "collect_window", "conditional_interval",
     "default_initial_state", "greedy_max_state", "oracle_sample",
     "oracle_samples", "run_coupled_pair", "run_gibbs", "site_update",
     "stream_fingerprint", "substream",
-    "AnalysisReport", "CutoffProduct", "DlpWindow", "EXACT_TAU_LIMIT",
-    "MicloBounds", "MixingBoundResult", "analyze", "cutoff_product",
-    "dlp_window", "expected_hitting_time", "miclo_bounds", "mixing_profile",
-    "mixing_time", "pairwise_distance_profile", "sd_mixing_bound",
-    "separation_decay_bound", "spectral_gap", "tv_distance",
+    "AnalysisReport", "DlpWindow", "EXACT_TAU_LIMIT", "MicloBounds",
+    "MixingBoundResult", "analyze", "dlp_window", "expected_hitting_time",
+    "miclo_bounds", "mixing_profile", "mixing_time",
+    "pairwise_distance_profile", "sd_mixing_bound",
+    "separation_decay_bound", "spectral_gap",
     "ComparisonFunctionals", "ComparisonReport", "MetropolisReport",
     "XnSelection", "build_functionals", "comparison_diagnostic",
     "eval_functionals", "find_xn", "metropolis_report",

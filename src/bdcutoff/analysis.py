@@ -14,8 +14,8 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .dist import StationaryDist
-from .errors import (NonErgodicError, NotMixedError, ParameterError,
-                     SpectrumError)
+from .errors import (DomainError, NonErgodicError, NotMixedError,
+                     ParameterError, SpectrumError)
 from .kernel import BDKernel
 
 EXACT_TAU_LIMIT = 512       # above this the hitting proxy stands in for tau
@@ -139,21 +139,13 @@ def spectral_gap(kernel: BDKernel) -> float:
     return 1.0 - lam2
 
 
-def tv_distance(mu, nu) -> float:
-    """Total variation distance, half the L1 gap."""
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    if mu.shape != nu.shape:
-        raise ParameterError(
-            f"length mismatch: {mu.shape} vs {nu.shape}")
-    return 0.5 * float(np.abs(mu - nu).sum())
-
-
 def _crossing_times(kernel: BDKernel, start: int, levels, horizon: int):
     """First t >= 1 with TV(start law at t, pi) < level, per level.
 
     levels must be sorted descending. Raises NotMixedError at the
-    horizon, or earlier when TV stops moving at all (stuck chain).
+    horizon, or earlier when TV stops moving at all (stuck chain), and
+    DomainError when TV grows, which no stochastic kernel with
+    stationary law pi allows.
     """
     pi = kernel.dist.mass
     v = np.zeros(kernel.n)
@@ -166,7 +158,11 @@ def _crossing_times(kernel: BDKernel, start: int, levels, horizon: int):
     for t in range(1, horizon + 1):
         v = kernel.evolve(v)
         tv = 0.5 * float(np.abs(v - pi).sum())
-        assert tv <= prev + 1e-12, "total variation to stationarity increased"
+        if tv > prev + 1e-12:
+            raise DomainError(
+                f"total variation to stationarity increased from {prev!r} "
+                f"to {tv!r} at step {t}; the kernel is not stochastic "
+                "with stationary law pi")
         while idx < len(levels) and tv < levels[idx]:
             times[levels[idx]] = t
             idx += 1
@@ -338,12 +334,6 @@ def separation_decay_bound(ell: int) -> float:
     return (23.0 / 27.0) ** ell
 
 
-class CutoffProduct(NamedTuple):
-    exact: float | None
-    proxy: float
-    proxy_used: bool
-
-
 @dataclass(frozen=True)
 class AnalysisReport:
     """Mixing summary of one kernel.
@@ -399,19 +389,3 @@ def analyze(kernel: BDKernel, *, lazy: bool = True, delta: float = 0.75,
                           hit_down=hit_down, tau=None, tau_proxy=tau_proxy,
                           proxy_flag=True, cutoff_product=tau_proxy * gap,
                           dlp_window=None)
-
-
-def cutoff_product(kernel: BDKernel, *, lazy: bool = True,
-                   delta: float = 0.75,
-                   exact_tau_limit: int = EXACT_TAU_LIMIT,
-                   horizon: int = DEFAULT_HORIZON) -> CutoffProduct:
-    """tau(1/4)*gap when exact tau is affordable, and the proxy variant.
-
-    A bounded product along a family of chains rules cutoff out, which
-    is what makes this the headline ensemble statistic.
-    """
-    rep = analyze(kernel, lazy=lazy, delta=delta,
-                  exact_tau_limit=exact_tau_limit, horizon=horizon)
-    exact = None if rep.tau is None else rep.tau * rep.gap
-    return CutoffProduct(exact=exact, proxy=rep.tau_proxy * rep.gap,
-                         proxy_used=rep.tau is None)

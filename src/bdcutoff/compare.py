@@ -220,9 +220,6 @@ def build_functionals(dist: StationaryDist,
     g_ones = outer + _logdot(logterms, np.ones(len(logterms)))
     beta1 = float(np.exp(-b1_ones))
     beta2 = float(np.exp(-g_ones))
-    ones = np.ones(dist.n)
-    if _logdot(lt1, ones[:v]) >= _logdot(lt2, ones[u + 1:]):
-        assert abs(beta1 * f_hat(ones) - 1.0) < 1e-12
     return ComparisonFunctionals(x_n=sel.x_n, side=sel.side,
                                  alpha_achieved=sel.alpha_achieved,
                                  beta1=beta1, beta2=beta2,

@@ -70,12 +70,6 @@ class StationaryDist:
             raise IndexError(f"state {i} out of range [0, {self.n - 1}]")
         return float(self.prefix[i])
 
-    def suffix_mass(self, i: int) -> float:
-        """Cumulative probability of states i..n-1."""
-        if not 0 <= i <= self.n - 1:
-            raise IndexError(f"state {i} out of range [0, {self.n - 1}]")
-        return float(math.exp(self.log_suffix[i]))
-
     def quantile(self, delta: float) -> int:
         """Smallest state k whose prefix mass reaches delta."""
         if not 0.0 < delta < 1.0:

@@ -15,15 +15,15 @@ from .errors import FeasibilityError, ParameterError
 
 
 def _bounds(dist: StationaryDist, c: np.ndarray):
-    """Row-form upper bounds: 1 minus the left-neighbor term, capped so
-    the last row stays stochastic. The conjunction over all i equals the
+    """Row-form upper bounds along the last axis of c (one super-diagonal
+    or a batch of them): 1 minus the left-neighbor term, capped so the
+    last row stays stochastic. The conjunction over all i equals the
     usual two-sided min() constraints (each pair constraint appears as
     the left term of the higher coordinate)."""
-    r = dist.ratios
-    m = c.size
-    upper = np.ones(m)
-    upper[1:] = 1.0 - c[:-1] / r[:-1]
-    upper[m - 1] = min(upper[m - 1], r[m - 1])
+    rec = 1.0 / dist.ratios
+    upper = np.ones(c.shape)
+    upper[..., 1:] = 1.0 - c[..., :-1] * rec[:-1]
+    upper[..., -1] = np.minimum(upper[..., -1], dist.ratios[-1])
     return upper
 
 
@@ -148,22 +148,6 @@ def kernel_from_superdiagonal(dist: StationaryDist, c, *, check: bool = True,
     # tolerated slack can push a boundary-tight diagonal an ulp below zero
     np.maximum(diag, 0.0, out=diag)
     return BDKernel(dist=dist, c=c, sub=sub, diag=diag)
-
-
-def kernel_from_subdiagonal(dist: StationaryDist, sub, *, check: bool = True,
-                            tol: float = 1e-12) -> BDKernel:
-    """Assemble the kernel with sub-diagonal ``sub`` via detailed balance."""
-    sub = np.asarray(sub, dtype=float)
-    if sub.shape != (dist.n - 1,):
-        raise ParameterError(
-            f"subdiagonal has length {sub.size}, expected {dist.n - 1}")
-    return kernel_from_superdiagonal(dist, sub * dist.ratios,
-                                     check=check, tol=tol)
-
-
-def subdiagonal_view(dist: StationaryDist, c) -> np.ndarray:
-    """Sub-diagonal implied by super-diagonal c, without building a kernel."""
-    return np.asarray(c, dtype=float) / dist.ratios
 
 
 def metropolis_kernel(dist: StationaryDist) -> BDKernel:

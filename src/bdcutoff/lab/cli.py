@@ -12,15 +12,13 @@ import dataclasses
 import json
 import sys
 
-from ..analysis import analyze
 from ..compare import comparison_diagnostic
 from ..dist import FAMILIES
 from ..errors import ParameterError
-from ..kernel import kernel_from_superdiagonal
-from ..sampler import SamplerConfig, run_gibbs
+from ..sampler import run_gibbs
 from .config import FORMATS, ExperimentConfig
-from .ensemble import (RECORD_FIELDS, record_rows, replicate_seed,
-                       run_ensemble)
+from .ensemble import (RECORD_FIELDS, analyze_kernel, record_rows,
+                       replicate_seed, run_ensemble, sampled_kernel)
 from .probes import PROBES
 from .tableio import atomic_write_text, jsonable, render_table, write_table
 
@@ -141,7 +139,7 @@ def _parse_config_value(name: str, raw: str):
     raw = raw.strip()
     if raw.lower() in ("none", ""):
         return None
-    if name in ("n_list", "d_values"):
+    if name == "n_list":
         return tuple(int(v) for v in raw.split(","))
     if name in ("mass", "tail_grid"):
         return tuple(float(v) for v in raw.split(","))
@@ -207,16 +205,6 @@ def _emit_table(fieldnames, rows, cfg: ExperimentConfig) -> None:
         sys.stdout.write(render_table(fieldnames, rows, cfg.format))
 
 
-def _sampled_kernel(cfg: ExperimentConfig, n: int, rep_id: int):
-    seed_sub = replicate_seed(cfg.seed, n, rep_id)
-    dist = cfg.make_dist(n)
-    trace = run_gibbs(SamplerConfig(
-        dist=dist, k=cfg.k, w=cfg.w, steps=0,
-        burnin=cfg.equilibration_budget(dist.n), seed=seed_sub,
-        max_rejection_tries=cfg.max_rejection_tries))
-    return dist, trace.final, seed_sub
-
-
 def _cmd_sample(cfg: ExperimentConfig) -> int:
     rows = []
     for n in sorted(cfg.n_list):
@@ -230,10 +218,9 @@ def _cmd_sample(cfg: ExperimentConfig) -> int:
             else:
                 collector = None
             trace = run_gibbs(
-                SamplerConfig(dist=dist, k=cfg.k, w=cfg.w, steps=cfg.steps,
-                              burnin=budget + cfg.burnin, thin=cfg.thin,
-                              seed=seed_sub,
-                              max_rejection_tries=cfg.max_rejection_tries),
+                cfg.sampler_config(dist, seed_sub, steps=cfg.steps,
+                                   burnin=budget + cfg.burnin,
+                                   thin=cfg.thin),
                 collector=collector)
             states = retained if retained else [trace.final]
             for idx, state in enumerate(states):
@@ -248,15 +235,10 @@ def _cmd_sample(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_analyze(cfg: ExperimentConfig) -> int:
-    n = cfg.n_list[0]
-    dist, state, seed_sub = _sampled_kernel(cfg, n, 0)
-    kern = kernel_from_superdiagonal(dist, state)
-    report = analyze(
-        kern, lazy=not cfg.raw_kernel, delta=cfg.delta,
-        exact_tau_limit=(512 if cfg.exact_tau else 0),
-        horizon=cfg.horizon, exhaustive=cfg.exhaustive_starts)
+    seed_sub, kern = sampled_kernel(cfg, cfg.n_list[0], 0)
+    report = analyze_kernel(cfg, kern)
     payload = {
-        "n": dist.n, "family": cfg.family, "seed_sub": seed_sub,
+        "n": kern.n, "family": cfg.family, "seed_sub": seed_sub,
         "gap": report.gap,
         "miclo": dict(report.miclo._asdict()),
         "hit_up": report.hit_up, "hit_down": report.hit_down,
@@ -291,8 +273,8 @@ def _cmd_compare(cfg: ExperimentConfig) -> int:
     kernels = []
     seeds = []
     for rep in range(cfg.reps):
-        _, state, seed_sub = _sampled_kernel(cfg, n, rep)
-        kernels.append(kernel_from_superdiagonal(dist, state))
+        seed_sub, kern = sampled_kernel(cfg, n, rep)
+        kernels.append(kern)
         seeds.append(seed_sub)
     report = comparison_diagnostic(dist, kernels, alpha=cfg.alpha)
     met = report.metropolis

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 from ..dist import FAMILIES, StationaryDist, make_distribution
 from ..errors import ParameterError
+from ..sampler import SamplerConfig
 
 FORMATS = ("csv", "json")
 
@@ -43,7 +44,6 @@ class ExperimentConfig:
     probe_samples: int = 20_000
     probe_thin: int | None = None
     tail_grid: tuple = (5.0, 10.0, 20.0)
-    d_values: tuple = (4, 8, 16)
     window: int | None = None
     coupon_c: float = 1.0
     coupon_runs: int = 1000
@@ -78,3 +78,14 @@ class ExperimentConfig:
         if self.equilibration is not None:
             return int(self.equilibration)
         return max(1, int(round(20.0 * n * math.log(n))))
+
+    def sampler_config(self, dist: StationaryDist, seed: int,
+                       **overrides) -> SamplerConfig:
+        """SamplerConfig for dist with this config's k, w and stall
+        threshold; burnin defaults to the equilibration budget and any
+        other SamplerConfig field can be overridden."""
+        settings = {"k": self.k, "w": self.w,
+                    "max_rejection_tries": self.max_rejection_tries,
+                    "burnin": self.equilibration_budget(dist.n),
+                    **overrides}
+        return SamplerConfig(dist=dist, seed=seed, **settings)

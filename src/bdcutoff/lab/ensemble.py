@@ -4,9 +4,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
-from ..analysis import analyze
-from ..kernel import kernel_from_superdiagonal
-from ..sampler import SamplerConfig, run_gibbs, stream_fingerprint
+from ..analysis import EXACT_TAU_LIMIT, AnalysisReport, analyze
+from ..kernel import BDKernel, kernel_from_superdiagonal
+from ..sampler import run_gibbs, stream_fingerprint
 from .config import ExperimentConfig
 
 NAN = float("nan")
@@ -55,22 +55,32 @@ def _failed_record(cfg: ExperimentConfig, n: int, rep_id: int,
         runtime_ms=0.0, error=f"{type(exc).__name__}: {exc}")
 
 
+def sampled_kernel(cfg: ExperimentConfig, n: int,
+                   rep_id: int) -> tuple[int, BDKernel]:
+    """The equilibrated kernel of replicate rep_id at size n, with the
+    derived seed that reproduces it."""
+    seed_sub = replicate_seed(cfg.seed, n, rep_id)
+    dist = cfg.make_dist(n)
+    trace = run_gibbs(cfg.sampler_config(dist, seed_sub))
+    return seed_sub, kernel_from_superdiagonal(dist, trace.final)
+
+
+def analyze_kernel(cfg: ExperimentConfig, kernel: BDKernel) -> AnalysisReport:
+    """The configured analysis of one kernel; exact tau only with
+    exact_tau, and then up to EXACT_TAU_LIMIT states."""
+    return analyze(
+        kernel, lazy=not cfg.raw_kernel, delta=cfg.delta,
+        exact_tau_limit=EXACT_TAU_LIMIT if cfg.exact_tau else 0,
+        horizon=cfg.horizon, exhaustive=cfg.exhaustive_starts)
+
+
 def run_replicate(cfg: ExperimentConfig, n: int, rep_id: int) -> EnsembleRecord:
     """Sample one kernel at size n and analyze it."""
     seed_sub = replicate_seed(cfg.seed, n, rep_id)
     started = time.perf_counter()
     try:
-        dist = cfg.make_dist(n)
-        sampler = SamplerConfig(
-            dist=dist, k=cfg.k, w=cfg.w, steps=0,
-            burnin=cfg.equilibration_budget(dist.n), thin=1,
-            seed=seed_sub, max_rejection_tries=cfg.max_rejection_tries)
-        trace = run_gibbs(sampler)
-        kern = kernel_from_superdiagonal(dist, trace.final)
-        report = analyze(
-            kern, lazy=not cfg.raw_kernel, delta=cfg.delta,
-            exact_tau_limit=(512 if cfg.exact_tau else 0),
-            horizon=cfg.horizon, exhaustive=cfg.exhaustive_starts)
+        _, kern = sampled_kernel(cfg, n, rep_id)
+        report = analyze_kernel(cfg, kern)
     except Exception as exc:
         return _failed_record(cfg, n, rep_id, seed_sub, exc)
     elapsed_ms = (time.perf_counter() - started) * 1000.0

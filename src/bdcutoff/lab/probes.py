@@ -15,9 +15,8 @@ import numpy as np
 from scipy.stats import ks_2samp
 
 from ..errors import ParameterError
-from ..sampler import (SamplerConfig, collect_window, oracle_samples,
-                       run_coupled_pair, run_gibbs, stream_fingerprint,
-                       substream)
+from ..sampler import (collect_window, oracle_samples, run_coupled_pair,
+                       run_gibbs, stream_fingerprint, substream)
 from .config import ExperimentConfig
 
 SIN_REFERENCE_MEDIAN = 1.0 / 3.0
@@ -79,13 +78,11 @@ def _center_coord(cfg: ExperimentConfig, m: int) -> int:
 
 
 def _window_samples(cfg, dist, coords, count, tag, thin=None):
-    budget = cfg.equilibration_budget(dist.n)
     if thin is None:
         thin = _auto_thin(cfg, dist.n - 1)
     seed = int(stream_fingerprint(cfg.seed, tag))
-    vals = collect_window(dist, coords, count, k=cfg.k, w=cfg.w,
-                          burnin=budget, thin=thin, seed=seed)
-    return vals, budget, thin
+    sampler = cfg.sampler_config(dist, seed, steps=count * thin, thin=thin)
+    return collect_window(sampler, coords), sampler.burnin, thin
 
 
 def _quantile_se(sorted_vals: np.ndarray, q: float) -> float:
@@ -350,9 +347,7 @@ def probe_levy_sum(cfg: ExperimentConfig) -> ProbeResult:
     sums_full = np.empty(reps)
     for r in range(reps):
         seed = int(stream_fingerprint(cfg.seed, 7, r))
-        run = run_gibbs(SamplerConfig(
-            dist=dist, k=cfg.k, w=cfg.w, steps=0, burnin=budget, seed=seed,
-            max_rejection_tries=cfg.max_rejection_tries))
+        run = run_gibbs(cfg.sampler_config(dist, seed))
         window = run.final[lo:lo + 2 * nprime]
         with np.errstate(divide="ignore"):
             w = 1.0 / window
@@ -415,10 +410,8 @@ def probe_contraction(cfg: ExperimentConfig) -> ProbeResult:
         censored = 0
         for r in range(reps):
             seed = int(stream_fingerprint(cfg.seed, 11, dist.n, r))
-            trace = run_coupled_pair(SamplerConfig(
-                dist=dist, k=cfg.k, w=cfg.w, steps=horizon, burnin=0,
-                thin=horizon, seed=seed,
-                max_rejection_tries=cfg.max_rejection_tries))
+            trace = run_coupled_pair(cfg.sampler_config(
+                dist, seed, steps=horizon, burnin=0, thin=horizon))
             if trace.coalesced_at is None:
                 censored += 1
             else:
@@ -433,9 +426,7 @@ def probe_contraction(cfg: ExperimentConfig) -> ProbeResult:
         misses = 0
         for r in range(cfg.coupon_runs):
             seed = int(stream_fingerprint(cfg.seed, 13, dist.n, r))
-            run = run_gibbs(SamplerConfig(
-                dist=dist, k=cfg.k, w=cfg.w, steps=0, burnin=t_coupon,
-                seed=seed, max_rejection_tries=cfg.max_rejection_tries))
+            run = run_gibbs(cfg.sampler_config(dist, seed, burnin=t_coupon))
             if _coverage_miss(run.update_counts, cfg.k, m):
                 misses += 1
         frac = misses / cfg.coupon_runs if cfg.coupon_runs else float("nan")

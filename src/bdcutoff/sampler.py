@@ -19,7 +19,7 @@ import numpy as np
 
 from .dist import StationaryDist
 from .errors import ParameterError, StallError
-from .kernel import SuperDiagState
+from .kernel import SuperDiagState, _bounds
 
 _CHUNK = 65536
 
@@ -343,12 +343,13 @@ def _run_block(dist, c, counts, tries_by, total, config, rng, retain):
     return tries_total
 
 
-def collect_window(dist: StationaryDist, coords, n_samples: int, *,
-                   k: int = 1, w: float = 1.0, burnin: int = 1000,
-                   thin: int = 10, seed: int = 0, initial=None) -> np.ndarray:
-    """Retained values of selected coordinates from one Gibbs run."""
+def collect_window(config: SamplerConfig, coords, initial=None) -> np.ndarray:
+    """Retained values of selected coordinates from one Gibbs run.
+
+    One row per retained state: config.steps // config.thin rows.
+    """
     coords = list(coords)
-    out = np.empty((n_samples, len(coords)))
+    out = np.empty((config.steps // config.thin, len(coords)))
     row = 0
 
     def grab(state):
@@ -357,9 +358,7 @@ def collect_window(dist: StationaryDist, coords, n_samples: int, *,
             out[row, j] = state[i]
         row += 1
 
-    cfg = SamplerConfig(dist=dist, k=k, w=w, steps=n_samples * thin,
-                        burnin=burnin, thin=thin, seed=seed)
-    run_gibbs(cfg, initial=initial, collector=grab)
+    run_gibbs(config, initial=initial, collector=grab)
     return out
 
 
@@ -373,16 +372,11 @@ def oracle_samples(dist: StationaryDist, count: int,
     """
     m = dist.n - 1
     caps = dist.caps
-    rec = 1.0 / dist.ratios
     out = np.empty((count, m))
     got = 0
     while got < count:
         c = rng.random((batch, m)) * caps
-        if m > 1:
-            ok = np.all(c[:, 1:] <= 1.0 - c[:, :-1] * rec[:-1], axis=1)
-            acc = c[ok]
-        else:
-            acc = c
+        acc = c[np.all(c <= _bounds(dist, c), axis=1)]
         take = min(count - got, acc.shape[0])
         out[got:got + take] = acc[:take]
         got += take
@@ -394,19 +388,14 @@ def oracle_sample(dist: StationaryDist, rng: np.random.Generator,
     """One exact uniform polytope point by whole-vector rejection."""
     m = dist.n - 1
     caps = dist.caps
-    rec = 1.0 / dist.ratios
     tries = 0
     while tries < max_tries:
         batch = min(4096, max_tries - tries)
         tries += batch
         c = rng.random((batch, m)) * caps
-        if m > 1:
-            ok = np.nonzero(np.all(c[:, 1:] <= 1.0 - c[:, :-1] * rec[:-1],
-                                   axis=1))[0]
-            if ok.size:
-                return SuperDiagState(dist, c[ok[0]])
-        else:
-            return SuperDiagState(dist, c[0])
+        ok = np.nonzero(np.all(c <= _bounds(dist, c), axis=1))[0]
+        if ok.size:
+            return SuperDiagState(dist, c[ok[0]])
     raise StallError(0, max_tries)
 
 
@@ -415,17 +404,12 @@ def acceptance_rate(dist: StationaryDist, trials: int,
     """Fraction of box proposals that land in the polytope."""
     m = dist.n - 1
     caps = dist.caps
-    rec = 1.0 / dist.ratios
     hits = 0
     left = trials
     while left:
         b = min(left, 65536)
         c = rng.random((b, m)) * caps
-        if m > 1:
-            hits += int(np.all(c[:, 1:] <= 1.0 - c[:, :-1] * rec[:-1],
-                               axis=1).sum())
-        else:
-            hits += b
+        hits += int(np.all(c <= _bounds(dist, c), axis=1).sum())
         left -= b
     return hits / trials
 

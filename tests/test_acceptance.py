@@ -31,7 +31,7 @@ from bdcutoff.lab.probes import (half_interval_rows, probe_marginal,
                                  uniform_domination_rows)
 from bdcutoff.lab.tableio import (parse_value, read_csv_rows, render_csv,
                                   render_json, write_table)
-from bdcutoff.sampler import (collect_window, oracle_samples,
+from bdcutoff.sampler import (SamplerConfig, collect_window, oracle_samples,
                               stream_fingerprint, substream)
 
 TRIO = (("uniform", {}), ("geometric", {"a": 2.0}), ("binomial", {}))
@@ -109,8 +109,9 @@ def test_criterion_03_small_n_sampler_exactness():
     # 2D grid test: under the triangle's area measure, (c0*(2-c0),
     # c1/(1-c0)) is a uniform pair on the unit square
     uni3 = make_distribution("uniform", 3)
-    vals = collect_window(uni3, [0, 1], 100_000, burnin=1000, thin=2,
-                          seed=int(stream_fingerprint(3, 0)))
+    vals = collect_window(SamplerConfig(
+        uni3, steps=100_000 * 2, burnin=1000, thin=2,
+        seed=int(stream_fingerprint(3, 0))), [0, 1])
     c0, c1 = vals[:, 0], vals[:, 1]
     f = c0 * (2.0 - c0)
     v = c1 / (1.0 - c0)
@@ -125,8 +126,9 @@ def test_criterion_03_small_n_sampler_exactness():
     p_two = {}
     for n, thin, coord in ((3, 10, 0), (6, 15, 2)):
         dist = make_distribution("uniform", n)
-        gib = collect_window(dist, [coord], 60_000, burnin=1000, thin=thin,
-                             seed=int(stream_fingerprint(3, n)))[:, 0]
+        gib = collect_window(SamplerConfig(
+            dist, steps=60_000 * thin, burnin=1000, thin=thin,
+            seed=int(stream_fingerprint(3, n))), [coord])[:, 0]
         ora = oracle_samples(dist, 60_000, substream(3, n, 1))[:, coord]
         edges = np.linspace(0.0, 1.0, 21)
         h1 = np.histogram(gib, edges)[0]
@@ -193,9 +195,10 @@ def test_criterion_06_structural_bounds_and_markov_property():
 
         dist = make_distribution(family, 200, **kw)
         start = 130 if family == "binomial" else 97
-        vals = collect_window(dist, list(range(start, start + 5)), 200_000,
-                              burnin=equilibration_budget(200), thin=199,
-                              seed=int(stream_fingerprint(78, fi)))
+        vals = collect_window(SamplerConfig(
+            dist, steps=200_000 * 199, burnin=equilibration_budget(200),
+            thin=199, seed=int(stream_fingerprint(78, fi))),
+            list(range(start, start + 5)))
         bad += _structural_checks(dist, vals, start)
 
     print(f"criterion 6: max binned |rho| = {rho_oracle:.4f} (oracle) / "

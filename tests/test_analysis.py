@@ -7,15 +7,16 @@ import pytest
 
 from conftest import dense_gap, equilibrated_kernel, solve_hitting
 
-from bdcutoff.analysis import (CutoffProduct, analyze, cutoff_product,
-                               dlp_window, expected_hitting_time,
+from bdcutoff.analysis import (analyze, dlp_window, expected_hitting_time,
                                miclo_bounds, mixing_profile, mixing_time,
                                pairwise_distance_profile,
                                separation_decay_bound, sd_mixing_bound,
-                               spectral_gap, tv_distance)
+                               spectral_gap)
 from bdcutoff.dist import make_distribution
-from bdcutoff.errors import (NonErgodicError, NotMixedError, ParameterError)
-from bdcutoff.kernel import kernel_from_superdiagonal, metropolis_kernel
+from bdcutoff.errors import (DomainError, NonErgodicError, NotMixedError,
+                             ParameterError)
+from bdcutoff.kernel import (BDKernel, kernel_from_superdiagonal,
+                             metropolis_kernel)
 from bdcutoff.sampler import stream_fingerprint
 
 FAMILIES = (("uniform", {}), ("geometric", {"a": 2.0}), ("binomial", {}))
@@ -154,16 +155,6 @@ def test_gap_matches_dense_eigensolver():
         assert spectral_gap(k) == pytest.approx(dense_gap(k), abs=1e-9)
 
 
-# total variation
-
-def test_tv_distance_basics():
-    assert tv_distance([0.5, 0.5], [0.5, 0.5]) == 0.0
-    assert tv_distance([1.0, 0.0], [0.0, 1.0]) == 1.0
-    assert tv_distance([0.5, 0.5], [0.25, 0.75]) == pytest.approx(0.25)
-    with pytest.raises(ParameterError):
-        tv_distance([0.5, 0.5], [0.2, 0.3, 0.5])
-
-
 # mixing times
 
 def test_mixing_time_two_state_full_mixing():
@@ -175,6 +166,15 @@ def test_mixing_time_identity_never_mixes():
                                      np.zeros(2))
     with pytest.raises(NotMixedError):
         mixing_time(kern, 0.25, horizon=500)
+
+
+def test_mixing_time_rejects_growing_tv():
+    # diagonal inflated past stochasticity: row sums 1.1, so mass grows
+    # and TV rises from 0.05 at t=1 to 0.105 at t=2
+    grown = BDKernel(dist=make_distribution("uniform", 2), c=np.array([0.5]),
+                     sub=np.array([0.5]), diag=np.array([0.6, 0.6]))
+    with pytest.raises(DomainError, match="increased"):
+        mixing_time(grown, 0.01)
 
 
 def test_default_starts_match_exhaustive():
@@ -312,11 +312,7 @@ def test_analyze_raw_kernel_and_validation():
                                      np.zeros(3))
     with pytest.raises(NonErgodicError):
         analyze(dead)
-
-
-def test_cutoff_product_two_state():
-    cp = cutoff_product(full_mixing_two_state(), lazy=False)
-    assert isinstance(cp, CutoffProduct)
-    assert cp.exact == pytest.approx(1.0, rel=1e-12)
-    assert not cp.proxy_used
-    assert cp.proxy == pytest.approx(2.0, rel=1e-12)
+    two = analyze(full_mixing_two_state(), lazy=False)
+    assert not two.proxy_flag
+    assert two.cutoff_product == pytest.approx(1.0, rel=1e-12)
+    assert two.tau_proxy * two.gap == pytest.approx(2.0, rel=1e-12)

@@ -7,8 +7,7 @@ from bdcutoff.analysis import spectral_gap
 from bdcutoff.dist import make_distribution
 from bdcutoff.errors import FeasibilityError, ParameterError
 from bdcutoff.kernel import (SuperDiagState, check_feasibility,
-                             kernel_from_subdiagonal, kernel_from_superdiagonal,
-                             metropolis_kernel, subdiagonal_view)
+                             kernel_from_superdiagonal, metropolis_kernel)
 from bdcutoff.sampler import oracle_samples, substream
 
 UNI2 = make_distribution("uniform", 2)
@@ -37,26 +36,6 @@ def test_check_feasibility_tolerance():
     assert check_feasibility(UNI3, [0.5, 0.5 + 1e-13]) is None
     assert check_feasibility(UNI3, [0.5, 0.5 + 1e-9]) == 1
     assert check_feasibility(UNI3, [-0.1, 0.2]) == 0
-
-
-def test_subdiagonal_view_values():
-    assert np.allclose(
-        subdiagonal_view(UNI2, np.array([0.6])), [0.6], atol=1e-15)
-    geo = make_distribution("geometric", 3, a=2.0)
-    sub = subdiagonal_view(geo, np.array([0.5, 0.2]))
-    assert sub[0] == pytest.approx(0.25, abs=1e-15)
-
-
-def test_subdiagonal_round_trip():
-    rng = substream(17)
-    dists = [make_distribution("uniform", 9),
-             make_distribution("geometric", 9, a=2.0),
-             make_distribution("binomial", 9)]
-    for dist in dists:
-        for c in oracle_samples(dist, 20, rng):
-            kern = kernel_from_superdiagonal(dist, c)
-            back = kernel_from_subdiagonal(dist, subdiagonal_view(dist, c))
-            assert np.allclose(back.c, kern.c, atol=1e-12)
 
 
 def test_lazy_examples():
@@ -125,8 +104,6 @@ def test_sampled_kernels_are_valid_stochastic_matrices():
             flow_up = dist.mass[:-1] * np.diag(K, 1)
             flow_down = dist.mass[1:] * np.diag(K, -1)
             assert np.allclose(flow_up, flow_down, rtol=1e-12)
-            # feasibility survives the sub-diagonal reparameterization
-            kernel_from_subdiagonal(dist, subdiagonal_view(dist, c))
 
 
 def test_superdiag_state_replace():

@@ -75,6 +75,10 @@ def test_load_config_file_errors(tmp_path):
     bad_bool.write_text("exact-tau = maybe\n")
     with pytest.raises(ParameterError, match="boolean"):
         load_config_file(str(bad_bool))
+    retired = tmp_path / "d.cfg"
+    retired.write_text("d_values = 4,8\n")
+    with pytest.raises(ParameterError, match=r"d\.cfg:1.*d_values"):
+        load_config_file(str(retired))
 
 
 def test_flags_override_config_file(tmp_path):
@@ -305,8 +309,16 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
 
 
 def test_cli_runtime_failures_exit_two(capsys):
-    rc, _, err = run_cli(capsys, ["analyze", "--n", "12", "--k", "2",
-                                  "--max-rejection-tries", "1",
-                                  "--seed", "1"])
-    assert rc == 2
-    assert "StallError" in err
+    for command in (["analyze", "--n", "12"],
+                    ["probe", "marginal", "--n", "16"]):
+        rc, _, err = run_cli(capsys, command + ["--k", "2",
+                                                "--max-rejection-tries", "1",
+                                                "--seed", "1"])
+        assert rc == 2
+        assert "StallError" in err
+
+
+def test_star_imports_resolve():
+    # a star import raises AttributeError for any stale name in __all__
+    for module in ("bdcutoff", "bdcutoff.lab"):
+        exec(f"from {module} import *", {})

@@ -72,7 +72,8 @@ def test_site_update_pinched_interval_is_deterministic():
 
 def test_site_update_chain_mean():
     # triangle marginal has mean 1/3
-    vals = collect_window(UNI3, [0], 30000, thin=3, burnin=300, seed=31)
+    vals = collect_window(SamplerConfig(UNI3, steps=30000 * 3, burnin=300,
+                                        thin=3, seed=31), [0])
     mean = float(vals.mean())
     se = float(vals.std()) / math.sqrt(vals.size)
     assert abs(mean - 1.0 / 3.0) <= 3.0 * se
@@ -213,7 +214,8 @@ def test_default_states_are_feasible():
 
 
 def test_collect_window_shape():
-    vals = collect_window(UNI4, [0, 2], 50, thin=2, burnin=10, seed=1)
+    vals = collect_window(SamplerConfig(UNI4, steps=50 * 2, burnin=10,
+                                        thin=2, seed=1), [0, 2])
     assert vals.shape == (50, 2)
     assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
 
@@ -237,6 +239,21 @@ def test_oracle_triangle_mean():
 def test_oracle_acceptance_rate_near_half():
     rate = acceptance_rate(UNI3, 100_000, substream(45))
     assert abs(rate - 0.5) <= 3.0 * math.sqrt(0.25 / 100_000)
+
+
+def test_acceptance_rate_matches_scalar_reference():
+    # the same box draws, judged one proposal at a time by the chained
+    # row constraints; m = 1 has none, so every draw is accepted
+    for dist in (make_distribution("explicit", 2, mass=(0.6, 0.4)), UNI4,
+                 make_distribution("geometric", 6, a=2.0),
+                 make_distribution("binomial", 6),
+                 make_distribution("if", 3, a=2.0, eps=0.5)):
+        m = dist.n - 1
+        rec = [1.0 / r for r in dist.ratios.tolist()]
+        box = substream(47).random((4000, m)) * dist.caps
+        hits = sum(all(c[i] <= 1.0 - c[i - 1] * rec[i - 1]
+                       for i in range(1, m)) for c in box.tolist())
+        assert acceptance_rate(dist, 4000, substream(47)) == hits / 4000
 
 
 def test_oracle_sample_is_feasible():
