@@ -338,9 +338,10 @@ def separation_decay_bound(ell: int) -> float:
 class AnalysisReport:
     """Mixing summary of one kernel.
 
-    tau and dlp_window are None when the exact mixing time was skipped
-    for cost (proxy_flag True); cutoff_product then uses the
-    hitting-time proxy.
+    dlp_scale is sqrt(tau/gap), the Ding-Lubetzky-Peres window scale
+    (dlp_window() measures the window itself). tau and dlp_scale are
+    None when the exact mixing time was skipped for cost (proxy_flag
+    True); cutoff_product then uses the hitting-time proxy.
     """
 
     gap: float
@@ -351,7 +352,7 @@ class AnalysisReport:
     tau_proxy: float
     proxy_flag: bool
     cutoff_product: float
-    dlp_window: float | None
+    dlp_scale: float | None
 
 
 def analyze(kernel: BDKernel, *, lazy: bool = True, delta: float = 0.75,
@@ -384,8 +385,8 @@ def analyze(kernel: BDKernel, *, lazy: bool = True, delta: float = 0.75,
         return AnalysisReport(gap=gap, miclo=miclo, hit_up=hit_up,
                               hit_down=hit_down, tau=tau, tau_proxy=tau_proxy,
                               proxy_flag=False, cutoff_product=tau * gap,
-                              dlp_window=math.sqrt(tau / gap))
+                              dlp_scale=math.sqrt(tau / gap))
     return AnalysisReport(gap=gap, miclo=miclo, hit_up=hit_up,
                           hit_down=hit_down, tau=None, tau_proxy=tau_proxy,
                           proxy_flag=True, cutoff_product=tau_proxy * gap,
-                          dlp_window=None)
+                          dlp_scale=None)

@@ -6,7 +6,6 @@ from .probes import (PROBES, ProbeResult, probe_contraction, probe_levy_sum,
                      probe_marginal, probe_markov, probe_tail)
 from .tableio import (SCHEMA_TAG, read_csv_rows, read_json_rows, render_csv,
                       render_json, write_table)
-from .cli import cli_main, main
 
 __all__ = [
     "ExperimentConfig", "EnsembleRecord", "RECORD_FIELDS", "record_rows",
@@ -15,3 +14,12 @@ __all__ = [
     "SCHEMA_TAG", "read_csv_rows", "read_json_rows", "render_csv",
     "render_json", "write_table", "cli_main", "main",
 ]
+
+
+def __getattr__(name):
+    # cli is imported on first use, not with the package, so that
+    # "python -m bdcutoff.lab.cli" runs a module not yet imported
+    if name in ("cli_main", "main"):
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

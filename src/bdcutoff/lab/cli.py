@@ -212,17 +212,11 @@ def _cmd_sample(cfg: ExperimentConfig) -> int:
         budget = cfg.equilibration_budget(dist.n)
         for rep in range(cfg.reps):
             seed_sub = replicate_seed(cfg.seed, n, rep)
-            retained = []
-            if cfg.steps > 0:
-                collector = retained.append
-            else:
-                collector = None
             trace = run_gibbs(
                 cfg.sampler_config(dist, seed_sub, steps=cfg.steps,
                                    burnin=budget + cfg.burnin,
-                                   thin=cfg.thin),
-                collector=collector)
-            states = retained if retained else [trace.final]
+                                   thin=cfg.thin))
+            states = trace.samples if len(trace.samples) else [trace.final]
             for idx, state in enumerate(states):
                 for coord, value in enumerate(state):
                     rows.append({"n": dist.n, "family": cfg.family,
@@ -245,7 +239,7 @@ def _cmd_analyze(cfg: ExperimentConfig) -> int:
         "tau": report.tau, "tau_proxy": report.tau_proxy,
         "proxy_flag": report.proxy_flag,
         "cutoff_product": report.cutoff_product,
-        "dlp_window": report.dlp_window,
+        "dlp_scale": report.dlp_scale,
         "max_recip_superdiag": kern.max_recip_superdiag,
         "lazy": not cfg.raw_kernel, "delta": cfg.delta}
     _emit_json(payload, cfg.out)
@@ -268,6 +262,14 @@ def _cmd_probe(cfg: ExperimentConfig, probe_name: str) -> int:
 
 
 def _cmd_compare(cfg: ExperimentConfig) -> int:
+    # comparison_diagnostic fixes its own analysis settings
+    for name, flag in (("delta", "--delta"), ("raw_kernel", "--raw-kernel"),
+                       ("exact_tau", "--exact-tau")):
+        if getattr(cfg, name) != getattr(ExperimentConfig, name):
+            raise ParameterError(
+                f"compare-metropolis does not take {flag}: it always uses "
+                f"the hitting-time proxy of the half-lazy kernel at delta "
+                f"{ExperimentConfig.delta}")
     n = cfg.n_list[0]
     dist = cfg.make_dist(n)
     kernels = []

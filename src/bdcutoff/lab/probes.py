@@ -96,6 +96,27 @@ def _quantile_se(sorted_vals: np.ndarray, q: float) -> float:
     return 0.5 * (hi - lo)
 
 
+def batch_means_ess(chain) -> float:
+    """Effective sample size of a chain of values by batch means.
+
+    The first a*b values are cut into a batches of b = isqrt(len)
+    consecutive values; ESS = len * var(values) / (b * var(batch
+    means)), capped at len. I.i.d. values give about len; positively
+    autocorrelated ones give less.
+    """
+    x = np.asarray(chain, dtype=float)
+    n = x.size
+    if n < 4:
+        return float(n)
+    size = math.isqrt(n)
+    batches = n // size
+    means = x[:batches * size].reshape(batches, size).mean(axis=1)
+    spread = float(means.var(ddof=1))
+    if spread == 0.0:
+        return float(n)
+    return min(float(n), n * float(x.var(ddof=1)) / (size * spread))
+
+
 def _ks_against(sorted_samples: np.ndarray, cdf) -> float:
     ref = cdf(sorted_samples)
     n = len(sorted_samples)
@@ -111,7 +132,8 @@ def probe_marginal(cfg: ExperimentConfig) -> ProbeResult:
     the table grid. ks is against the sine curve; ks_interior against
     the interior law, which is what a mid-chain coordinate actually
     follows (the sine curve matches the edge; see the reference-cdf
-    docstrings).
+    docstrings). The row se values treat the retained samples as
+    independent; ess is their batch-means effective sample size.
     """
     dist = cfg.make_dist(cfg.n_list[0])
     m = dist.n - 1
@@ -121,6 +143,7 @@ def probe_marginal(cfg: ExperimentConfig) -> ProbeResult:
         flags.append(f"coordinate {coord} is within 20 of a boundary")
     vals, budget, thin = _window_samples(
         cfg, dist, [coord], cfg.probe_samples, tag=3)
+    ess = batch_means_ess(vals[:, 0])
     samples = np.sort(vals[:, 0])
     count = len(samples)
 
@@ -137,8 +160,8 @@ def probe_marginal(cfg: ExperimentConfig) -> ProbeResult:
             "abs_gap": abs(emp - r),
             "se": math.sqrt(r * (1.0 - r) / count), "count": count})
     summary = {
-        "n": dist.n, "coord": coord, "samples": count, "burnin": budget,
-        "thin": thin, "ks": ks, "ks_interior": ks_interior,
+        "n": dist.n, "coord": coord, "samples": count, "ess": ess,
+        "burnin": budget, "thin": thin, "ks": ks, "ks_interior": ks_interior,
         "empirical_median": float(np.quantile(samples, 0.5)),
         "reference_median": SIN_REFERENCE_MEDIAN}
     return ProbeResult(
@@ -153,7 +176,9 @@ def probe_tail(cfg: ExperimentConfig) -> ProbeResult:
 
     f should be nondecreasing and bounded by 16 times the coordinate
     cap. For flat mass its large-x limit is the marginal density at 0:
-    pi/2 at the edge coordinate, 2 at interior coordinates.
+    pi/2 at the edge coordinate, 2 at interior coordinates. The se
+    values treat the retained samples as independent; ess is their
+    batch-means effective sample size.
     """
     dist = cfg.make_dist(cfg.n_list[0])
     m = dist.n - 1
@@ -190,8 +215,9 @@ def probe_tail(cfg: ExperimentConfig) -> ProbeResult:
     if bound_violations:
         flags.append(f"{bound_violations} cap-bound violations over 3 SE")
     summary = {
-        "n": dist.n, "coord": coord, "samples": count, "burnin": budget,
-        "thin": thin, "f_last": rows[-1]["f"], "x_last": rows[-1]["x"],
+        "n": dist.n, "coord": coord, "samples": count,
+        "ess": batch_means_ess(samples), "burnin": budget, "thin": thin,
+        "f_last": rows[-1]["f"], "x_last": rows[-1]["x"],
         "limit_target": math.pi / 2.0, "limit_target_interior": 2.0,
         "monotone_violations": monotone_violations,
         "bound_violations": bound_violations}

@@ -5,7 +5,9 @@ coordinates (endpoints reweighted by w), then redraw the window from its
 exact conditional, which is uniform on a section of the polytope. For
 k = 1 the section is an interval and the draw is a single scaled
 uniform; for k >= 2 we rejection-sample from the product of per-site
-boxes [0, min(1, ratio)].
+boxes [0, min(1, ratio)]. On _REPLAY_MIN_SITES or more coordinates the
+k = 1 chain is replayed with numpy a batch of updates at a time, with
+the same draws and bit-identical results.
 
 A brute-force rejection sampler over the whole polytope doubles as a
 ground-truth oracle for small state counts, and a shared-proposal
@@ -22,6 +24,9 @@ from .errors import ParameterError, StallError
 from .kernel import SuperDiagState, _bounds
 
 _CHUNK = 65536
+# k = 1 runs on at least this many coordinates are replayed with numpy
+# (_replay_site); shorter chains are too deep for the replay to pay off
+_REPLAY_MIN_SITES = 48
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -191,6 +196,19 @@ def _start_picker(nstarts: int, w: float):
     return pick
 
 
+def _start_sites(us: np.ndarray, nstarts: int, w: float) -> np.ndarray:
+    """_start_picker applied to an array of uniforms, with the same
+    float operations, so both give the same starts."""
+    if nstarts == 1:
+        return np.zeros(us.size, dtype=np.intp)
+    tot = (nstarts - 2) + 2.0 * w
+    w2 = 2.0 * w
+    last = nstarts - 1
+    x = us * tot
+    inner = np.minimum(1 + (x - w2).astype(np.intp), last - 1)
+    return np.where(x < w, 0, np.where(x < w2, last, inner))
+
+
 def _block_ok(c: list, s: int, prop: list, k: int, rec: list, m: int) -> bool:
     """Feasibility of a proposed block, neighbors frozen.
 
@@ -261,7 +279,8 @@ def run_gibbs(config: SamplerConfig, initial=None, collector=None) -> GibbsTrace
             stored += 1
 
     if config.k == 1:
-        tries = _run_site(dist, c, counts, total, config, rng, retain)
+        run = _replay_site if m >= _REPLAY_MIN_SITES else _run_site
+        tries = run(dist, c, counts, total, config, rng, retain)
         tries_by = counts  # one proposal per update at k = 1
     else:
         tries = _run_block(dist, c, counts, tries_by, total, config, rng, retain)
@@ -308,6 +327,157 @@ def _run_site(dist, c, counts, total, config, rng, retain):
                 next_keep += thin
                 retain(c)
     return total
+
+
+def _replay_site(dist, c, counts, total, config, rng, retain):
+    """_run_site replayed a batch at a time with numpy.
+
+    It draws the same uniforms and performs the same float operations
+    per update, so c, counts and the retained states come out bit for
+    bit as the scalar loop leaves them. Within a batch each draw reads
+    only the latest earlier values at its two neighbour sites, so the
+    batch's values solve an acyclic system v = F(v) with a unique
+    solution; _settle finds it by iterating F.
+    """
+    m = dist.n - 1
+    rat = np.asarray(dist.ratios, dtype=float)
+    recl = np.zeros(m)  # rec[i-1]; times the zero slot at i = 0
+    recl[1:] = 1.0 / rat[:-1]
+    # the site each update reads on either side; m is the zero slot
+    # that stands in for the missing neighbour at either end
+    lsite = np.arange(-1, m - 1)
+    lsite[0] = m
+    rsite = np.arange(1, m + 1)
+    rsite[-1] = m
+    # a pass settles about m/4 to m/2 draws; a wider window mostly
+    # recomputes draws that the next pass evaluates again
+    width = min(4 * m, 4096)
+    thin = config.thin
+    next_keep = config.burnin + thin
+    state = np.append(np.asarray(c, dtype=float), 0.0)
+    tally = np.zeros(m, dtype=np.int64)
+    done = 0
+    while done < total:
+        batch = min(_CHUNK, total - done)
+        us = rng.random(2 * batch)
+        sites = _start_sites(us[0::2], m, config.w)
+        hits = np.bincount(sites, minlength=m)
+        tally += hits
+        srcl, srcr, bysite = _neighbour_sources(sites, hits, lsite, rsite)
+        # [batch values | state before the batch | 0.0]
+        ext = np.zeros(batch + m + 1)
+        ext[batch:] = state
+        _settle(ext, srcl, srcr, recl[sites], rat[sites], us[1::2], width)
+        if next_keep <= done + batch:
+            for row in _states_after(state[:m], sites, ext[:batch],
+                                     next_keep - done - 1, thin):
+                retain(row)
+                next_keep += thin
+        ends = np.cumsum(hits) - 1
+        touched = hits > 0
+        state[:m][touched] = ext[bysite[ends[touched]]]
+        done += batch
+    c[:] = state[:m].tolist()
+    counts[:] = tally.tolist()
+    return total
+
+
+def _neighbour_sources(sites, hits, lsite, rsite):
+    """Where each update of a batch reads its left and right neighbour.
+
+    Indices into [batch values | state before the batch | 0.0]: the
+    latest earlier update at site s-1 (s+1), else that site's entry in
+    the state before the batch. Also returns the updates sorted by site
+    (stable, so each site's updates stay in time order).
+
+    Every update j at site s joins two groups: group s as its upper
+    member and group s+1 as its lower one. A stable sort by group lists
+    sites s-1 and s of group s merged in time order, and both kinds of
+    member, taken alone, run through the updates in site order. So an
+    upper member's latest earlier lower member is the count of lower
+    members before it, as a position in that order, and vice versa.
+    """
+    n = sites.size
+    group = np.empty(2 * n, dtype=np.min_scalar_type(hits.size))
+    group[0::2] = sites
+    group[1::2] = sites
+    group[1::2] += 1
+    order = np.argsort(group, kind="stable")
+    upper = (order & 1) == 0
+    pos_up = np.flatnonzero(upper)
+    pos_low = np.flatnonzero(~upper)
+    bysite = order[pos_up] >> 1
+    ss = np.repeat(np.arange(hits.size), hits)
+    rank = np.arange(1, n + 1)
+    li = pos_up - rank  # -1 reads ss[-1], the largest site: never s - 1
+    ri = pos_low - rank
+    srcl = np.empty(n, dtype=np.intp)
+    srcr = np.empty(n, dtype=np.intp)
+    srcl[bysite] = np.where(ss[li] == ss - 1, bysite[li], n + lsite[ss])
+    srcr[bysite] = np.where(ss[ri] == ss + 1, bysite[ri], n + rsite[ss])
+    return srcl, srcr, bysite
+
+
+def _states_after(base, sites, vals, stop, thin):
+    """The states after updates stop, stop + thin, ... of a batch, as
+    lists.
+
+    base is the state before the batch and update j writes vals[j] at
+    sites[j]. Each site holds its last write at or before the stop, else
+    its base value. Rows are built about 2**16 entries at a time.
+    """
+    m = base.size
+    per_block = max(1, (1 << 16) // m)
+    start = 0
+    while stop < sites.size:
+        rows = min(per_block, (sites.size - 1 - stop) // thin + 1)
+        seg = sites[start:stop + (rows - 1) * thin + 1]
+        order = np.argsort(seg.astype(np.min_scalar_type(m)), kind="stable")
+        ss = seg[order]
+        # the first row that shows each write: ceil((j - stop) / thin)
+        first = np.maximum(0, (order - (stop - start) + thin - 1) // thin)
+        # a site's last write before each row that shows it
+        last = np.ones(order.size, dtype=bool)
+        last[:-1] = (ss[1:] != ss[:-1]) | (first[1:] != first[:-1])
+        grid = np.full((rows, m), -1)
+        grid[first[last], ss[last]] = order[last]
+        np.maximum.accumulate(grid, axis=0, out=grid)
+        block = np.where(grid < 0, base, vals[start:start + seg.size][grid])
+        yield from block.tolist()
+        base = block[-1]
+        start += seg.size
+        stop += rows * thin
+
+
+def _settle(ext, srcl, srcr, rl, rr, u, width):
+    """Solve v = F(v) in ext[:n] for the batch's n draws, where
+    F(v)[j] = u[j]*max(0, min(1 - rl[j]*v[srcl[j]], rr[j]*(1 - v[srcr[j]])))
+    in _run_site's operation order, reading ext beyond n as constants.
+
+    Every source of draw j lies before j, so once a prefix of the batch
+    is a fixed point it is the solution there. Each pass evaluates the
+    width draws after the settled prefix; draws up to the first one
+    whose value moved were already settled, and that one was computed
+    from settled values, so the prefix grows by at least one per pass.
+    """
+    n = u.size
+    f = 0
+    while f < n:
+        e = min(f + width, n)
+        left = 1.0 - rl[f:e] * ext[srcl[f:e]]
+        right = rr[f:e] * (1.0 - ext[srcr[f:e]])
+        # "left if left < right else right", NaN included
+        hi = np.where(left < right, left, right)
+        np.maximum(hi, 0.0, out=hi)
+        hi *= u[f:e]
+        old = ext[f:e]
+        moved = hi != old
+        d = int(moved.argmax())
+        if moved[d]:
+            old[d:] = hi[d:]
+            f += d + 1
+        else:
+            f = e
 
 
 def _run_block(dist, c, counts, tries_by, total, config, rng, retain):

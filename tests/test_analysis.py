@@ -285,8 +285,8 @@ def test_analyze_exact_path():
     assert not rep.proxy_flag and rep.tau is not None
     assert rep.tau == mixing_time(lazy, 0.25)
     assert rep.cutoff_product == pytest.approx(rep.tau * rep.gap, rel=1e-12)
-    assert rep.dlp_window == pytest.approx(math.sqrt(rep.tau / rep.gap),
-                                           rel=1e-12)
+    assert rep.dlp_scale == pytest.approx(math.sqrt(rep.tau / rep.gap),
+                                          rel=1e-12)
     assert rep.tau_proxy == max(rep.hit_up, rep.hit_down)
     q = kern.dist.quantile(0.75)
     assert rep.hit_up == pytest.approx(
@@ -297,7 +297,7 @@ def test_analyze_exact_path():
 def test_analyze_proxy_path():
     kern = sampled("uniform", {}, 10, stream_fingerprint(57))
     rep = analyze(kern, exact_tau_limit=0)
-    assert rep.proxy_flag and rep.tau is None and rep.dlp_window is None
+    assert rep.proxy_flag and rep.tau is None and rep.dlp_scale is None
     assert rep.cutoff_product == pytest.approx(rep.tau_proxy * rep.gap,
                                                rel=1e-12)
 

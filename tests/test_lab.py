@@ -3,6 +3,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -265,6 +268,10 @@ def test_cli_sample_retains_trace(capsys):
     idx = {line.split(",")[4] for line in rows}
     assert idx == {"0", "1"}  # two retained states
     assert len(rows) == 2 * 5
+    # each retained state, not the final state repeated
+    states = [[r.split(",")[6] for r in rows if r.split(",")[4] == i]
+              for i in ("0", "1")]
+    assert states[0] != states[1]
 
 
 def test_cli_probe_json(tmp_path, capsys):
@@ -316,6 +323,27 @@ def test_cli_runtime_failures_exit_two(capsys):
                                                 "--seed", "1"])
         assert rc == 2
         assert "StallError" in err
+
+
+def test_cli_compare_rejects_analysis_flags(capsys):
+    base = ["compare-metropolis", "--n", "16", "--reps", "3", "--seed", "6"]
+    for flag in (["--delta", "0.9"], ["--raw-kernel"], ["--exact-tau"]):
+        rc, out, err = run_cli(capsys, base + flag)
+        assert rc == 1 and out == ""
+        assert flag[0] in err and "ParameterError" not in err
+
+
+def test_cli_module_runs_without_runtime_warning():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "bdcutoff.lab.cli", "--help"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: bdcutoff" in proc.stdout
 
 
 def test_star_imports_resolve():

@@ -13,7 +13,7 @@ from bdcutoff.dist import make_distribution
 from bdcutoff.errors import ParameterError
 from bdcutoff.lab.config import ExperimentConfig
 from bdcutoff.lab.probes import (PROBES, SIN_REFERENCE_MEDIAN,
-                                 coupon_miss_reference, half_interval_rows,
+                                 batch_means_ess, coupon_miss_reference, half_interval_rows,
                                  interior_reference_cdf, probe_contraction,
                                  probe_levy_sum, probe_marginal,
                                  probe_markov, probe_tail,
@@ -115,6 +115,27 @@ def test_tail_interior_density_limit():
     for row in res.rows:
         assert row["bound"] == 16.0  # flat mass: cap is 1
         assert row["f"] == pytest.approx(row["x"] * row["prob"])
+
+
+def test_batch_means_ess():
+    # independent draws: close to the sample count
+    draws = oracle_samples(make_distribution("uniform", 12), 20000,
+                           substream(7))
+    for coord in (0, 5):
+        ess = batch_means_ess(draws[:, coord])
+        assert 0.8 * 20000 <= ess <= 20000
+    # a chain that repeats each value 10 times: about a tenth
+    assert batch_means_ess(np.repeat(draws[:2000, 5], 10)) < 0.2 * 20000
+    assert batch_means_ess(np.ones(100)) == 100.0
+    assert batch_means_ess(np.arange(3.0)) == 3.0
+
+
+def test_probe_ess_reflects_autocorrelation():
+    cfg = ExperimentConfig(n_list=(64,), probe_samples=4000, seed=304)
+    for probe in (probe_marginal, probe_tail):
+        summary = probe(cfg).summary
+        # a quarter-sweep thin leaves the coordinate unchanged most steps
+        assert 0.0 < summary["ess"] < 0.5 * summary["samples"]
 
 
 def test_tail_grid_validation():

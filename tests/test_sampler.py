@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from bdcutoff import sampler
 from bdcutoff.dist import make_distribution
 from bdcutoff.errors import ParameterError, StallError
 from bdcutoff.kernel import SuperDiagState, check_feasibility
@@ -218,6 +219,81 @@ def test_collect_window_shape():
                                         thin=2, seed=1), [0, 2])
     assert vals.shape == (50, 2)
     assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
+
+
+# numpy replay of the k = 1 chain
+
+def _both_paths(monkeypatch, run):
+    """run() on the scalar loop, then on the numpy replay, whatever the
+    coordinate count."""
+    out = []
+    for threshold in (1 << 62, 1):
+        monkeypatch.setattr(sampler, "_REPLAY_MIN_SITES", threshold)
+        out.append(run())
+    return out
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+def _sized(family, m):
+    """A family's distribution with about m coordinates (if: m even)."""
+    if family == "if":
+        return make_distribution("if", m // 2 + 1, a=2.0, eps=0.25)
+    if family == "geometric":
+        return make_distribution("geometric", m + 1, a=1.5)
+    if family == "explicit":
+        mass = substream(4, m).random(m + 1) + 0.05
+        return make_distribution("explicit", m + 1, mass=mass / mass.sum())
+    return make_distribution(family, m + 1)
+
+
+@pytest.mark.parametrize("family,m", [
+    (family, m)
+    for family in ("uniform", "geometric", "binomial", "if", "explicit")
+    for m in (1, 2, 3, sampler._REPLAY_MIN_SITES - 1,
+              sampler._REPLAY_MIN_SITES + 1, 255)
+    if not (family == "if" and m == 1)])  # if: m is even
+def test_replay_is_bit_identical_to_scalar_loop(monkeypatch, family, m):
+    dist = _sized(family, m)
+    for w in (0.25, 1.0, 4.0):
+        # 69 001 updates cross the 65 536-update batch; 9001 % 7 != 0
+        cfg = SamplerConfig(dist, w=w, burnin=60000, steps=9001, thin=7,
+                            seed=int(m * 10 + 4 * w))
+        scalar, replay = _both_paths(monkeypatch, lambda: run_gibbs(cfg))
+        assert _same_bits(scalar.final, replay.final)
+        assert _same_bits(scalar.samples, replay.samples)
+        assert scalar.samples.shape == (9001 // 7, dist.n - 1)
+        assert np.array_equal(scalar.update_counts, replay.update_counts)
+        assert scalar.update_counts.dtype == replay.update_counts.dtype
+        assert np.array_equal(scalar.acceptance_stats,
+                              replay.acceptance_stats)
+        assert scalar.block_tries == replay.block_tries == 69001
+
+
+def test_replay_collector_and_start_match_scalar_loop(monkeypatch):
+    dist = make_distribution("uniform", 200)
+    cfg = SamplerConfig(dist, burnin=5000, steps=49 * 2000, thin=49, seed=8)
+    start = greedy_max_state(dist)
+    scalar, replay = _both_paths(
+        monkeypatch, lambda: collect_window(cfg, [0, 99, 198], initial=start))
+    assert scalar.shape == (2000, 3)
+    assert _same_bits(scalar, replay)
+
+
+def test_start_sites_match_picker():
+    edge = np.nextafter(1.0, 0.0)
+    us = np.concatenate(([0.0, edge], substream(2).random(2000)))
+    # at nstarts 19, w 7.3 the largest uniform rounds one past the
+    # interior range, so the clamp is exercised
+    for nstarts, w in [(n, w) for n in (1, 2, 3, 7, 300)
+                       for w in (0.25, 1.0, 4.0)] + [(19, 7.3)]:
+        pick = sampler._start_picker(nstarts, w)
+        want = [pick(float(u)) for u in us]
+        assert sampler._start_sites(us, nstarts, w).tolist() == want
 
 
 # rejection oracle
