@@ -11,14 +11,12 @@ from .errors import (DomainError, EmptyEnsembleError, FeasibilityError,
                      NonErgodicError, NotMixedError, ParameterError,
                      SpectrumError, StallError)
 from .dist import FAMILIES, StationaryDist, make_distribution
-from .kernel import (BDKernel, SuperDiagState, check_feasibility,
-                     kernel_from_superdiagonal, metropolis_kernel)
+from .kernel import (BDKernel, check_feasibility, kernel_from_superdiagonal,
+                     metropolis_kernel)
 from .sampler import (CoupledTrace, GibbsTrace, SamplerConfig,
-                      acceptance_rate, block_update, collect_window,
-                      conditional_interval, default_initial_state,
-                      greedy_max_state, oracle_sample, oracle_samples,
-                      run_coupled_pair, run_gibbs, site_update,
-                      stream_fingerprint, substream)
+                      acceptance_rate, collect_window, default_initial_state,
+                      greedy_max_state, oracle_samples, run_coupled_pair,
+                      run_gibbs, stream_fingerprint, substream)
 from .analysis import (AnalysisReport, DlpWindow, EXACT_TAU_LIMIT,
                        MicloBounds, MixingBoundResult, analyze, dlp_window,
                        expected_hitting_time, miclo_bounds, mixing_profile,
@@ -37,12 +35,11 @@ __all__ = [
     "NonErgodicError", "NotMixedError", "ParameterError", "SpectrumError",
     "StallError",
     "FAMILIES", "StationaryDist", "make_distribution",
-    "BDKernel", "SuperDiagState", "check_feasibility",
-    "kernel_from_superdiagonal", "metropolis_kernel",
+    "BDKernel", "check_feasibility", "kernel_from_superdiagonal",
+    "metropolis_kernel",
     "CoupledTrace", "GibbsTrace", "SamplerConfig", "acceptance_rate",
-    "block_update", "collect_window", "conditional_interval",
-    "default_initial_state", "greedy_max_state", "oracle_sample",
-    "oracle_samples", "run_coupled_pair", "run_gibbs", "site_update",
+    "collect_window", "default_initial_state", "greedy_max_state",
+    "oracle_samples", "run_coupled_pair", "run_gibbs",
     "stream_fingerprint", "substream",
     "AnalysisReport", "DlpWindow", "EXACT_TAU_LIMIT", "MicloBounds",
     "MixingBoundResult", "analyze", "dlp_window", "expected_hitting_time",

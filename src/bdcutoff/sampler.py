@@ -10,18 +10,19 @@ k = 1 chain is replayed with numpy a batch of updates at a time, with
 the same draws and bit-identical results.
 
 A brute-force rejection sampler over the whole polytope doubles as a
-ground-truth oracle for small state counts, and a shared-proposal
-coupling of two Gibbs chains gives a coalescence-time diagnostic.
+ground-truth oracle for small state counts. Two chains that share every
+block start and proposal give a coalescence-time diagnostic; the k >= 2
+chain and this coupled pair run the same rejection loop (_run_block).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dist import StationaryDist
 from .errors import ParameterError, StallError
-from .kernel import SuperDiagState, _bounds
+from .kernel import _bounds
 
 _CHUNK = 65536
 # k = 1 runs on at least this many coordinates are replayed with numpy
@@ -120,61 +121,6 @@ def greedy_max_state(dist: StationaryDist) -> np.ndarray:
     return c
 
 
-def conditional_interval(state: SuperDiagState, i: int) -> tuple[float, float]:
-    """Support [0, hi] of the single-site conditional at site i.
-
-    hi can be 0 when the neighbors pin the site; that still defines a
-    legal (degenerate) draw.
-    """
-    dist, c = state.dist, state.c
-    m = dist.n - 1
-    if not 0 <= i <= m - 1:
-        raise IndexError(f"site {i} out of range [0, {m - 1}]")
-    r = dist.ratios
-    left = 1.0 - c[i - 1] / r[i - 1] if i else 1.0
-    right = r[i] * (1.0 - c[i + 1]) if i < m - 1 else r[m - 1]
-    hi = min(left, right)
-    return (0.0, float(hi) if hi > 0.0 else 0.0)
-
-
-def site_update(state: SuperDiagState, i: int,
-                rng: np.random.Generator) -> SuperDiagState:
-    """One exact single-site conditional draw; returns the new state."""
-    _, hi = conditional_interval(state, i)
-    return state.replace(i, float(rng.random()) * hi)
-
-
-def block_update(state: SuperDiagState, start: int, k: int,
-                 rng: np.random.Generator, *,
-                 max_tries: int = 1_000_000) -> SuperDiagState:
-    """Redraw coordinates [start, start+k) from their joint conditional.
-
-    k = 1 is the exact interval draw; larger blocks rejection-sample
-    from the product of per-site caps, raising StallError if no
-    proposal lands within max_tries.
-    """
-    dist = state.dist
-    m = dist.n - 1
-    if not 1 <= k <= m:
-        raise ParameterError(f"block size must be in [1, {m}], got {k}")
-    if not 0 <= start <= m - k:
-        raise IndexError(f"block start {start} out of range [0, {m - k}]")
-    if k == 1:
-        return site_update(state, start, rng)
-    c = state.c
-    caps = dist.caps
-    rec = 1.0 / dist.ratios
-    box = caps[start:start + k]
-    tries = 0
-    while True:
-        tries += 1
-        if tries > max_tries:
-            raise StallError(start, tries - 1)
-        prop = rng.random(k) * box
-        if _block_ok(c, start, prop, k, rec, m):
-            return state.replace_block(start, prop)
-
-
 def _start_picker(nstarts: int, w: float):
     """Map a uniform to a block start; endpoints carry weight w."""
     if nstarts == 1:
@@ -227,23 +173,13 @@ def _block_ok(c: list, s: int, prop: list, k: int, rec: list, m: int) -> bool:
     return True
 
 
-class _Uniforms:
-    """Chunked uniform buffer; keeps the hot loops off ndarray indexing."""
-
-    __slots__ = ("rng", "buf", "pos")
-
-    def __init__(self, rng):
-        self.rng = rng
-        self.buf = []
-        self.pos = 0
-
-    def take(self) -> float:
-        if self.pos >= len(self.buf):
-            self.buf = self.rng.random(_CHUNK).tolist()
-            self.pos = 0
-        v = self.buf[self.pos]
-        self.pos += 1
-        return v
+def _uniforms(rng):
+    """Uniforms one at a time, drawn in chunks that double from 256 to
+    _CHUNK; split Philox draws equal one long draw."""
+    size = 256
+    while True:
+        yield from rng.random(size).tolist()
+        size = min(2 * size, _CHUNK)
 
 
 def run_gibbs(config: SamplerConfig, initial=None, collector=None) -> GibbsTrace:
@@ -283,7 +219,16 @@ def run_gibbs(config: SamplerConfig, initial=None, collector=None) -> GibbsTrace
         tries = run(dist, c, counts, total, config, rng, retain)
         tries_by = counts  # one proposal per update at k = 1
     else:
-        tries = _run_block(dist, c, counts, tries_by, total, config, rng, retain)
+        burnin, thin = config.burnin, config.thin
+
+        def step(done, s, tries):
+            counts[s] += 1
+            tries_by[s] += tries
+            if done > burnin and (done - burnin) % thin == 0:
+                retain(c)
+
+        _run_block(dist, [c], total, config, rng, step)
+        tries = sum(tries_by)
 
     samples = store if store is not None else np.empty((0, m))
     return GibbsTrace(samples=samples, update_counts=np.asarray(counts),
@@ -300,26 +245,18 @@ def _run_site(dist, c, counts, total, config, rng, retain):
     last = m - 1
     burnin, thin = config.burnin, config.thin
     next_keep = burnin + thin
-    if m == 1:
-        hi0 = min(1.0, rat[0])
-        pick = None
-    else:
-        pick = _start_picker(m, config.w)
+    pick = _start_picker(m, config.w)
     done = 0
     while done < total:
         batch = min(_CHUNK, total - done)
         us = rng.random(2 * batch).tolist()
         for j in range(0, 2 * batch, 2):
-            if pick is None:
-                i = 0
-                hi = hi0
-            else:
-                i = pick(us[j])
-                left = 1.0 - rec[i - 1] * c[i - 1] if i else 1.0
-                right = rat[i] * (1.0 - c[i + 1]) if i < last else rat[last]
-                hi = left if left < right else right
-                if hi < 0.0:
-                    hi = 0.0
+            i = pick(us[j])
+            left = 1.0 - rec[i - 1] * c[i - 1] if i else 1.0
+            right = rat[i] * (1.0 - c[i + 1]) if i < last else rat[last]
+            hi = left if left < right else right
+            if hi < 0.0:
+                hi = 0.0
             c[i] = us[j + 1] * hi
             counts[i] += 1
             done += 1
@@ -480,37 +417,41 @@ def _settle(ext, srcl, srcr, rl, rr, u, width):
             f = e
 
 
-def _run_block(dist, c, counts, tries_by, total, config, rng, retain):
-    """Rejection sweep for k >= 2 blocks."""
+def _run_block(dist, chains, total, config, rng, step):
+    """The rejection sweep for blocks of config.k sites, on one chain or
+    on several that share every block start and every proposal.
+
+    Each chain adopts the first proposal feasible for it, so each one is
+    marginally the plain block Gibbs chain. After update done (1-based),
+    at block start s with tries proposals drawn, step(done, s, tries)
+    does the caller's bookkeeping; a true return ends the run.
+    """
     m = dist.n - 1
     k = config.k
     caps = [float(v) for v in dist.caps]
     rec = [1.0 / float(v) for v in dist.ratios]
     pick = _start_picker(m - k + 1, config.w)
     max_tries = config.max_rejection_tries
-    burnin, thin = config.burnin, config.thin
-    next_keep = burnin + thin
-    u = _Uniforms(rng)
-    tries_total = 0
+    draw = _uniforms(rng).__next__
     for done in range(1, total + 1):
-        s = pick(u.take())
+        s = pick(draw())
         box = caps[s:s + k]
+        waiting = chains
         tries = 0
-        while True:
+        while waiting:
             tries += 1
             if tries > max_tries:
                 raise StallError(s, tries - 1)
-            prop = [u.take() * box[t] for t in range(k)]
-            if _block_ok(c, s, prop, k, rec, m):
-                break
-        c[s:s + k] = prop
-        counts[s] += 1
-        tries_by[s] += tries
-        tries_total += tries
-        if done == next_keep:
-            next_keep += thin
-            retain(c)
-    return tries_total
+            prop = [draw() * b for b in box]
+            rest = []
+            for c in waiting:
+                if _block_ok(c, s, prop, k, rec, m):
+                    c[s:s + k] = prop
+                else:
+                    rest.append(c)
+            waiting = rest
+        if step(done, s, tries):
+            return
 
 
 def collect_window(config: SamplerConfig, coords, initial=None) -> np.ndarray:
@@ -553,22 +494,6 @@ def oracle_samples(dist: StationaryDist, count: int,
     return out
 
 
-def oracle_sample(dist: StationaryDist, rng: np.random.Generator,
-                  max_tries: int = 1_000_000) -> SuperDiagState:
-    """One exact uniform polytope point by whole-vector rejection."""
-    m = dist.n - 1
-    caps = dist.caps
-    tries = 0
-    while tries < max_tries:
-        batch = min(4096, max_tries - tries)
-        tries += batch
-        c = rng.random((batch, m)) * caps
-        ok = np.nonzero(np.all(c <= _bounds(dist, c), axis=1))[0]
-        if ok.size:
-            return SuperDiagState(dist, c[ok[0]])
-    raise StallError(0, max_tries)
-
-
 def acceptance_rate(dist: StationaryDist, trials: int,
                     rng: np.random.Generator) -> float:
     """Fraction of box proposals that land in the polytope."""
@@ -601,7 +526,6 @@ def run_coupled_pair(config: SamplerConfig, initial_pair=None) -> CoupledTrace:
     """
     dist = config.dist
     m = dist.n - 1
-    k = config.k
     if initial_pair is None:
         initial_pair = (np.zeros(m), 0.9375 * greedy_max_state(dist))
     x = [float(v) for v in np.asarray(initial_pair[0], dtype=float)]
@@ -609,41 +533,23 @@ def run_coupled_pair(config: SamplerConfig, initial_pair=None) -> CoupledTrace:
     if len(x) != m or len(y) != m:
         raise ParameterError(f"initial states must have length {m}")
 
-    caps = [float(v) for v in dist.caps]
-    rec = [1.0 / float(v) for v in dist.ratios]
-    rng = substream(config.seed)
-    u = _Uniforms(rng)
-    pick = _start_picker(m - k + 1, config.w)
-    max_tries = config.max_rejection_tries
     total = config.burnin + config.steps
     thin = config.thin
 
     dists = []
     coalesced_at = 0 if x == y else None
-    for done in range(1, total + 1):
-        if coalesced_at is not None:
-            break
-        s = pick(u.take())
-        box = caps[s:s + k]
-        ax = ay = None
-        tries = 0
-        while ax is None or ay is None:
-            tries += 1
-            if tries > max_tries:
-                raise StallError(s, tries - 1)
-            prop = [u.take() * box[t] for t in range(k)]
-            if ax is None and _block_ok(x, s, prop, k, rec, m):
-                ax = prop
-            if ay is None and _block_ok(y, s, prop, k, rec, m):
-                ay = prop
-        x[s:s + k] = ax
-        y[s:s + k] = ay
-        if ax == ay and x == y:
+
+    def step(done, s, tries):
+        nonlocal coalesced_at
+        if x == y:
             coalesced_at = done
-            break
+            return True
         if done % thin == 0:
             dists.append(sum(a != b for a, b in zip(x, y)))
+        return False
 
+    if coalesced_at is None:
+        _run_block(dist, [x, y], total, config, substream(config.seed), step)
     return CoupledTrace(distances=np.asarray(dists), coalesced_at=coalesced_at,
                         updates=total,
                         final_pair=(np.asarray(x), np.asarray(y)))

@@ -6,8 +6,8 @@ import pytest
 from bdcutoff.analysis import spectral_gap
 from bdcutoff.dist import make_distribution
 from bdcutoff.errors import FeasibilityError, ParameterError
-from bdcutoff.kernel import (SuperDiagState, check_feasibility,
-                             kernel_from_superdiagonal, metropolis_kernel)
+from bdcutoff.kernel import (check_feasibility, kernel_from_superdiagonal,
+                             metropolis_kernel)
 from bdcutoff.sampler import oracle_samples, substream
 
 UNI2 = make_distribution("uniform", 2)
@@ -105,13 +105,3 @@ def test_sampled_kernels_are_valid_stochastic_matrices():
             flow_down = dist.mass[1:] * np.diag(K, -1)
             assert np.allclose(flow_up, flow_down, rtol=1e-12)
 
-
-def test_superdiag_state_replace():
-    state = SuperDiagState(UNI3, np.array([0.2, 0.3]))
-    bumped = state.replace(0, 0.5)
-    assert np.allclose(bumped.c, [0.5, 0.3])
-    assert np.allclose(state.c, [0.2, 0.3])
-    block = state.replace_block(0, [0.1, 0.6])
-    assert np.allclose(block.c, [0.1, 0.6])
-    kern = block.kernel(check=True)
-    assert np.allclose(kern.c, [0.1, 0.6])

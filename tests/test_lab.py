@@ -288,6 +288,17 @@ def test_cli_probe_json(tmp_path, capsys):
     assert {r["x"] for r in rows} == {5.0, 10.0, 20.0}
 
 
+def test_cli_probe_levy_defaults(capsys):
+    # the default window follows n: min(64, m // 2) on m = 63 coordinates
+    rc, out, _ = run_cli(capsys, ["probe", "levy", "--seed", "1"])
+    assert rc == 0
+    assert json.loads(out)["summary"]["window"] == 31
+    # an explicit window keeps its fit check
+    rc, _, err = run_cli(capsys, ["probe", "levy", "--seed", "1",
+                                  "--window", "32"])
+    assert rc == 1 and "does not fit 63 coordinates" in err
+
+
 def test_cli_compare_metropolis(tmp_path, capsys):
     path = str(tmp_path / "cmp.csv")
     rc, out, _ = run_cli(capsys, ["compare-metropolis", "--n", "16",

@@ -1,5 +1,6 @@
 """Gibbs sampler: conditionals, block updates, oracle, coupled pairs."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -9,13 +10,12 @@ from scipy import stats
 from bdcutoff import sampler
 from bdcutoff.dist import make_distribution
 from bdcutoff.errors import ParameterError, StallError
-from bdcutoff.kernel import SuperDiagState, check_feasibility
+from bdcutoff.kernel import check_feasibility
 from bdcutoff.sampler import (CoupledTrace, SamplerConfig, acceptance_rate,
-                              collect_window, conditional_interval,
-                              default_initial_state, greedy_max_state,
-                              oracle_sample, oracle_samples, run_coupled_pair,
-                              run_gibbs, site_update, block_update,
-                              stream_fingerprint, substream)
+                              collect_window, default_initial_state,
+                              greedy_max_state, oracle_samples,
+                              run_coupled_pair, run_gibbs, stream_fingerprint,
+                              substream)
 
 UNI3 = make_distribution("uniform", 3)
 UNI4 = make_distribution("uniform", 4)
@@ -35,40 +35,18 @@ def triangle_cells(c0, c1):
     return np.bincount(cell, minlength=20)
 
 
-# conditional intervals
-
-def test_conditional_interval_free_site():
-    state = SuperDiagState(UNI4, np.zeros(3))
-    assert conditional_interval(state, 1) == (0.0, 1.0)
-
-
-def test_conditional_interval_uniform_neighbors():
-    state = SuperDiagState(UNI4, np.array([0.3, 0.0, 0.5]))
-    lo, hi = conditional_interval(state, 1)
-    assert lo == 0.0 and hi == pytest.approx(0.5, abs=1e-15)
-
-
-def test_conditional_interval_geometric():
-    geo = make_distribution("geometric", 4, a=2.0)
-    state = SuperDiagState(geo, np.array([0.4, 0.0, 0.8]))
-    lo, hi = conditional_interval(state, 1)
-    assert lo == 0.0 and hi == pytest.approx(0.4, abs=1e-15)
-
-
-def test_conditional_interval_bounds():
-    state = SuperDiagState(UNI4, np.zeros(3))
-    with pytest.raises(IndexError):
-        conditional_interval(state, 3)
-    with pytest.raises(IndexError):
-        conditional_interval(state, -1)
-
-
 # single-site updates
 
 def test_site_update_pinched_interval_is_deterministic():
-    state = SuperDiagState(UNI3, np.array([1.0, 0.0]))
-    out = site_update(state, 1, substream(30))
-    assert out.c[1] == 0.0
+    # c0 = 1 pins site 1 to [0, 0], so an update there writes exactly 0
+    picked = 0
+    for seed in range(8):
+        trace = run_gibbs(SamplerConfig(UNI3, steps=1, seed=seed),
+                          initial=[1.0, 0.0])
+        if trace.update_counts[1]:
+            picked += 1
+            assert trace.final.tolist() == [1.0, 0.0]
+    assert picked
 
 
 def test_site_update_chain_mean():
@@ -81,56 +59,80 @@ def test_site_update_chain_mean():
 
 
 def test_site_update_uniform_on_interval():
-    base = SuperDiagState(UNI4, np.array([0.3, 0.0, 0.5]))
-    rng = substream(32)
-    vals = np.array([site_update(base, 1, rng).c[1] for _ in range(100_000)])
-    ks = stats.kstest(vals, stats.uniform(loc=0.0, scale=0.5).cdf).statistic
-    assert ks <= 0.01
+    # each k = 1 update redraws one site uniformly on [0, hi], where hi is
+    # the tighter of the two diagonal constraints that site enters, taken
+    # at the neighbours before the update
+    for dist in (UNI4, make_distribution("geometric", 4, a=2.0)):
+        samples = run_gibbs(SamplerConfig(dist, steps=50_000,
+                                          seed=32)).samples
+        before, after = samples[:-1], samples[1:]
+        rows, sites = np.nonzero(before != after)
+        assert np.array_equal(rows, np.arange(len(before)))
+        # zero neighbours past both ends
+        pad = np.pad(before, ((0, 0), (1, 1)))
+        r = dist.ratios
+        left = 1.0 - pad[rows, sites] / np.r_[1.0, r[:-1]][sites]
+        right = r[sites] * (1.0 - pad[rows, sites + 2])
+        u = after[rows, sites] / np.minimum(left, right)
+        assert np.bincount(sites).min() > 10_000
+        assert u.max() <= 1.0
+        assert stats.kstest(u, "uniform").statistic <= 0.01
 
 
 # block updates
 
-def test_block_size_one_matches_site_update_law():
-    base = SuperDiagState(UNI4, np.array([0.3, 0.0, 0.5]))
-    r1, r2 = substream(33), substream(33, 1)
-    a = np.array([site_update(base, 1, r1).c[1] for _ in range(50_000)])
-    b = np.array([block_update(base, 1, 1, r2).c[1] for _ in range(50_000)])
-    edges = np.linspace(0.0, 0.5, 21)
-    table = np.vstack([np.histogram(a, edges)[0], np.histogram(b, edges)[0]])
-    assert stats.chi2_contingency(table).pvalue > 0.001
-
-
 def test_full_block_respects_triangle():
-    base = SuperDiagState(UNI3, np.zeros(2))
-    rng = substream(34)
-    draws = np.array([block_update(base, 0, 2, rng).c for _ in range(20_000)])
+    # at k = m every update redraws the whole vector, so samples are iid
+    draws = run_gibbs(SamplerConfig(UNI3, k=2, steps=20_000, seed=34)).samples
     assert np.all(draws.sum(axis=1) <= 1.0)
 
 
 def test_full_block_matches_triangle_geometry():
-    base = SuperDiagState(UNI3, np.zeros(2))
-    rng = substream(35)
-    draws = np.array([block_update(base, 0, 2, rng).c for _ in range(100_000)])
+    draws = run_gibbs(SamplerConfig(UNI3, k=2, steps=100_000,
+                                    seed=35)).samples
     counts = triangle_cells(draws[:, 0], draws[:, 1])
     assert stats.chisquare(counts).pvalue > 0.001
 
 
 def test_block_update_stall_reports_block():
-    # c0 = 1 pins coordinate 1 to a zero-width slab; box proposals for
-    # the block (1, 2) can never land on it
-    state = SuperDiagState(UNI4, np.array([1.0, 0.0, 1.0]))
-    with pytest.raises(StallError) as err:
-        block_update(state, 1, 2, substream(36), max_tries=25)
-    assert err.value.block_index == 1
-    assert err.value.tries == 25
+    # from (1, 0, 1) each block, (0, 1) or (1, 2), needs c1 <= 0, which no
+    # box proposal meets; the first uniform picks the block (seed 36
+    # picks 0, seed 37 picks 1)
+    for seed in (36, 37):
+        start = sampler._start_picker(2, 1.0)(substream(seed).random())
+        cfg = SamplerConfig(UNI4, k=2, steps=10, seed=seed,
+                            max_rejection_tries=25)
+        with pytest.raises(StallError) as err:
+            run_gibbs(cfg, initial=[1.0, 0.0, 1.0])
+        assert err.value.block_index == start
+        assert err.value.tries == 25
 
 
-def test_block_update_argument_checks():
-    state = SuperDiagState(UNI4, np.zeros(3))
-    with pytest.raises(ParameterError):
-        block_update(state, 0, 4, substream(0))
-    with pytest.raises(IndexError):
-        block_update(state, 2, 2, substream(0))
+def _features(dist, c):
+    """Each coordinate, and each interior diagonal entry (a function of
+    two neighbouring coordinates)."""
+    sub = c / dist.ratios
+    return np.hstack([c, 1.0 - c[:, 1:] - sub[:, :-1]])
+
+
+@pytest.mark.parametrize("family,kw,k", [
+    (family, kw, k)
+    for family, kw in (("geometric", {"a": 2.0}), ("binomial", {}))
+    for k in (1, 2)])
+def test_chain_matches_oracle_on_nonflat_mass(family, kw, k):
+    # 4000 states 25 updates apart against 20 000 rejection-oracle draws,
+    # binned at the oracle's deciles, one chi-square test per feature
+    dist = make_distribution(family, 6, **kw)
+    chain = run_gibbs(SamplerConfig(dist, k=k, burnin=200, steps=4000 * 25,
+                                    thin=25, seed=38 + k)).samples
+    ref = oracle_samples(dist, 20_000, substream(38, k))
+    fc, fr = _features(dist, chain), _features(dist, ref)
+    for j in range(fc.shape[1]):
+        edges = np.quantile(fr[:, j], np.linspace(0.0, 1.0, 11))
+        edges[0], edges[-1] = -np.inf, np.inf
+        table = [np.histogram(fc[:, j], edges)[0],
+                 np.histogram(fr[:, j], edges)[0]]
+        assert stats.chi2_contingency(table).pvalue > 0.001, j
 
 
 # full runs
@@ -332,9 +334,10 @@ def test_acceptance_rate_matches_scalar_reference():
         assert acceptance_rate(dist, 4000, substream(47)) == hits / 4000
 
 
-def test_oracle_sample_is_feasible():
-    state = oracle_sample(make_distribution("binomial", 8), substream(46))
-    assert check_feasibility(state.dist, state.c) is None
+def test_oracle_samples_are_feasible():
+    dist = make_distribution("binomial", 8)
+    for row in oracle_samples(dist, 200, substream(46)):
+        assert check_feasibility(dist, row) is None
 
 
 # coupled pairs
@@ -380,3 +383,94 @@ def test_stream_fingerprint_stability():
     assert substream(7, 1).random() != substream(7, 2).random()
     assert stream_fingerprint(7, 1) == stream_fingerprint(7, 1)
     assert stream_fingerprint(7, 1) != stream_fingerprint(7, 2)
+
+
+# golden digests of the rejection chains
+
+def _digest(*parts):
+    h = hashlib.sha256()
+    for p in parts:
+        h.update(np.ascontiguousarray(p).tobytes()
+                 if isinstance(p, np.ndarray) else repr(p).encode())
+    return h.hexdigest()
+
+
+def _rejection_digests():
+    small = {"uniform": make_distribution("uniform", 12),
+             "geometric": make_distribution("geometric", 10, a=2.0),
+             "binomial": make_distribution("binomial", 12),
+             "if": make_distribution("if", 8, a=2.0, eps=0.25)}
+    # large enough that a pair runs a few hundred updates before merging
+    pairs = {"uniform": make_distribution("uniform", 40),
+             "geometric": make_distribution("geometric", 40, a=1.1),
+             "binomial": make_distribution("binomial", 40),
+             "if": make_distribution("if", 20, a=2.0, eps=0.25)}
+    out = {}
+    for i, name in enumerate(small):
+        for k in (2, 3):
+            t = run_gibbs(SamplerConfig(small[name], k=k, w=2.0, burnin=3000,
+                                        steps=7000, thin=7,
+                                        seed=100 + 10 * i + k))
+            out[f"gibbs-{name}-{k}"] = _digest(
+                t.final, t.samples, t.update_counts.astype(np.int64),
+                t.acceptance_stats.astype(np.int64), t.block_updates,
+                t.block_tries)
+        for k in (1, 2):
+            t = run_coupled_pair(SamplerConfig(pairs[name], k=k, w=0.5,
+                                               steps=20000, thin=3,
+                                               seed=200 + 10 * i + k))
+            out[f"coupled-{name}-{k}"] = _digest(
+                t.distances.astype(np.int64), t.coalesced_at, t.updates,
+                t.final_pair[0], t.final_pair[1])
+    t = run_gibbs(SamplerConfig(UNI3, k=2, steps=500, thin=5, seed=300))
+    out["gibbs-uniform3-2"] = _digest(t.final, t.samples, t.block_tries)
+    v = collect_window(SamplerConfig(small["binomial"], k=2, burnin=100,
+                                     steps=4000, thin=4, seed=301), [0, 5, 10])
+    out["collect-binomial-2"] = _digest(v)
+    return out
+
+
+# sha256 of each run's outputs: a change to a draw, an acceptance decision
+# or the bookkeeping of either caller of the block rejection loop shows here
+REJECTION_DIGESTS = {
+    "gibbs-uniform-2":
+        "b7bde4e4cd68e2ed655a3aca4ecb5159651fb3217982fe8f2d3d82ea8660f15e",
+    "gibbs-uniform-3":
+        "940983fd8b1b5d66eb3a7f1a7efacda661f77cd738be99181805b8136ea53636",
+    "coupled-uniform-1":
+        "89401bcbb5695416e24757b24001fb383b140aa50dd4196c62220bdcc8c1fa85",
+    "coupled-uniform-2":
+        "5131d79a12cfccd4e992a8a4565a57c21bad6a7413ad86aec8a763c069d34413",
+    "gibbs-geometric-2":
+        "654478587b95bc0a6dd2adc756243fa40babaa61c37bf2875542b8d9e8d5e069",
+    "gibbs-geometric-3":
+        "a798697ff8aa9dbdf360cc939d3e925065dfb9200c5a65347feb903b50436ceb",
+    "coupled-geometric-1":
+        "f12fbf2901a1e0945e1549f360ed9c8c321357cc7b0ea1a38d3b6901a51344c7",
+    "coupled-geometric-2":
+        "a81b14b4a0e45ebc4cb05827e4b3ba7d42b02a6e3dfa8cb1621f31da1a8d76ee",
+    "gibbs-binomial-2":
+        "fb1028b3abf75f982df2d7735a10aa23b5eb9a1b24019e8065d916b1c7b5a0ad",
+    "gibbs-binomial-3":
+        "f7832f2151760723ec7e5c3277eb491c212c81e06a6de4cde9c82269e0a83b09",
+    "coupled-binomial-1":
+        "a3425520b3483829aa372319be096bfaa2d3fd2119f7c84d0ea237b90898d742",
+    "coupled-binomial-2":
+        "a30ffec0c4e82f6e56290374233a7f473dce219e6142203913f4b5c4a0105f65",
+    "gibbs-if-2":
+        "7674bb2cb0b8a3419199ed7cea598ef092c12c1a667e5c7fbdeec899fc0f26b7",
+    "gibbs-if-3":
+        "a9ab5e44e6779b2b1b086f66355f51ce02d48e913df32644673b9d69d70e2639",
+    "coupled-if-1":
+        "4da02626f400f301f367c1dc34bb764f90d08c8b105ed74211818174c34c6581",
+    "coupled-if-2":
+        "e929ec823fb38a12ac4153be64ceed93ddba51c1d8ebb88d8b3ddb9705fbddca",
+    "gibbs-uniform3-2":
+        "4e3103bfbe24f208de5a50c9351e2f40751ff886189564c25ff45a87eaa43550",
+    "collect-binomial-2":
+        "cab37f4b889b40e53d7e5444af1b2d9c5753207c585bc7570e91de5e5d7ac507",
+}
+
+
+def test_rejection_chains_match_golden_digests():
+    assert _rejection_digests() == REJECTION_DIGESTS
