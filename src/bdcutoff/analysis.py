@@ -142,10 +142,10 @@ def spectral_gap(kernel: BDKernel) -> float:
 def _crossing_times(kernel: BDKernel, start: int, levels, horizon: int):
     """First t >= 1 with TV(start law at t, pi) < level, per level.
 
-    levels must be sorted descending. Raises NotMixedError at the
-    horizon, or earlier when TV stops moving at all (stuck chain), and
-    DomainError when TV grows, which no stochastic kernel with
-    stationary law pi allows.
+    levels must be sorted descending. Returns once the last level is
+    crossed; raises NotMixedError only at the horizon, and DomainError
+    when TV grows, which no stochastic kernel with stationary law pi
+    allows. A cut or periodic kernel therefore runs to its horizon.
     """
     pi = kernel.dist.mass
     v = np.zeros(kernel.n)
@@ -153,7 +153,6 @@ def _crossing_times(kernel: BDKernel, start: int, levels, horizon: int):
     times = {}
     idx = 0
     prev = np.inf
-    stall = 0
     tv = 1.0
     for t in range(1, horizon + 1):
         v = kernel.evolve(v)
@@ -168,35 +167,11 @@ def _crossing_times(kernel: BDKernel, start: int, levels, horizon: int):
             idx += 1
         if idx == len(levels):
             return times
-        if tv == prev:
-            stall += 1
-            if stall >= 64:
-                raise NotMixedError(tv, t)
-        else:
-            stall = 0
         prev = tv
     raise NotMixedError(tv, horizon)
 
 
-def _resolve_starts(kernel: BDKernel, starts, exhaustive: bool):
-    n = kernel.n
-    if exhaustive or starts == "all":
-        return range(n)
-    if starts is None:
-        return (0, n - 1) if n > 1 else (0,)
-    out = []
-    for s in starts:
-        s = int(s)
-        if not 0 <= s <= n - 1:
-            raise ParameterError(f"start {s} out of range [0, {n - 1}]")
-        out.append(s)
-    if not out:
-        raise ParameterError("starts must be nonempty")
-    return out
-
-
-def mixing_profile(kernel: BDKernel, levels, *, starts=None,
-                   exhaustive: bool = False,
+def mixing_profile(kernel: BDKernel, levels, *, exhaustive: bool = False,
                    horizon: int = DEFAULT_HORIZON) -> dict:
     """Worst-start threshold times for several TV levels in one sweep."""
     levels = [float(e) for e in levels]
@@ -205,7 +180,8 @@ def mixing_profile(kernel: BDKernel, levels, *, starts=None,
             raise ParameterError(f"TV level must be in (0, 1), got {e}")
     desc = sorted(set(levels), reverse=True)
     out = {e: 0 for e in desc}
-    for s in _resolve_starts(kernel, starts, exhaustive):
+    n = kernel.n
+    for s in range(n) if exhaustive else (0, n - 1):
         times = _crossing_times(kernel, s, desc, horizon)
         for e, t in times.items():
             if t > out[e]:
@@ -213,18 +189,18 @@ def mixing_profile(kernel: BDKernel, levels, *, starts=None,
     return out
 
 
-def mixing_time(kernel: BDKernel, eps: float = 0.25, *, starts=None,
+def mixing_time(kernel: BDKernel, eps: float = 0.25, *,
                 exhaustive: bool = False,
                 horizon: int = DEFAULT_HORIZON) -> int:
     """Smallest t >= 1 with worst-start TV to stationarity below eps.
 
     The worst case is taken over the two endpoint starts by default;
-    pass exhaustive=True (or explicit starts) to widen the set. For
-    birth and death chains the endpoints are the extreme starts, which
-    a recorded test checks against exhaustive evaluation.
+    pass exhaustive=True to take it over every start. For birth and
+    death chains the endpoints are the extreme starts, which a recorded
+    test checks against exhaustive evaluation.
     """
-    prof = mixing_profile(kernel, [eps], starts=starts,
-                          exhaustive=exhaustive, horizon=horizon)
+    prof = mixing_profile(kernel, [eps], exhaustive=exhaustive,
+                          horizon=horizon)
     return prof[float(eps)]
 
 
@@ -253,7 +229,7 @@ class DlpWindow(NamedTuple):
     ratio: float
 
 
-def dlp_window(kernel: BDKernel, eps: float = 0.1, *, starts=None,
+def dlp_window(kernel: BDKernel, eps: float = 0.1, *,
                exhaustive: bool = False,
                horizon: int = DEFAULT_HORIZON) -> DlpWindow:
     """Measure tau(eps) - tau(1-eps) and the scale it is bounded by.
@@ -264,7 +240,7 @@ def dlp_window(kernel: BDKernel, eps: float = 0.1, *, starts=None,
     """
     if not 0.0 < eps < 0.5:
         raise ParameterError(f"eps must be in (0, 0.5), got {eps}")
-    prof = mixing_profile(kernel, [eps, 1.0 - eps, 0.25], starts=starts,
+    prof = mixing_profile(kernel, [eps, 1.0 - eps, 0.25],
                           exhaustive=exhaustive, horizon=horizon)
     window = prof[eps] - prof[1.0 - eps]
     gap = spectral_gap(kernel)
@@ -353,16 +329,15 @@ class AnalysisReport:
 
 
 def analyze(kernel: BDKernel, *, lazy: bool = True, delta: float = 0.75,
-            exact_tau_limit: int = EXACT_TAU_LIMIT,
-            horizon: int = DEFAULT_HORIZON,
+            exact_tau: bool = True, horizon: int = DEFAULT_HORIZON,
             exhaustive: bool = False) -> AnalysisReport:
     """Build the standard report for one kernel.
 
     Mixing statements concern the half-lazy version of the chain, so by
     default the kernel is mixed with the identity first; pass
     lazy=False to analyze exactly the kernel given. The exact mixing
-    time is computed for n <= exact_tau_limit (pass 0 to force the
-    hitting proxy everywhere).
+    time is computed when exact_tau is set and n <= EXACT_TAU_LIMIT;
+    otherwise the hitting-time proxy stands in for it.
     """
     if not 0.5 <= delta < 1.0:
         raise ParameterError(f"proxy quantile delta must be in [0.5, 1), got {delta}")
@@ -377,13 +352,11 @@ def analyze(kernel: BDKernel, *, lazy: bool = True, delta: float = 0.75,
     hit_up = expected_hitting_time(base, 0, dist.quantile(delta))
     hit_down = expected_hitting_time(base, n - 1, dist.quantile(1.0 - delta))
     tau_proxy = max(hit_up, hit_down)
-    if 0 < n <= exact_tau_limit:
+    tau = None
+    if exact_tau and n <= EXACT_TAU_LIMIT:
         tau = mixing_time(base, 0.25, exhaustive=exhaustive, horizon=horizon)
-        return AnalysisReport(gap=gap, miclo=miclo, hit_up=hit_up,
-                              hit_down=hit_down, tau=tau, tau_proxy=tau_proxy,
-                              proxy_flag=False, cutoff_product=tau * gap,
-                              dlp_scale=math.sqrt(tau / gap))
-    return AnalysisReport(gap=gap, miclo=miclo, hit_up=hit_up,
-                          hit_down=hit_down, tau=None, tau_proxy=tau_proxy,
-                          proxy_flag=True, cutoff_product=tau_proxy * gap,
-                          dlp_scale=None)
+    return AnalysisReport(
+        gap=gap, miclo=miclo, hit_up=hit_up, hit_down=hit_down, tau=tau,
+        tau_proxy=tau_proxy, proxy_flag=tau is None,
+        cutoff_product=(tau_proxy if tau is None else tau) * gap,
+        dlp_scale=None if tau is None else math.sqrt(tau / gap))

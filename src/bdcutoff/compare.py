@@ -268,7 +268,7 @@ def comparison_diagnostic(dist: StationaryDist, kernels,
     sel = find_xn(dist, alpha)
     alpha_used = sel.alpha_achieved if alpha is None else float(alpha)
     products = np.array([
-        analyze(k, lazy=True, exact_tau_limit=0).cutoff_product
+        analyze(k, lazy=True, exact_tau=False).cutoff_product
         for k in kernels])
     ratios = products / met.product_met
     quantiles = {q: float(np.quantile(ratios, q)) for q in _RATIO_QUANTILES}

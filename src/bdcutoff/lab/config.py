@@ -3,6 +3,7 @@
 import math
 from dataclasses import dataclass
 
+from ..analysis import DEFAULT_HORIZON
 from ..dist import FAMILIES, StationaryDist, make_distribution
 from ..errors import ParameterError
 from ..sampler import SamplerConfig
@@ -35,7 +36,7 @@ class ExperimentConfig:
     max_rejection_tries: int = 1_000_000
     equilibration: int | None = None
     exact_tau: bool = False
-    horizon: int = 10_000_000
+    horizon: int = DEFAULT_HORIZON
     delta: float = 0.75
     exhaustive_starts: bool = False
     raw_kernel: bool = False

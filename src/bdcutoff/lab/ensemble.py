@@ -4,7 +4,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
-from ..analysis import EXACT_TAU_LIMIT, AnalysisReport, analyze
+from ..analysis import AnalysisReport, analyze
 from ..kernel import BDKernel, kernel_from_superdiagonal
 from ..sampler import run_gibbs, stream_fingerprint
 from .config import ExperimentConfig
@@ -70,8 +70,8 @@ def analyze_kernel(cfg: ExperimentConfig, kernel: BDKernel) -> AnalysisReport:
     exact_tau, and then up to EXACT_TAU_LIMIT states."""
     return analyze(
         kernel, lazy=not cfg.raw_kernel, delta=cfg.delta,
-        exact_tau_limit=EXACT_TAU_LIMIT if cfg.exact_tau else 0,
-        horizon=cfg.horizon, exhaustive=cfg.exhaustive_starts)
+        exact_tau=cfg.exact_tau, horizon=cfg.horizon,
+        exhaustive=cfg.exhaustive_starts)
 
 
 def run_replicate(cfg: ExperimentConfig, n: int, rep_id: int) -> EnsembleRecord:

@@ -9,7 +9,7 @@ oracle.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import ks_2samp
@@ -50,11 +50,17 @@ def coupon_miss_reference(c: float) -> float:
 
 @dataclass(frozen=True)
 class ProbeResult:
+    """A probe's summary and table. Every probe returns at least one
+    row, and each row's keys are the table's columns in order."""
+
     probe: str
     summary: dict
-    fieldnames: tuple
-    rows: list = field(default_factory=list)
+    rows: list
     flags: tuple = ()
+
+    @property
+    def fieldnames(self) -> tuple:
+        return tuple(self.rows[0])
 
 
 def _auto_thin(cfg: ExperimentConfig, m: int) -> int:
@@ -166,8 +172,6 @@ def probe_marginal(cfg: ExperimentConfig) -> ProbeResult:
         "reference_median": SIN_REFERENCE_MEDIAN}
     return ProbeResult(
         probe="marginal", summary=summary,
-        fieldnames=("x", "empirical", "reference", "reference_interior",
-                    "abs_gap", "se", "count"),
         rows=rows, flags=tuple(flags))
 
 
@@ -223,8 +227,6 @@ def probe_tail(cfg: ExperimentConfig) -> ProbeResult:
         "bound_violations": bound_violations}
     return ProbeResult(
         probe="tail", summary=summary,
-        fieldnames=("x", "prob", "f", "se", "count", "bound", "bound_ok",
-                    "monotone_ok"),
         rows=rows, flags=tuple(flags))
 
 
@@ -337,8 +339,6 @@ def probe_markov(cfg: ExperimentConfig) -> ProbeResult:
         "adjacent_corr": _pearson(mid, right), "excluded_bins": excluded}
     return ProbeResult(
         probe="markov", summary=summary,
-        fieldnames=("bin", "lo", "hi", "count", "rho", "se", "excluded",
-                    "control_rho"),
         rows=rows, flags=tuple(flags))
 
 
@@ -402,7 +402,6 @@ def probe_levy_sum(cfg: ExperimentConfig) -> ProbeResult:
         "sum_ratio": ratio}
     return ProbeResult(
         probe="levy", summary=summary,
-        fieldnames=("q", "s_short", "se_short", "s_long", "se_long", "count"),
         rows=rows, flags=tuple(flags))
 
 
@@ -488,10 +487,6 @@ def probe_contraction(cfg: ExperimentConfig) -> ProbeResult:
         "coupon_expected": expected}
     return ProbeResult(
         probe="contraction", summary=summary,
-        fieldnames=("n", "reps", "coalesced", "censored", "mean", "se",
-                    "median", "q10", "q90", "normalized", "coupon_T",
-                    "coupon_runs", "coupon_fraction", "coupon_se",
-                    "coupon_expected"),
         rows=results, flags=tuple(flags))
 
 

@@ -17,6 +17,8 @@ from bdcutoff.errors import (DomainError, NonErgodicError, NotMixedError,
                              ParameterError)
 from bdcutoff.kernel import (BDKernel, kernel_from_superdiagonal,
                              metropolis_kernel)
+from bdcutoff.lab.config import ExperimentConfig
+from bdcutoff.lab.ensemble import sampled_kernel
 from bdcutoff.sampler import stream_fingerprint
 
 FAMILIES = (("uniform", {}), ("geometric", {"a": 2.0}), ("binomial", {}))
@@ -164,8 +166,9 @@ def test_mixing_time_two_state_full_mixing():
 def test_mixing_time_identity_never_mixes():
     kern = kernel_from_superdiagonal(make_distribution("uniform", 3),
                                      np.zeros(2))
-    with pytest.raises(NotMixedError):
+    with pytest.raises(NotMixedError) as err:
         mixing_time(kern, 0.25, horizon=500)
+    assert err.value.horizon == 500
 
 
 def test_mixing_time_rejects_growing_tv():
@@ -194,10 +197,24 @@ def test_mixing_profile_levels_and_validation():
     assert prof[0.5] <= prof[0.25] <= prof[0.1]
     with pytest.raises(ParameterError):
         mixing_profile(kern, [0.0])
-    with pytest.raises(ParameterError):
-        mixing_time(kern, 0.25, starts=[99])
-    with pytest.raises(ParameterError):
-        mixing_time(kern, 0.25, starts=[])
+
+
+def test_slow_start_from_a_thin_flank_mixes():
+    """TV rounds to exactly 1 for hundreds of steps from a flank of mass
+    about 2**-250, yet the chain mixes; tau is checked against dense
+    powers of the lazy kernel."""
+    cfg = ExperimentConfig(family="if", a=2.0, eps=0.25, seed=11)
+    for rep_id, want in ((7, 7778), (8, 10_270)):
+        _, kern = sampled_kernel(cfg, 256, rep_id)
+        lazy = kern.lazy(0.5)
+        tau = mixing_time(lazy, 0.25, horizon=200_000)
+        assert tau == want
+        pi, dense = lazy.dist.mass, lazy.dense()
+        before = np.linalg.matrix_power(dense, tau - 1)
+        at = before @ dense
+        for p, mixed in ((before, False), (at, True)):
+            tv = 0.5 * np.abs(p[[0, -1]] - pi).sum(axis=1).max()
+            assert (tv < 0.25) == mixed, (rep_id, tv)
 
 
 # standardized distance
@@ -296,7 +313,7 @@ def test_analyze_exact_path():
 
 def test_analyze_proxy_path():
     kern = sampled("uniform", {}, 10, stream_fingerprint(57))
-    rep = analyze(kern, exact_tau_limit=0)
+    rep = analyze(kern, exact_tau=False)
     assert rep.proxy_flag and rep.tau is None and rep.dlp_scale is None
     assert rep.cutoff_product == pytest.approx(rep.tau_proxy * rep.gap,
                                                rel=1e-12)
