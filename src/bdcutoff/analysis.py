@@ -20,6 +20,8 @@ from .kernel import BDKernel
 
 EXACT_TAU_LIMIT = 512       # above this the hitting proxy stands in for tau
 DEFAULT_HORIZON = 10_000_000
+_BLOCK_ENTRIES = 1 << 18    # exact tau's stepping buffer, in float64 entries
+_MIN_BLOCK = 32             # steps in its first block
 
 
 def _first_cut(kernel: BDKernel):
@@ -139,36 +141,138 @@ def spectral_gap(kernel: BDKernel) -> float:
     return 1.0 - lam2
 
 
-def _crossing_times(kernel: BDKernel, start: int, levels, horizon: int):
-    """First t >= 1 with TV(start law at t, pi) < level, per level.
+def _segments(rows: np.ndarray, k: int, n: int) -> np.ndarray:
+    """(..., k, n) view of the start laws in padded rows [0|v|0|v|...|0]."""
+    return rows[..., 1:].reshape(*rows.shape[:-1], k, n + 1)[..., :n]
 
-    levels must be sorted descending. Returns once the last level is
-    crossed; raises NotMixedError only at the horizon, and DomainError
-    when TV grows, which no stochastic kernel with stationary law pi
-    allows. A cut or periodic kernel therefore runs to its horizon.
+
+def _padded_coefficients(kernel: BDKernel, k: int) -> np.ndarray:
+    """diag, c shifted right and sub over the inner entries of a k-start
+    padded row, zero at the separators."""
+    n = kernel.n
+    rows = np.zeros((3, k, n + 1))
+    rows[0, :, 1:] = kernel.diag
+    rows[1, :, 2:] = kernel.c
+    rows[2, :, 1:-1] = kernel.sub
+    return rows.reshape(3, k * (n + 1))[:, 1:]
+
+
+def _advance(buf: np.ndarray, coef: np.ndarray) -> None:
+    """Fill rows 1.. of a block of padded rows, each one step on from the
+    row before, in BDKernel.evolve's order: (v*diag + v_left*c) +
+    v_right*sub. At a separator every coefficient is zero, so a
+    segment's edge entries gain an exact 0.0 and its law is bit for bit
+    the one evolve gives."""
+    diag, left, right = coef
+    buf[1:, [0, -1]] = 0.0
+    tmp = np.empty(buf.shape[1] - 2)
+    mids = buf[:, 1:-1]
+    for v, vl, vr, out in zip(mids[:-1], buf[:-1, :-2], buf[:-1, 2:],
+                              mids[1:]):
+        np.multiply(v, diag, out=out)
+        np.multiply(vl, left, out=tmp)
+        np.add(out, tmp, out=out)
+        np.multiply(vr, right, out=tmp)
+        np.add(out, tmp, out=out)
+
+
+def _block_tv(buf: np.ndarray, pi: np.ndarray, k: int) -> np.ndarray:
+    """TV to pi of every start law in rows 1.. of a block, shape
+    (rows - 1, k); overwrites those laws. Each segment is summed alone
+    along its contiguous axis, the same pairwise sum as a 1-D .sum()."""
+    diff = _segments(buf[1:], k, pi.size)
+    np.subtract(diff, pi, out=diff)
+    np.abs(diff, out=diff)
+    tv = diff.sum(axis=2)
+    tv *= 0.5
+    return tv
+
+
+def _crossing_times(kernel: BDKernel, starts, levels, horizon: int):
+    """First t >= 1 with TV(law at t from s, pi) < level, per start s and
+    level: an int array of shape (len(starts), len(levels)).
+
+    levels must be sorted descending. All starts step together in one
+    padded row [0 | v_s0 | 0 | v_s1 | ... | 0] (_advance), in blocks of
+    rows of one buffer of at most _BLOCK_ENTRIES entries: a block has
+    _MIN_BLOCK steps or a quarter of the steps so far, whichever is
+    more. After a block, one reduction gives TV at each of its steps and
+    starts (_block_tv), and the checks run on the whole block.
+
+    A start is done once its last level is crossed. It fails with
+    DomainError when its TV grows, which no stochastic kernel with
+    stationary law pi allows, and with NotMixedError only at the
+    horizon, so a cut or periodic kernel runs to its horizon. As in a
+    loop over the starts in order, the first start's failure is raised:
+    starts after a failed one stop stepping, and finished ones leave the
+    row.
     """
+    if horizon < 1:
+        # no step is taken, so TV is still that of a point mass, taken as 1
+        raise NotMixedError(1.0, horizon)
+    n = kernel.n
     pi = kernel.dist.mass
-    v = np.zeros(kernel.n)
-    v[start] = 1.0
-    times = {}
-    idx = 0
-    prev = np.inf
-    tv = 1.0
-    for t in range(1, horizon + 1):
-        v = kernel.evolve(v)
-        tv = 0.5 * float(np.abs(v - pi).sum())
-        if tv > prev + 1e-12:
-            raise DomainError(
-                f"total variation to stationarity increased from {prev!r} "
-                f"to {tv!r} at step {t}; the kernel is not stochastic "
-                "with stationary law pi")
-        while idx < len(levels) and tv < levels[idx]:
-            times[levels[idx]] = t
-            idx += 1
-        if idx == len(levels):
-            return times
-        prev = tv
-    raise NotMixedError(tv, horizon)
+    lev = np.asarray(levels)
+    times = np.zeros((len(starts), len(levels)), dtype=np.int64)
+    prev = np.full(len(starts), np.inf)
+    live = np.arange(len(starts))
+    laws = np.zeros((len(starts), n))
+    laws[live, list(starts)] = 1.0
+    flat = np.empty(max(_BLOCK_ENTRIES, 2 * (len(starts) * (n + 1) + 1)))
+    # every segment has the same coefficients, so fewer starts take a prefix
+    coef = _padded_coefficients(kernel, len(starts))
+    failure = None
+    t = 0
+    while live.size:
+        k = live.size
+        width = k * (n + 1) + 1
+        steps = min(max(_MIN_BLOCK, t // 4), flat.size // width - 1,
+                    horizon - t)
+        buf = flat[:(steps + 1) * width].reshape(steps + 1, width)
+        buf[0] = 0.0
+        _segments(buf[0], k, n)[...] = laws
+        _advance(buf, coef[:, :width - 2])
+        laws = _segments(buf[-1], k, n).copy()
+        tv = _block_tv(buf, pi, k)
+        if k > 1 and not np.isfinite(tv[-1]).all():
+            # inf * 0 is nan, so a non-finite law leaks through the zero
+            # separators; in rows of their own the starts stay exact
+            return np.vstack([_crossing_times(kernel, [s], levels, horizon)
+                              for s in starts])
+
+        before = np.vstack([prev[live], tv[:-1]])
+        grew = tv > before + 1e-12
+        grow_at = np.where(grew.any(axis=0), grew.argmax(axis=0), steps)
+        below = tv[:, :, None] < lev
+        cross_at = np.where(below.any(axis=0), below.argmax(axis=0), steps)
+        # at each step growth is checked before any level
+        done = cross_at[:, -1] < grow_at
+        # record levels first crossed in this block and before any growth
+        got = times[live]
+        np.copyto(got, t + 1 + cross_at,
+                  where=(got == 0) & (cross_at < grow_at[:, None]))
+        times[live] = got
+        keep = ~done
+        failed = keep & (grow_at < steps) if t + steps < horizon else keep
+        if failed.any():
+            r = int(failed.argmax())
+            g = int(grow_at[r])
+            if g < steps:
+                failure = DomainError(
+                    f"total variation to stationarity increased from "
+                    f"{float(before[g, r])!r} to {float(tv[g, r])!r} at "
+                    f"step {t + g + 1}; the kernel is not stochastic with "
+                    "stationary law pi")
+            else:
+                failure = NotMixedError(float(tv[-1, r]), horizon)
+            keep[r:] = False
+        t += steps
+        prev[live] = tv[-1]
+        live = live[keep]
+        laws = laws[keep]
+    if failure is not None:
+        raise failure
+    return times
 
 
 def mixing_profile(kernel: BDKernel, levels, *, exhaustive: bool = False,
@@ -179,14 +283,10 @@ def mixing_profile(kernel: BDKernel, levels, *, exhaustive: bool = False,
         if not 0.0 < e < 1.0:
             raise ParameterError(f"TV level must be in (0, 1), got {e}")
     desc = sorted(set(levels), reverse=True)
-    out = {e: 0 for e in desc}
     n = kernel.n
-    for s in range(n) if exhaustive else (0, n - 1):
-        times = _crossing_times(kernel, s, desc, horizon)
-        for e, t in times.items():
-            if t > out[e]:
-                out[e] = t
-    return out
+    starts = range(n) if exhaustive else (0, n - 1)
+    worst = _crossing_times(kernel, starts, desc, horizon).max(axis=0)
+    return {e: int(t) for e, t in zip(desc, worst)}
 
 
 def mixing_time(kernel: BDKernel, eps: float = 0.25, *,

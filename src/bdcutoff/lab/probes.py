@@ -350,11 +350,18 @@ def probe_levy_sum(cfg: ExperimentConfig) -> ProbeResult:
     lengths n' and 2n' (the spectral-sum scale is heavy tailed, so the
     recentered sums should share one limit shape). Reports the
     two-sample KS distance, medians, and the median growth ratio of the
-    raw sums. n' is cfg.window, else min(64, m // 2) on m coordinates.
+    raw sums. n' is cfg.window, else min(64, (m - 40) // 2) on m
+    coordinates, which keeps 20 coordinates clear of each end; below 2
+    that falls back to m // 2, and the boundary flag is raised.
     """
     dist = cfg.make_dist(cfg.n_list[0])
     m = dist.n - 1
-    nprime = int(cfg.window) if cfg.window is not None else min(64, m // 2)
+    if cfg.window is not None:
+        nprime = int(cfg.window)
+    else:
+        nprime = min(64, (m - 40) // 2)
+        if nprime < 2:
+            nprime = m // 2
     if nprime < 2:
         raise ParameterError(f"window must be >= 2, got {nprime}")
     if 2 * nprime > m:

@@ -4,13 +4,16 @@ The oracles here deliberately use different algorithms from the library
 code they check: hitting times via a dense first-step linear solve and
 the spectral gap via a dense symmetric eigensolver, and marginal laws
 by transfer-operator quadrature with no sampler at all, so agreement is
-evidence rather than an identity.
+evidence rather than an identity. The exception is exact tau, whose
+reference is the definition itself, one start and one step at a time,
+which the library's blocked evaluator must match bit for bit.
 """
 
 import math
 
 import numpy as np
 
+from bdcutoff.errors import DomainError, NotMixedError
 from bdcutoff.kernel import kernel_from_superdiagonal
 from bdcutoff.sampler import SamplerConfig, run_gibbs
 
@@ -88,3 +91,46 @@ def flat_marginal_cdf(n: int, coord: int):
     cdf = cumulative(left * right)
     cdf = cdf / cdf[-1]
     return lambda q: np.interp(q, x, cdf)
+
+
+def stepwise_crossing_times(kernel, start: int, levels, horizon: int) -> dict:
+    """First t >= 1 with TV(start law at t, pi) < level, per level.
+
+    levels must be sorted descending. Evolves one start one step at a
+    time; returns once the last level is crossed, raises DomainError
+    when TV grows and NotMixedError at the horizon.
+    """
+    pi = kernel.dist.mass
+    v = np.zeros(kernel.n)
+    v[start] = 1.0
+    times = {}
+    idx = 0
+    prev = np.inf
+    tv = 1.0
+    for t in range(1, horizon + 1):
+        v = kernel.evolve(v)
+        tv = 0.5 * float(np.abs(v - pi).sum())
+        if tv > prev + 1e-12:
+            raise DomainError(
+                f"total variation to stationarity increased from {prev!r} "
+                f"to {tv!r} at step {t}; the kernel is not stochastic "
+                "with stationary law pi")
+        while idx < len(levels) and tv < levels[idx]:
+            times[levels[idx]] = t
+            idx += 1
+        if idx == len(levels):
+            return times
+        prev = tv
+    raise NotMixedError(tv, horizon)
+
+
+def stepwise_profile(kernel, levels, *, exhaustive: bool = False,
+                     horizon: int) -> dict:
+    """Worst-start crossing times, one start after another in order."""
+    desc = sorted(set(float(e) for e in levels), reverse=True)
+    out = {e: 0 for e in desc}
+    n = kernel.n
+    for s in range(n) if exhaustive else (0, n - 1):
+        for e, t in stepwise_crossing_times(kernel, s, desc, horizon).items():
+            out[e] = max(out[e], t)
+    return out

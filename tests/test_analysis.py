@@ -1,18 +1,22 @@
 """Hitting times, spectral gap, gap sandwich, mixing profiles, diagnostics."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from conftest import dense_gap, equilibrated_kernel, solve_hitting
+from conftest import (dense_gap, equilibrated_kernel, solve_hitting,
+                      stepwise_profile)
 
-from bdcutoff.analysis import (analyze, dlp_window, expected_hitting_time,
+from bdcutoff.analysis import (_MIN_BLOCK, _advance, _block_tv,
+                               _padded_coefficients, _segments, analyze,
+                               dlp_window, expected_hitting_time,
                                miclo_bounds, mixing_profile, mixing_time,
                                pairwise_distance_profile,
                                separation_decay_bound, sd_mixing_bound,
                                spectral_gap)
-from bdcutoff.dist import make_distribution
+from bdcutoff.dist import StationaryDist, make_distribution
 from bdcutoff.errors import (DomainError, NonErgodicError, NotMixedError,
                              ParameterError)
 from bdcutoff.kernel import (BDKernel, kernel_from_superdiagonal,
@@ -215,6 +219,215 @@ def test_slow_start_from_a_thin_flank_mixes():
         for p, mixed in ((before, False), (at, True)):
             tv = 0.5 * np.abs(p[[0, -1]] - pi).sum(axis=1).max()
             assert (tv < 0.25) == mixed, (rep_id, tv)
+
+
+# exact tau: the blocked evaluator against the per-start definition
+
+ORACLE_DISTS = {
+    "uniform": lambda n: make_distribution("uniform", n),
+    "geometric": lambda n: make_distribution("geometric", n, a=1.5),
+    "binomial": lambda n: make_distribution("binomial", n),
+    "if": lambda n: make_distribution("if", n, a=2.0, eps=0.25),
+    "explicit": lambda n: make_distribution(
+        "explicit", n, mass=1.0 + np.arange(n) % 3),
+}
+ORACLE_HORIZON = 20_000
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_kernel(family, n):
+    dist = ORACLE_DISTS[family](n)
+    return equilibrated_kernel(dist, stream_fingerprint(59, n)).lazy(0.5)
+
+
+def single_state_kernel():
+    dist = StationaryDist(n=1, family="explicit", params={},
+                          log_mass=np.zeros(1), log_prefix=np.zeros(1),
+                          log_suffix=np.zeros(1), ratios=np.ones(0))
+    return BDKernel(dist=dist, c=np.empty(0), sub=np.empty(0),
+                    diag=np.ones(1))
+
+
+def hand_built(diag, c, sub):
+    return BDKernel(dist=make_distribution("uniform", len(diag)),
+                    c=np.array(c, float), sub=np.array(sub, float),
+                    diag=np.array(diag, float))
+
+
+def outcome(fn, *args, **kwargs):
+    """The result, or the error's class, message and last TV. Messages
+    carry floats by repr, which round-trips, so equal text means equal
+    bits."""
+    try:
+        return fn(*args, **kwargs)
+    except (DomainError, NotMixedError) as err:
+        return (type(err).__name__, str(err),
+                repr(getattr(err, "last_tv", None)))
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def test_padded_step_matches_evolve_bitwise():
+    rng = np.random.default_rng(60)
+    kernels = [single_state_kernel(), oracle_kernel("if", 2)]
+    kernels += [oracle_kernel(f, 16) for f in ORACLE_DISTS]
+    for kern in kernels:
+        n = kern.n
+        for k in (1, 2, 3):
+            laws = rng.random((k, n))
+            laws[0] = 0.0
+            laws[0, -1] = 1.0
+            buf = np.empty((3, k * (n + 1) + 1))
+            buf[0] = 0.0
+            _segments(buf[0], k, n)[...] = laws
+            _advance(buf, _padded_coefficients(kern, k))
+            one = kern.evolve(laws)
+            assert (bits(_segments(buf[1], k, n)) == bits(one)).all()
+            assert (bits(_segments(buf[2], k, n))
+                    == bits(kern.evolve(one))).all()
+            assert not buf[1:, ::n + 1].any()
+
+
+def test_block_tv_matches_stepwise_sum_bitwise():
+    rng = np.random.default_rng(61)
+    for n in (1, 2, 3, 7, 8, 9, 16, 64, 129, 511):
+        pi = rng.random(n)
+        pi /= pi.sum()
+        for k in (1, 2, 5):
+            buf = rng.random((4, k * (n + 1) + 1))
+            laws = _segments(buf[1:], k, n).copy()
+            want = [[0.5 * float(np.abs(v - pi).sum()) for v in row]
+                    for row in laws]
+            assert (bits(_block_tv(buf, pi, k)) == bits(want)).all(), (n, k)
+
+
+def test_single_state_profile_matches_stepwise():
+    kern = single_state_kernel()
+    for exhaustive in (False, True):
+        assert (mixing_profile(kern, [0.25], exhaustive=exhaustive)
+                == stepwise_profile(kern, [0.25], exhaustive=exhaustive,
+                                    horizon=10) == {0.25: 1})
+
+
+@pytest.mark.parametrize("n", (2, 3, 16, 64))
+@pytest.mark.parametrize("family", sorted(ORACLE_DISTS))
+def test_mixing_profile_matches_stepwise(family, n):
+    kern = oracle_kernel(family, n)
+    for levels in ([0.25], [0.1, 0.25, 0.9]):
+        for exhaustive in (False, True) if n <= 16 else (False,):
+            want = outcome(stepwise_profile, kern, levels,
+                           exhaustive=exhaustive, horizon=ORACLE_HORIZON)
+            got = outcome(mixing_profile, kern, levels,
+                          exhaustive=exhaustive, horizon=ORACLE_HORIZON)
+            assert got == want, (levels, exhaustive)
+
+
+def test_mixing_profile_matches_stepwise_at_511_states():
+    for kern, horizon in ((oracle_kernel("uniform", 511), 300),
+                          (oracle_kernel("if", 256), 300),
+                          (oracle_kernel("uniform", 511), 3)):
+        assert kern.n == 511
+        for levels in ([0.25], [0.1, 0.25, 0.9]):
+            for exhaustive in (False, True) if horizon < 10 else (False,):
+                want = outcome(stepwise_profile, kern, levels,
+                               exhaustive=exhaustive, horizon=horizon)
+                assert want[0] == "NotMixedError"
+                assert outcome(mixing_profile, kern, levels,
+                               exhaustive=exhaustive,
+                               horizon=horizon) == want
+
+
+def test_horizon_at_block_edges_matches_stepwise():
+    kern = oracle_kernel("uniform", 16)
+    for edge in (1, _MIN_BLOCK, 2 * _MIN_BLOCK):
+        for horizon in (edge - 1, edge, edge + 1):
+            for exhaustive in (False, True):
+                want = outcome(stepwise_profile, kern, [0.01],
+                               exhaustive=exhaustive, horizon=horizon)
+                assert want[0] == "NotMixedError"
+                assert outcome(mixing_profile, kern, [0.01],
+                               exhaustive=exhaustive,
+                               horizon=horizon) == want
+
+
+def test_crossing_on_a_block_edge():
+    kern = oracle_kernel("uniform", 16)
+    pi = kern.dist.mass
+    seqs = []
+    for s in (0, kern.n - 1):
+        v = np.zeros(kern.n)
+        v[s] = 1.0
+        seq = []
+        for _ in range(2 * _MIN_BLOCK + 1):
+            v = kern.evolve(v)
+            seq.append(0.5 * float(np.abs(v - pi).sum()))
+        seqs.append(seq)
+    for t in (_MIN_BLOCK, _MIN_BLOCK + 1, 2 * _MIN_BLOCK):
+        # just above the worse endpoint's TV at t: crossed at t, not before
+        level = float(np.nextafter(max(seq[t - 1] for seq in seqs), 1.0))
+        want = stepwise_profile(kern, [level], horizon=t)
+        assert want == {level: t}
+        assert mixing_profile(kern, [level], horizon=t) == want
+
+
+def test_first_start_failure_wins():
+    """Starts step together, but the error raised is the one a loop over
+    the starts in order meets first, whichever start fails sooner."""
+    cases = (
+        # state 0 is held forever, while the last row sums to 1.1 and TV
+        # from there grows at step 2: start 0's NotMixedError wins
+        (hand_built([1.0, 0.5, 0.6], [0.0, 0.5], [0.0, 0.5]),
+         "NotMixedError"),
+        # start 0 mixes; the growth from the last state is raised
+        (hand_built([0.99, 0.51, 0.6], [0.01, 0.5], [0.0, 0.5]),
+         "DomainError"),
+        # both grow, the last start at step 6 and start 0 at step 20:
+        # start 0's message wins
+        (hand_built([0.99, 1.04, 0.5, 0.6], [0.01, 0.0, 0.0],
+                    [0.01, 0.0, 0.5]), "DomainError"),
+    )
+    for kern, kind in cases:
+        for exhaustive in (False, True):
+            want = outcome(stepwise_profile, kern, [0.25],
+                           exhaustive=exhaustive, horizon=1000)
+            assert want[0] == kind
+            assert outcome(mixing_profile, kern, [0.25],
+                           exhaustive=exhaustive, horizon=1000) == want
+
+
+def test_growth_checks_span_blocks_and_precede_crossings():
+    # a conveyor: every state passes its mass one step up, and the top
+    # state doubles it, so TV from state 0 first grows at step n, on
+    # the first step of the second and of the third block
+    for n in (_MIN_BLOCK + 1, 2 * _MIN_BLOCK + 1):
+        conveyor = hand_built([0.0] * (n - 1) + [2.0], [1.0] * (n - 1),
+                              [0.0] * (n - 1))
+        want = outcome(stepwise_profile, conveyor, [0.25], horizon=1000)
+        assert want[0] == "DomainError" and f"at step {n};" in want[1]
+        assert outcome(mixing_profile, conveyor, [0.25],
+                       horizon=1000) == want
+    # stochastic, but stationary for (9, 10)/19 rather than the declared
+    # uniform law: TV to it oscillates, grows at step 3 and falls below
+    # 0.25 a few steps later, in the same block
+    swing = hand_built([0.0, 0.1], [1.0], [0.9])
+    want = outcome(stepwise_profile, swing, [0.25], horizon=1000)
+    assert want[0] == "DomainError" and "at step 3;" in want[1]
+    assert outcome(mixing_profile, swing, [0.25], horizon=1000) == want
+
+
+def test_overflowing_start_leaves_the_others_exact():
+    """The last start's law overflows to inf within a block; inf * 0 is
+    nan, so sharing a row with it would spoil start 0, which crosses
+    0.6 only at step 179."""
+    kern = hand_built([0.999, 0.999, 0.5, 1e100], [0.001, 0.0, 0.0],
+                      [0.001, 0.0, 0.5])
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = outcome(stepwise_profile, kern, [0.9, 0.6], horizon=1000)
+        got = outcome(mixing_profile, kern, [0.9, 0.6], horizon=1000)
+    assert want[0] == "DomainError" and "at step 2;" in want[1]
+    assert got == want
 
 
 # standardized distance

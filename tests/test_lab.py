@@ -289,10 +289,14 @@ def test_cli_probe_json(tmp_path, capsys):
 
 
 def test_cli_probe_levy_defaults(capsys):
-    # the default window follows n: min(64, m // 2) on m = 63 coordinates
+    # the default window follows n and keeps 20 coordinates clear of
+    # each end: min(64, (m - 40) // 2) on m = 63 coordinates
     rc, out, _ = run_cli(capsys, ["probe", "levy", "--seed", "1"])
     assert rc == 0
-    assert json.loads(out)["summary"]["window"] == 31
+    got = json.loads(out)
+    assert got["summary"]["window"] == 11
+    assert got["summary"]["window_start"] >= 20
+    assert not any("boundary" in f for f in got["flags"])
     # an explicit window keeps its fit check
     rc, _, err = run_cli(capsys, ["probe", "levy", "--seed", "1",
                                   "--window", "32"])
