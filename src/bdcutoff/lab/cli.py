@@ -55,8 +55,8 @@ def _common_flags() -> argparse.ArgumentParser:
     g = p.add_argument_group("sampler")
     g.add_argument("--k", type=int, help="block width")
     g.add_argument("--w", type=float, help="boundary block-start weight")
-    g.add_argument("--steps", type=int, help="post-burnin updates to run")
-    g.add_argument("--burnin", type=int, help="extra updates to discard")
+    g.add_argument("--steps", type=int,
+                   help="updates to run after equilibration")
     g.add_argument("--thin", type=int, help="updates per retained state")
     g.add_argument("--reps", type=int, help="replicates per state count")
     g.add_argument("--seed", type=int, help="master seed (64-bit)")
@@ -209,13 +209,10 @@ def _cmd_sample(cfg: ExperimentConfig) -> int:
     rows = []
     for n in sorted(cfg.n_list):
         dist = cfg.make_dist(n)
-        budget = cfg.equilibration_budget(dist.n)
         for rep in range(cfg.reps):
             seed_sub = replicate_seed(cfg.seed, n, rep)
-            trace = run_gibbs(
-                cfg.sampler_config(dist, seed_sub, steps=cfg.steps,
-                                   burnin=budget + cfg.burnin,
-                                   thin=cfg.thin))
+            trace = run_gibbs(cfg.sampler_config(
+                dist, seed_sub, steps=cfg.steps, thin=cfg.thin))
             states = trace.samples if len(trace.samples) else [trace.final]
             for idx, state in enumerate(states):
                 for coord, value in enumerate(state):

@@ -30,7 +30,6 @@ class ExperimentConfig:
     k: int = 1
     w: float = 1.0
     steps: int = 0
-    burnin: int = 0
     thin: int = 1
     seed: int = 0
     max_rejection_tries: int = 1_000_000

@@ -10,6 +10,7 @@ the target directory followed by an atomic rename.
 import csv
 import io
 import json
+import math
 import os
 import tempfile
 
@@ -44,15 +45,8 @@ def parse_value(s: str, typ):
     return typ(s)
 
 
-def _jsonable(v):
-    # JSON has no literal for non-finite numbers; use the same tokens
-    if isinstance(v, float) and (v != v or v in (float("inf"), float("-inf"))):
-        return format_value(v)
-    return v
-
-
 def jsonable(obj):
-    """Recursive version of the row-value mapping, for nested payloads.
+    """A JSON-ready copy of a table value or a nested payload.
 
     Numpy scalars and arrays become plain Python values; non-finite
     floats become the same string tokens the CSV uses.
@@ -68,7 +62,9 @@ def jsonable(obj):
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, (np.floating, float)):
-        return _jsonable(float(obj))
+        # JSON has no literal for non-finite numbers; use the same tokens
+        v = float(obj)
+        return v if math.isfinite(v) else format_value(v)
     return obj
 
 
@@ -103,7 +99,7 @@ def render_csv(fieldnames, rows) -> str:
 
 def render_json(fieldnames, rows) -> str:
     """JSON mirror of the CSV: an array of flat objects, same order."""
-    out = [{k: _jsonable(row[k]) for k in fieldnames} for row in rows]
+    out = [{k: jsonable(row[k]) for k in fieldnames} for row in rows]
     return json.dumps(out, indent=2, allow_nan=False) + "\n"
 
 

@@ -85,7 +85,7 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class GibbsTrace:
-    samples: np.ndarray       # (kept, n-1), empty when a collector was used
+    samples: np.ndarray       # (kept, len(coords)) retained values
     update_counts: np.ndarray  # times each block start was chosen
     acceptance_stats: np.ndarray  # proposals drawn per block start
     block_updates: int
@@ -182,12 +182,12 @@ def _uniforms(rng):
         size = min(2 * size, _CHUNK)
 
 
-def run_gibbs(config: SamplerConfig, initial=None, collector=None) -> GibbsTrace:
+def run_gibbs(config: SamplerConfig, initial=None, coords=None) -> GibbsTrace:
     """Run the block Gibbs chain and return its trace.
 
-    initial defaults to a strictly interior state. collector, when
-    given, is called with each retained state (a list, valid only for
-    the duration of the call) instead of storing samples.
+    initial defaults to a strictly interior state. Each retained state
+    keeps the coordinates coords (default: every coordinate), so
+    samples has config.steps // config.thin rows of len(coords) values.
     """
     dist = config.dist
     m = dist.n - 1
@@ -196,49 +196,44 @@ def run_gibbs(config: SamplerConfig, initial=None, collector=None) -> GibbsTrace
     initial = np.asarray(initial, dtype=float)
     if initial.shape != (m,):
         raise ParameterError(f"initial state has length {initial.size}, expected {m}")
+    keep = np.arange(m) if coords is None else np.asarray(coords, dtype=np.intp)
+    if keep.ndim != 1 or np.any((keep < 0) | (keep >= m)):
+        raise ParameterError(
+            f"coords must be a list of coordinates in [0, {m - 1}]")
 
     rng = substream(config.seed)
     total = config.burnin + config.steps
-    kept = config.steps // config.thin
     c = [float(v) for v in initial]
     counts = [0] * (m - config.k + 1)
     tries_by = [0] * (m - config.k + 1)
-    store = None if collector is not None else np.empty((kept, m))
-    stored = 0
-
-    def retain(state):
-        nonlocal stored
-        if collector is not None:
-            collector(state)
-        else:
-            store[stored] = state
-            stored += 1
+    store = np.empty((config.steps // config.thin, keep.size))
 
     if config.k == 1:
         run = _replay_site if m >= _REPLAY_MIN_SITES else _run_site
-        tries = run(dist, c, counts, total, config, rng, retain)
+        tries = run(dist, c, counts, total, config, rng, store, keep)
         tries_by = counts  # one proposal per update at k = 1
     else:
         burnin, thin = config.burnin, config.thin
+        idx = keep.tolist()
 
         def step(done, s, tries):
             counts[s] += 1
             tries_by[s] += tries
             if done > burnin and (done - burnin) % thin == 0:
-                retain(c)
+                store[(done - burnin) // thin - 1] = [c[i] for i in idx]
 
         _run_block(dist, [c], total, config, rng, step)
         tries = sum(tries_by)
 
-    samples = store if store is not None else np.empty((0, m))
-    return GibbsTrace(samples=samples, update_counts=np.asarray(counts),
+    return GibbsTrace(samples=store, update_counts=np.asarray(counts),
                       acceptance_stats=np.asarray(tries_by),
                       block_updates=total, block_tries=tries,
                       final=np.asarray(c))
 
 
-def _run_site(dist, c, counts, total, config, rng, retain):
-    """Exact single-site sweep; two uniforms per update."""
+def _run_site(dist, c, counts, total, config, rng, store, keep):
+    """Exact single-site sweep; two uniforms per update. Row r of store
+    gets the coordinates keep of the state after retained update r."""
     m = dist.n - 1
     rat = [float(v) for v in dist.ratios]
     rec = [1.0 / v for v in rat]
@@ -246,7 +241,8 @@ def _run_site(dist, c, counts, total, config, rng, retain):
     burnin, thin = config.burnin, config.thin
     next_keep = burnin + thin
     pick = _start_picker(m, config.w)
-    done = 0
+    idx = keep.tolist()
+    row = done = 0
     while done < total:
         batch = min(_CHUNK, total - done)
         us = rng.random(2 * batch).tolist()
@@ -262,11 +258,12 @@ def _run_site(dist, c, counts, total, config, rng, retain):
             done += 1
             if done == next_keep:
                 next_keep += thin
-                retain(c)
+                store[row] = [c[i] for i in idx]
+                row += 1
     return total
 
 
-def _replay_site(dist, c, counts, total, config, rng, retain):
+def _replay_site(dist, c, counts, total, config, rng, store, keep):
     """_run_site replayed a batch at a time with numpy.
 
     It draws the same uniforms and performs the same float operations
@@ -293,7 +290,7 @@ def _replay_site(dist, c, counts, total, config, rng, retain):
     next_keep = config.burnin + thin
     state = np.append(np.asarray(c, dtype=float), 0.0)
     tally = np.zeros(m, dtype=np.int64)
-    done = 0
+    row = done = 0
     while done < total:
         batch = min(_CHUNK, total - done)
         us = rng.random(2 * batch)
@@ -306,10 +303,11 @@ def _replay_site(dist, c, counts, total, config, rng, retain):
         ext[batch:] = state
         _settle(ext, srcl, srcr, recl[sites], rat[sites], us[1::2], width)
         if next_keep <= done + batch:
-            for row in _states_after(state[:m], sites, ext[:batch],
-                                     next_keep - done - 1, thin):
-                retain(row)
-                next_keep += thin
+            stops = np.arange(next_keep - done - 1, batch, thin)
+            _kept_after(ext, bysite, hits, keep, stops,
+                        store[row:row + stops.size])
+            row += stops.size
+            next_keep += stops.size * thin
         ends = np.cumsum(hits) - 1
         touched = hits > 0
         state[:m][touched] = ext[bysite[ends[touched]]]
@@ -355,35 +353,25 @@ def _neighbour_sources(sites, hits, lsite, rsite):
     return srcl, srcr, bysite
 
 
-def _states_after(base, sites, vals, stop, thin):
-    """The states after updates stop, stop + thin, ... of a batch, as
-    lists.
+def _kept_after(ext, bysite, hits, keep, stops, out):
+    """Fill out[r] with the values at sites keep after update stops[r]
+    of a batch.
 
-    base is the state before the batch and update j writes vals[j] at
-    sites[j]. Each site holds its last write at or before the stop, else
-    its base value. Rows are built about 2**16 entries at a time.
+    ext is [batch values | state before the batch | 0.0] and bysite
+    lists the batch's updates sorted by (site, time), hits[s] of them at
+    site s. One search over that order finds each kept site's last write
+    at or before each stop; a site with none keeps its value from
+    before the batch. Queries go about 2**16 at a time.
     """
-    m = base.size
-    per_block = max(1, (1 << 16) // m)
-    start = 0
-    while stop < sites.size:
-        rows = min(per_block, (sites.size - 1 - stop) // thin + 1)
-        seg = sites[start:stop + (rows - 1) * thin + 1]
-        order = np.argsort(seg.astype(np.min_scalar_type(m)), kind="stable")
-        ss = seg[order]
-        # the first row that shows each write: ceil((j - stop) / thin)
-        first = np.maximum(0, (order - (stop - start) + thin - 1) // thin)
-        # a site's last write before each row that shows it
-        last = np.ones(order.size, dtype=bool)
-        last[:-1] = (ss[1:] != ss[:-1]) | (first[1:] != first[:-1])
-        grid = np.full((rows, m), -1)
-        grid[first[last], ss[last]] = order[last]
-        np.maximum.accumulate(grid, axis=0, out=grid)
-        block = np.where(grid < 0, base, vals[start:start + seg.size][grid])
-        yield from block.tolist()
-        base = block[-1]
-        start += seg.size
-        stop += rows * thin
+    n = bysite.size
+    key = np.repeat(np.arange(hits.size) * n, hits) + bysite
+    first = (np.cumsum(hits) - hits)[keep]
+    before = n + keep
+    per = max(1, (1 << 16) // max(1, keep.size))
+    for r in range(0, stops.size, per):
+        pos = np.searchsorted(key, stops[r:r + per, None] + keep * n,
+                              side="right") - 1
+        out[r:r + per] = ext[np.where(pos >= first, bysite[pos], before)]
 
 
 def _settle(ext, srcl, srcr, rl, rr, u, width):
@@ -459,18 +447,7 @@ def collect_window(config: SamplerConfig, coords, initial=None) -> np.ndarray:
 
     One row per retained state: config.steps // config.thin rows.
     """
-    coords = list(coords)
-    out = np.empty((config.steps // config.thin, len(coords)))
-    row = 0
-
-    def grab(state):
-        nonlocal row
-        for j, i in enumerate(coords):
-            out[row, j] = state[i]
-        row += 1
-
-    run_gibbs(config, initial=initial, collector=grab)
-    return out
+    return run_gibbs(config, initial, coords).samples
 
 
 def oracle_samples(dist: StationaryDist, count: int,

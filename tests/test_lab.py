@@ -14,7 +14,8 @@ from bdcutoff.errors import ParameterError
 from bdcutoff.lab.cli import build_parser, cli_main, load_config_file, make_config
 from bdcutoff.lab.config import ExperimentConfig
 from bdcutoff.lab.ensemble import (RECORD_FIELDS, record_rows,
-                                   replicate_seed, run_ensemble)
+                                   replicate_seed, run_ensemble,
+                                   sampled_kernel)
 from bdcutoff.lab.tableio import (SCHEMA_TAG, format_value, jsonable,
                                   parse_value, read_csv_rows,
                                   read_json_rows, render_csv, render_json,
@@ -82,6 +83,10 @@ def test_load_config_file_errors(tmp_path):
     retired.write_text("d_values = 4,8\n")
     with pytest.raises(ParameterError, match=r"d\.cfg:1.*d_values"):
         load_config_file(str(retired))
+    burnin = tmp_path / "e.cfg"
+    burnin.write_text("burnin = 5\n")
+    with pytest.raises(ParameterError, match=r"e\.cfg:1.*burnin"):
+        load_config_file(str(burnin))
 
 
 def test_flags_override_config_file(tmp_path):
@@ -274,6 +279,21 @@ def test_cli_sample_retains_trace(capsys):
     assert states[0] != states[1]
 
 
+def test_cli_sample_final_states_match_sampled_kernel(capsys):
+    # the one burn-in is the equilibration budget, so each row's state
+    # is the kernel that its seed_sub reproduces
+    rc, out, _ = run_cli(capsys, ["sample", "--n", "64", "--reps", "2",
+                                  "--seed", "21"])
+    assert rc == 0
+    rows = [line.split(",") for line in out.splitlines()[2:]]
+    cfg = ExperimentConfig(n_list=(64,), reps=2, seed=21)
+    for rep in (0, 1):
+        seed_sub, kern = sampled_kernel(cfg, 64, rep)
+        got = np.array([float(r[6]) for r in rows if r[2] == str(rep)])
+        assert {r[3] for r in rows if r[2] == str(rep)} == {str(seed_sub)}
+        assert np.array_equal(got.view(np.uint64), kern.c.view(np.uint64))
+
+
 def test_cli_probe_json(tmp_path, capsys):
     path = str(tmp_path / "tail.json")
     rc, out, _ = run_cli(capsys, ["probe", "tail", "--n", "64",
@@ -328,6 +348,7 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
     rc, _, err = run_cli(capsys, ["ensemble", "--config",
                                   str(tmp_path / "missing.cfg")])
     assert rc == 1
+    assert run_cli(capsys, ["sample", "--burnin", "5"])[0] == 1
 
 
 def test_cli_runtime_failures_exit_two(capsys):

@@ -173,12 +173,23 @@ def test_run_gibbs_samples_stay_feasible(family, kw, k):
     assert trace.block_tries >= trace.block_updates
 
 
-def test_run_gibbs_collector_bypasses_storage():
-    got = []
-    cfg = SamplerConfig(dist=UNI3, steps=40, thin=4, seed=9)
-    trace = run_gibbs(cfg, collector=lambda s: got.append(list(s)))
-    assert trace.samples.shape == (0, 2)
-    assert len(got) == 10
+def test_run_gibbs_coords_select_columns():
+    dist = make_distribution("uniform", 12)
+    cfg = SamplerConfig(dist, k=2, steps=600, burnin=50, thin=3, seed=9)
+    full = run_gibbs(cfg).samples
+    sub = run_gibbs(cfg, coords=[10, 0, 4, 4]).samples
+    assert sub.shape == (200, 4)
+    assert np.array_equal(sub.view(np.uint64),
+                          full[:, [10, 0, 4, 4]].view(np.uint64))
+    assert run_gibbs(cfg, coords=[]).samples.shape == (200, 0)
+
+
+@pytest.mark.parametrize("m", [2, sampler._REPLAY_MIN_SITES])
+def test_run_gibbs_rejects_bad_coords(m):
+    cfg = SamplerConfig(make_distribution("uniform", m + 1), steps=10)
+    for bad in ([m], [-1], [0, m], [[0, 1]]):
+        with pytest.raises(ParameterError, match="coords"):
+            run_gibbs(cfg, coords=bad)
 
 
 def test_endpoint_weighting():
@@ -268,6 +279,11 @@ def test_replay_is_bit_identical_to_scalar_loop(monkeypatch, family, m):
         scalar, replay = _both_paths(monkeypatch, lambda: run_gibbs(cfg))
         assert _same_bits(scalar.final, replay.final)
         assert _same_bits(scalar.samples, replay.samples)
+        size = dist.n - 1  # m, or m - 1 for if at odd m
+        sub = sorted({0, size // 2, size - 1})
+        for picked in _both_paths(
+                monkeypatch, lambda: run_gibbs(cfg, coords=sub).samples):
+            assert _same_bits(picked, scalar.samples[:, sub])
         assert scalar.samples.shape == (9001 // 7, dist.n - 1)
         assert np.array_equal(scalar.update_counts, replay.update_counts)
         assert scalar.update_counts.dtype == replay.update_counts.dtype
@@ -276,7 +292,7 @@ def test_replay_is_bit_identical_to_scalar_loop(monkeypatch, family, m):
         assert scalar.block_tries == replay.block_tries == 69001
 
 
-def test_replay_collector_and_start_match_scalar_loop(monkeypatch):
+def test_replay_window_and_start_match_scalar_loop(monkeypatch):
     dist = make_distribution("uniform", 200)
     cfg = SamplerConfig(dist, burnin=5000, steps=49 * 2000, thin=49, seed=8)
     start = greedy_max_state(dist)
