@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .analysis import (_miclo_log_curves, analyze, expected_hitting_time,
                        miclo_bounds, spectral_gap)
@@ -109,6 +108,8 @@ def find_xn(dist: StationaryDist, alpha: float | None = None) -> XnSelection:
 
 def _logdot(logterms: np.ndarray, w: np.ndarray) -> float:
     """log of sum(w * exp(logterms)) for nonnegative w; -inf when empty."""
+    # scipy.special is imported here, its one caller, to keep it off CLI start-up
+    from scipy.special import logsumexp
     mask = w > 0.0
     if not mask.any():
         return -np.inf

@@ -14,13 +14,6 @@ from .dist import StationaryDist
 from .errors import FeasibilityError, ParameterError
 
 
-# v[..., 1:] and v[..., :-1], built once: spelled inline, the index tuples
-# are rebuilt on every call, which makes one evolve step about 6% slower
-# at 32 states
-_DROP_FIRST = (..., slice(1, None))
-_DROP_LAST = (..., slice(None, -1))
-
-
 def _bounds(dist: StationaryDist, c: np.ndarray):
     """Row-form upper bounds along the last axis of c (one super-diagonal
     or a batch of them): 1 minus the left-neighbor term, capped so the
@@ -77,8 +70,8 @@ class BDKernel:
         """One step of the distribution flow, v -> vK, along the last
         axis (one distribution or a stack of them)."""
         out = v * self.diag
-        out[_DROP_FIRST] += v[_DROP_LAST] * self.c
-        out[_DROP_LAST] += v[_DROP_FIRST] * self.sub
+        out[..., 1:] += v[..., :-1] * self.c
+        out[..., :-1] += v[..., 1:] * self.sub
         return out
 
     def lazy(self, delta: float = 0.5) -> "BDKernel":

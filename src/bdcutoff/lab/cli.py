@@ -79,7 +79,8 @@ def _common_flags() -> argparse.ArgumentParser:
     g.add_argument("--coord", type=int, help="probed coordinate index")
     g.add_argument("--probe-samples", type=int, help="retained probe samples")
     g.add_argument("--probe-thin", type=int,
-                   help="probe retention spacing (default ~(n-1)/4k)")
+                   help="probe retention spacing (default (n-1)//4k; "
+                        "markov (n-1)//k)")
     g.add_argument("--window", type=int, help="sum-probe window length")
     g.add_argument("--coupon-c", type=float, help="coverage-check offset c")
     g.add_argument("--coupon-runs", type=int, help="coverage-check run count")

@@ -64,6 +64,11 @@ class ExperimentConfig:
                                tuple(float(v) for v in self.mass))
         if self.reps < 0:
             raise ParameterError(f"reps must be >= 0, got {self.reps}")
+        if self.k < 1:
+            raise ParameterError(f"block size k must be >= 1, got {self.k}")
+        if self.probe_thin is not None and self.probe_thin < 1:
+            raise ParameterError(
+                f"probe_thin must be >= 1, got {self.probe_thin}")
         if self.format not in FORMATS:
             raise ParameterError(
                 f"format must be one of {FORMATS}, got {self.format!r}")

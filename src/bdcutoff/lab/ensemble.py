@@ -5,6 +5,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 from ..analysis import AnalysisReport, analyze
+from ..errors import ParameterError
 from ..kernel import BDKernel, kernel_from_superdiagonal
 from ..sampler import run_gibbs, stream_fingerprint
 from .config import ExperimentConfig
@@ -18,9 +19,9 @@ class EnsembleRecord:
 
     Field order is the on-disk column order. seed_sub is the derived
     per-replicate seed, recorded so any single row can be reproduced in
-    isolation. error is empty on success; on failure the numeric fields
-    are NaN and the row is kept so a long run is never lost to one bad
-    replicate.
+    isolation. error is empty on success; on a run-time failure the
+    numeric fields are NaN and the row is kept so a long run is never
+    lost to one bad replicate. A ParameterError is raised instead.
     """
 
     n: int
@@ -81,6 +82,8 @@ def run_replicate(cfg: ExperimentConfig, n: int, rep_id: int) -> EnsembleRecord:
     try:
         _, kern = sampled_kernel(cfg, n, rep_id)
         report = analyze_kernel(cfg, kern)
+    except ParameterError:
+        raise  # a bad setting fails every replicate alike: not a row
     except Exception as exc:
         return _failed_record(cfg, n, rep_id, seed_sub, exc)
     elapsed_ms = (time.perf_counter() - started) * 1000.0

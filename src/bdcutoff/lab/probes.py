@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from ..errors import ParameterError
 from ..sampler import (collect_window, oracle_samples, run_coupled_pair,
@@ -20,6 +19,10 @@ from ..sampler import (collect_window, oracle_samples, run_coupled_pair,
 from .config import ExperimentConfig
 
 SIN_REFERENCE_MEDIAN = 1.0 / 3.0
+
+# The limit laws describe coordinates far from both ends: a probed
+# coordinate or levy window closer than this to a boundary is flagged.
+_EDGE = 20
 
 
 def sin_reference_cdf(x):
@@ -63,32 +66,41 @@ class ProbeResult:
         return tuple(self.rows[0])
 
 
-def _auto_thin(cfg: ExperimentConfig, m: int) -> int:
-    """Spacing between retained states.
+def _coordinate_window(cfg: ExperimentConfig, tag: int, reach: int = 0,
+                       per_sweep: int = 4, exact_states: int = 0):
+    """Samples of coordinates coord - reach .. coord + reach, one row
+    per retained state; the one sampling path of the marginal, tail and
+    markov probes. Returns (dist, coord, values, burnin, thin).
 
-    A coordinate refreshes roughly every (m/k) block updates, so the
-    config default thin=1 would hand back near-duplicate values; space
-    retained states by about a quarter of a refresh interval unless the
-    caller set probe_thin explicitly.
+    The law is built for n_list[0]. coord is cfg.coord, else the middle
+    coordinate, and needs reach neighbours on each side. On m
+    coordinates a coordinate refreshes about every m/k block updates,
+    so unless cfg.probe_thin is set, retained states are spaced a
+    per_sweep-th of that apart. Up to exact_states states the rows are
+    exact rejection draws instead, with burnin = thin = 0. tag keys the
+    random stream.
     """
-    if cfg.probe_thin is not None:
-        return max(1, int(cfg.probe_thin))
-    return max(1, m // (4 * cfg.k))
-
-
-def _center_coord(cfg: ExperimentConfig, m: int) -> int:
+    dist = cfg.make_dist(cfg.n_list[0])
+    m = dist.n - 1
     coord = cfg.coord if cfg.coord is not None else m // 2
-    if not 0 <= coord < m:
-        raise ParameterError(f"coordinate {coord} outside [0, {m - 1}]")
-    return coord
+    if not reach <= coord < m - reach:
+        raise ParameterError(
+            f"coordinate {coord} outside [{reach}, {m - 1 - reach}]")
+    coords = list(range(coord - reach, coord + reach + 1))
+    if dist.n <= exact_states:
+        draws = oracle_samples(dist, cfg.probe_samples, substream(cfg.seed, tag))
+        return dist, coord, draws[:, coords], 0, 0
+    thin = cfg.probe_thin or max(1, m // (per_sweep * cfg.k))
+    sampler = cfg.sampler_config(
+        dist, stream_fingerprint(cfg.seed, tag),
+        steps=cfg.probe_samples * thin, thin=thin)
+    return dist, coord, collect_window(sampler, coords), sampler.burnin, thin
 
 
-def _window_samples(cfg, dist, coords, count, tag, thin=None):
-    if thin is None:
-        thin = _auto_thin(cfg, dist.n - 1)
-    seed = int(stream_fingerprint(cfg.seed, tag))
-    sampler = cfg.sampler_config(dist, seed, steps=count * thin, thin=thin)
-    return collect_window(sampler, coords), sampler.burnin, thin
+def _edge_flags(coord: int, m: int) -> list:
+    if min(coord, m - 1 - coord) < _EDGE:
+        return [f"coordinate {coord} is within {_EDGE} of a boundary"]
+    return []
 
 
 def _quantile_se(sorted_vals: np.ndarray, q: float) -> float:
@@ -141,14 +153,8 @@ def probe_marginal(cfg: ExperimentConfig) -> ProbeResult:
     docstrings). The row se values treat the retained samples as
     independent; ess is their batch-means effective sample size.
     """
-    dist = cfg.make_dist(cfg.n_list[0])
-    m = dist.n - 1
-    coord = _center_coord(cfg, m)
-    flags = []
-    if min(coord, m - 1 - coord) < 20:
-        flags.append(f"coordinate {coord} is within 20 of a boundary")
-    vals, budget, thin = _window_samples(
-        cfg, dist, [coord], cfg.probe_samples, tag=3)
+    dist, coord, vals, budget, thin = _coordinate_window(cfg, 3)
+    flags = _edge_flags(coord, dist.n - 1)
     ess = batch_means_ess(vals[:, 0])
     samples = np.sort(vals[:, 0])
     count = len(samples)
@@ -184,22 +190,14 @@ def probe_tail(cfg: ExperimentConfig) -> ProbeResult:
     values treat the retained samples as independent; ess is their
     batch-means effective sample size.
     """
-    dist = cfg.make_dist(cfg.n_list[0])
-    m = dist.n - 1
-    coord = _center_coord(cfg, m)
-    flags = []
-    if min(coord, m - 1 - coord) < 20:
-        flags.append(f"coordinate {coord} is within 20 of a boundary")
-    vals, budget, thin = _window_samples(
-        cfg, dist, [coord], cfg.probe_samples, tag=4)
-    samples = vals[:, 0]
-    count = len(samples)
-    cap = float(dist.caps[coord])
-    bound = 16.0 * cap
-
     grid = sorted(float(x) for x in cfg.tail_grid)
     if not grid or grid[0] <= 0:
         raise ParameterError("tail grid must be positive")
+    dist, coord, vals, budget, thin = _coordinate_window(cfg, 4)
+    flags = _edge_flags(coord, dist.n - 1)
+    samples = vals[:, 0]
+    count = len(samples)
+    bound = 16.0 * float(dist.caps[coord])
     rows = []
     for x in grid:
         p = float(np.mean(samples < 1.0 / x))
@@ -287,28 +285,13 @@ def probe_markov(cfg: ExperimentConfig) -> ProbeResult:
     n = cfg.n_list[0]
     if n < 6:
         raise ParameterError(f"markov probe needs n >= 6, got {n}")
-    dist = cfg.make_dist(n)
-    m = dist.n - 1
-    coord = _center_coord(cfg, m)
-    if not 1 <= coord <= m - 2:
-        raise ParameterError(f"coordinate {coord} needs both neighbors")
-
+    # max-over-bins statistics are sensitive to residual chain
+    # autocorrelation, so default to a full sweep per retained sample
+    # rather than the quarter sweep the scalar probes use; up to 12
+    # states the draws are exact
+    dist, coord, trio, budget, thin = _coordinate_window(
+        cfg, 5, reach=1, per_sweep=1, exact_states=12)
     count = cfg.probe_samples
-    if dist.n <= 12:
-        sampler_used = "oracle"
-        rng = substream(cfg.seed, 5)
-        full = oracle_samples(dist, count, rng)
-        trio = full[:, coord - 1:coord + 2]
-        budget = thin = 0
-    else:
-        sampler_used = "gibbs"
-        # max-over-bins statistics are sensitive to residual chain
-        # autocorrelation, so default to a full sweep per retained
-        # sample rather than the quarter sweep the scalar probes use
-        sweep = cfg.probe_thin or max(1, m // max(1, cfg.k))
-        trio, budget, thin = _window_samples(
-            cfg, dist, [coord - 1, coord, coord + 1], count, tag=5,
-            thin=max(1, int(sweep)))
     left, mid, right = trio[:, 0], trio[:, 1], trio[:, 2]
 
     bins = 10
@@ -333,7 +316,8 @@ def probe_markov(cfg: ExperimentConfig) -> ProbeResult:
         flags.append(f"{excluded} bins excluded below {min_count} samples")
     summary = {
         "n": dist.n, "coord": coord, "samples": count,
-        "sampler": sampler_used, "burnin": budget, "thin": thin,
+        "sampler": "gibbs" if thin else "oracle", "burnin": budget,
+        "thin": thin,
         "bins": len(rows), "max_abs_rho": max_abs,
         "control_max_abs_rho": control_max,
         "adjacent_corr": _pearson(mid, right), "excluded_bins": excluded}
@@ -351,15 +335,15 @@ def probe_levy_sum(cfg: ExperimentConfig) -> ProbeResult:
     recentered sums should share one limit shape). Reports the
     two-sample KS distance, medians, and the median growth ratio of the
     raw sums. n' is cfg.window, else min(64, (m - 40) // 2) on m
-    coordinates, which keeps 20 coordinates clear of each end; below 2
-    that falls back to m // 2, and the boundary flag is raised.
+    coordinates, which keeps _EDGE = 20 coordinates clear of each end;
+    below 2 that falls back to m // 2, and the boundary flag is raised.
     """
     dist = cfg.make_dist(cfg.n_list[0])
     m = dist.n - 1
     if cfg.window is not None:
         nprime = int(cfg.window)
     else:
-        nprime = min(64, (m - 40) // 2)
+        nprime = min(64, (m - 2 * _EDGE) // 2)
         if nprime < 2:
             nprime = m // 2
     if nprime < 2:
@@ -369,8 +353,8 @@ def probe_levy_sum(cfg: ExperimentConfig) -> ProbeResult:
             f"window 2*{nprime} does not fit {m} coordinates")
     lo = (m - 2 * nprime) // 2
     flags = []
-    if lo < 20:
-        flags.append(f"window start {lo} is within 20 of a boundary")
+    if lo < _EDGE:
+        flags.append(f"window start {lo} is within {_EDGE} of a boundary")
 
     reps = max(1, cfg.reps)
     budget = cfg.equilibration_budget(dist.n)
@@ -389,6 +373,8 @@ def probe_levy_sum(cfg: ExperimentConfig) -> ProbeResult:
         s_half[r] = sums_half[r] / (2.0 * nprime) - math.log(2.0 * nprime)
         s_full[r] = sums_full[r] / (4.0 * nprime) - math.log(4.0 * nprime)
 
+    # scipy.stats costs about 0.8 s to import; only this probe needs it
+    from scipy.stats import ks_2samp
     ks = float(ks_2samp(s_half, s_full).statistic) if reps > 1 else float("nan")
     ratio = float(np.median(sums_full) / np.median(sums_half))
     rows = []

@@ -349,6 +349,18 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
                                   str(tmp_path / "missing.cfg")])
     assert rc == 1
     assert run_cli(capsys, ["sample", "--burnin", "5"])[0] == 1
+    # bad settings exit 1 before any output; ensemble no longer turns
+    # them into NaN rows
+    for command in (["probe", "marginal", "--k", "0"],
+                    ["probe", "tail", "--k", "0"],
+                    ["probe", "marginal", "--probe-thin", "0"],
+                    ["probe", "markov", "--probe-thin", "0"],
+                    ["ensemble", "--family", "if", "--n", "16"],
+                    ["ensemble", "--delta", "0.3"],
+                    ["ensemble", "--k", "9", "--workers", "2"]):
+        rc, out, err = run_cli(capsys, command + ["--reps", "2"])
+        assert rc == 1 and out == "", command
+        assert err.startswith("bdcutoff: ") and "Error" not in err
 
 
 def test_cli_runtime_failures_exit_two(capsys):
@@ -380,6 +392,17 @@ def test_cli_module_runs_without_runtime_warning():
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "usage: bdcutoff" in proc.stdout
+
+
+def test_cli_import_skips_scipy_stats_and_special():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); "
+            "import bdcutoff.lab.cli; "
+            "print(sorted({'scipy.stats', 'scipy.special'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_star_imports_resolve():

@@ -103,6 +103,23 @@ def test_marginal_coordinate_validation():
         probe_marginal(ExperimentConfig(n_list=(64,), coord=63))
 
 
+def test_probe_windows_share_coordinate_and_thin_rules():
+    # 63 coordinates at k = 2: a quarter refresh interval is 63 // 8,
+    # markov's full one 63 // 2; probe_thin overrides both
+    base = dict(n_list=(64,), k=2, probe_samples=200, seed=306)
+    for probe_thin, thins in ((None, (7, 7, 31)), (5, (5, 5, 5))):
+        cfg = ExperimentConfig(probe_thin=probe_thin, **base)
+        got = [probe(cfg).summary
+               for probe in (probe_marginal, probe_tail, probe_markov)]
+        assert tuple(s["thin"] for s in got) == thins
+        assert {s["coord"] for s in got} == {31}
+        assert {s["burnin"] for s in got} == {cfg.equilibration_budget(64)}
+        assert {s["samples"] for s in got} == {200}
+    for bad in (dict(k=0), dict(probe_thin=0)):
+        with pytest.raises(ParameterError):
+            ExperimentConfig(**bad)
+
+
 def test_tail_interior_density_limit():
     res = probe_tail(ExperimentConfig(
         n_list=(64,), probe_samples=8000, seed=303))
