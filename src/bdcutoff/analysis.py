@@ -20,7 +20,10 @@ from .kernel import BDKernel
 
 EXACT_TAU_LIMIT = 512       # above this the hitting proxy stands in for tau
 DEFAULT_HORIZON = 10_000_000
-_BLOCK_ENTRIES = 1 << 18    # exact tau's stepping buffer, in float64 entries
+# exact tau's stepping buffer, in float64 entries: 512 KB stays in cache
+# (uniform 256 steps 13% faster than with 2 MB), and the allocator leaves
+# less of it resident between calls
+_BLOCK_ENTRIES = 1 << 16
 _MIN_BLOCK = 32             # steps in its first block
 
 
@@ -275,9 +278,81 @@ def _crossing_times(kernel: BDKernel, starts, levels, horizon: int):
     return times
 
 
+def _spectral_crossing_times(kernel: BDKernel, starts, levels, horizon: int):
+    """Worst-start crossing times per level, equal to what stepping
+    gives, from the eigendecomposition of the symmetrized kernel; None
+    where that equality is not assured, and the caller steps instead.
+
+    With the unit eigenpair dropped, the law at t from s less pi is
+    sqrt(pi_y/pi_s) * sum_k V_sk V_yk lam_k**t, so TV at any t is one
+    small matrix product; TV from a fixed start never increases, so each
+    level's time is found by doubling t and bisecting on [1, horizon].
+    The kernel must be reversible and stochastic, with every neighbour
+    transition positive and log pi spread over at most 20 nats, where
+    spectral TV stays within about 1e-11 of stepped TV. Every level must
+    be crossed by the horizon, and TV must clear it by 1e-9 at the
+    crossing and at the step before.
+    """
+    n = kernel.n
+    c, sub, diag = kernel.c, kernel.sub, kernel.diag
+    logm = kernel.dist.log_mass
+    if n < 2 or horizon < 1 or min(c.min(), sub.min()) <= 0.0 \
+            or diag.min() < 0.0:
+        return None
+    rows = diag.copy()
+    rows[:-1] += c
+    rows[1:] += sub
+    if (np.abs(rows - 1.0).max() > 1e-12
+            or np.abs(sub * kernel.dist.ratios - c).max() > 1e-12 * c.max()
+            or logm.max() - logm.min() > 20.0):
+        return None
+    # bisection and inverse iteration (stebz), which spectral_gap has
+    # loaded: 3x slower than stemr at 32 states (0.2 ms), 0.9 MB less
+    # resident
+    lam, vec = eigh_tridiagonal(diag, np.sqrt(c * sub),
+                                lapack_driver="stebz")
+    if abs(lam[-1] - 1.0) > 1e-8:
+        return None
+    lam, vec = lam[:-1], vec[:, :-1]
+    starts = list(starts)
+    left = vec[starts]
+    scale = np.exp(0.5 * (logm - logm[starts, None]))
+    tvs = {}
+
+    def worst(t: int) -> float:
+        # t stays a Python int: a raw kernel can have negative eigenvalues
+        if t not in tvs:
+            dev = (left * lam ** t) @ vec.T * scale
+            tvs[t] = 0.5 * float(np.abs(dev).sum(axis=1).max())
+        return tvs[t]
+
+    times = []
+    lo, hi = 0, 1      # worst(lo) >= level (TV at 0 counts as 1)
+    for level in levels:
+        if not worst(horizon) < level - 1e-9:
+            return None
+        while worst(hi) >= level:
+            lo, hi = hi, min(2 * hi, horizon)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if worst(mid) < level:
+                hi = mid
+            else:
+                lo = mid
+        if not (worst(hi) <= level - 1e-9
+                and (hi == 1 or worst(hi - 1) >= level + 1e-9)):
+            return None
+        times.append(hi)
+        lo = hi - 1
+    return times
+
+
 def mixing_profile(kernel: BDKernel, levels, *, exhaustive: bool = False,
                    horizon: int = DEFAULT_HORIZON) -> dict:
-    """Worst-start threshold times for several TV levels in one sweep."""
+    """Worst-start threshold times for several TV levels in one sweep.
+
+    The spectral evaluator is tried first; where it declines, every
+    start is stepped (_crossing_times)."""
     levels = [float(e) for e in levels]
     for e in levels:
         if not 0.0 < e < 1.0:
@@ -285,7 +360,9 @@ def mixing_profile(kernel: BDKernel, levels, *, exhaustive: bool = False,
     desc = sorted(set(levels), reverse=True)
     n = kernel.n
     starts = range(n) if exhaustive else (0, n - 1)
-    worst = _crossing_times(kernel, starts, desc, horizon).max(axis=0)
+    worst = _spectral_crossing_times(kernel, starts, desc, horizon)
+    if worst is None:
+        worst = _crossing_times(kernel, starts, desc, horizon).max(axis=0)
     return {e: int(t) for e, t in zip(desc, worst)}
 
 

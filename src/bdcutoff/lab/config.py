@@ -59,6 +59,8 @@ class ExperimentConfig:
             raise ParameterError("n_list must be nonempty")
         object.__setattr__(self, "n_list",
                            tuple(int(n) for n in self.n_list))
+        if min(self.n_list) < 1:
+            raise ParameterError(f"n must be >= 1, got {min(self.n_list)}")
         if self.mass is not None:
             object.__setattr__(self, "mass",
                                tuple(float(v) for v in self.mass))
@@ -66,6 +68,8 @@ class ExperimentConfig:
             raise ParameterError(f"reps must be >= 0, got {self.reps}")
         if self.k < 1:
             raise ParameterError(f"block size k must be >= 1, got {self.k}")
+        if self.horizon < 1:
+            raise ParameterError(f"horizon must be >= 1, got {self.horizon}")
         if self.probe_thin is not None and self.probe_thin < 1:
             raise ParameterError(
                 f"probe_thin must be >= 1, got {self.probe_thin}")

@@ -1,7 +1,6 @@
 """Ensemble runner: sample many kernels, analyze each, collect records."""
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 from ..analysis import AnalysisReport, analyze
@@ -116,6 +115,9 @@ def run_ensemble(cfg: ExperimentConfig) -> list[EnsembleRecord]:
     tasks = [(cfg, n, rep) for n in sorted(cfg.n_list)
              for rep in range(cfg.reps)]
     if cfg.workers > 1 and len(tasks) > 1:
+        # imported here: the pool's modules take 0.5 MB that a serial run
+        # never uses
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             records = list(pool.map(_replicate_task, tasks, chunksize=1))
     else:

@@ -9,6 +9,7 @@ import pytest
 from conftest import (dense_gap, equilibrated_kernel, solve_hitting,
                       stepwise_profile)
 
+from bdcutoff import analysis
 from bdcutoff.analysis import (_MIN_BLOCK, _advance, _block_tv,
                                _padded_coefficients, _segments, analyze,
                                dlp_window, expected_hitting_time,
@@ -428,6 +429,91 @@ def test_overflowing_start_leaves_the_others_exact():
         got = outcome(mixing_profile, kern, [0.9, 0.6], horizon=1000)
     assert want[0] == "DomainError" and "at step 2;" in want[1]
     assert got == want
+
+
+# exact tau: the spectral evaluator, and where it must leave tau to stepping
+
+def spectral_results(monkeypatch):
+    """Record what every call of the spectral evaluator returns."""
+    seen = []
+    spectral = analysis._spectral_crossing_times
+
+    def spy(*args):
+        seen.append(spectral(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(analysis, "_spectral_crossing_times", spy)
+    return seen
+
+
+def test_spectral_tau_matches_stepwise_without_stepping(monkeypatch):
+    def no_stepping(*args):
+        raise AssertionError("stepped where the spectral route applies")
+
+    monkeypatch.setattr(analysis, "_crossing_times", no_stepping)
+    # log pi spreads over 0, 0, 12.6 and 19.5 nats
+    for family, n in (("uniform", 32), ("uniform", 64), ("geometric", 32),
+                      ("binomial", 32)):
+        kern = oracle_kernel(family, n)
+        for levels in ([0.25], [0.1, 0.25, 0.9]):
+            want = stepwise_profile(kern, levels, horizon=100_000)
+            assert mixing_profile(kern, levels, horizon=100_000) == want
+
+
+def test_spectral_tau_declines_where_it_may_differ(monkeypatch):
+    seen = spectral_results(monkeypatch)
+    # log pi spreads over 174, 25.5 and 41 nats
+    for kern in (oracle_kernel("if", 256), oracle_kernel("geometric", 64),
+                 oracle_kernel("binomial", 64)):
+        assert analysis._spectral_crossing_times(
+            kern, (0, kern.n - 1), [0.25], 10_000_000) is None
+    kern = oracle_kernel("if", 256)
+    seen.clear()
+    assert outcome(mixing_profile, kern, [0.25], horizon=300) == outcome(
+        stepwise_profile, kern, [0.25], horizon=300)
+    assert seen == [None]
+    # zero transitions (twice), rows summing to 1.1, rows summing to 1.1
+    # and 0.8 around a top eigenvalue of 1, a law that is not stationary,
+    # an overflowing diagonal, and a single state
+    for kern in (hand_built([1.0, 0.5, 0.6], [0.0, 0.5], [0.0, 0.5]),
+                 hand_built([0.99, 0.51, 0.6], [0.01, 0.5], [0.0, 0.5]),
+                 hand_built([0.6, 0.6], [0.5], [0.5]),
+                 hand_built([0.9, 0.6], [0.2], [0.2]),
+                 hand_built([0.0, 0.1], [1.0], [0.9]),
+                 hand_built([0.999, 0.999, 0.5, 1e100], [0.001, 0.0, 0.0],
+                            [0.001, 0.0, 0.5]),
+                 single_state_kernel()):
+        seen.clear()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert outcome(mixing_profile, kern, [0.9, 0.25],
+                           horizon=1000) == outcome(
+                stepwise_profile, kern, [0.9, 0.25], horizon=1000)
+        assert seen == [None], kern.diag
+    # a level within an ulp of the worse endpoint's TV at step 40, taken
+    # from dense powers
+    kern = oracle_kernel("uniform", 16)
+    tv40 = max(0.5 * float(np.abs(np.linalg.matrix_power(
+        kern.dense(), 40)[s] - kern.dist.mass).sum()) for s in (0, 15))
+    assert 0.1 < tv40 < 0.9
+    for toward in (0.0, 1.0):
+        levels = [0.9, float(np.nextafter(tv40, toward)), 0.1]
+        seen.clear()
+        want = stepwise_profile(kern, levels, horizon=ORACLE_HORIZON)
+        assert mixing_profile(kern, levels, horizon=ORACLE_HORIZON) == want
+        assert seen == [None]
+        assert analysis._spectral_crossing_times(
+            kern, (0, 15), [0.9, 0.1], ORACLE_HORIZON) is not None
+
+
+def test_spectral_tau_on_ensemble_exact_kernels():
+    """tau of 200 uniform n = 32 kernels drawn as the exact-tau ensemble
+    draws them, at its horizon of 100 000 steps, against stepping."""
+    for job in range(200):
+        cfg = ExperimentConfig(n_list=(32,), seed=7 * 65536 + job)
+        kern = sampled_kernel(cfg, 32, 0)[1].lazy(0.5)
+        assert outcome(mixing_profile, kern, [0.25],
+                       horizon=100_000) == outcome(
+            stepwise_profile, kern, [0.25], horizon=100_000), job
 
 
 # standardized distance

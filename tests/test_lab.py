@@ -363,6 +363,28 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
         assert err.startswith("bdcutoff: ") and "Error" not in err
 
 
+def test_horizon_below_one_is_a_usage_error(capsys):
+    for horizon in (0, -5):
+        with pytest.raises(ParameterError, match="horizon"):
+            ExperimentConfig(horizon=horizon)
+    assert ExperimentConfig(horizon=1).horizon == 1
+    for command in (["ensemble", "--exact-tau", "--horizon", "-5"],
+                    ["analyze", "--horizon", "0"]):
+        rc, out, err = run_cli(capsys, command + ["--n", "8"])
+        assert rc == 1 and out == "", command
+        assert "horizon must be >= 1" in err
+
+
+def test_negative_n_is_a_usage_error(capsys):
+    for n_list in ((-3,), (8, -3)):
+        with pytest.raises(ParameterError, match="n must be >= 1"):
+            ExperimentConfig(n_list=n_list)
+    for command in ("ensemble", "analyze"):
+        rc, out, err = run_cli(capsys, [command, "--n", "-3"])
+        assert rc == 1 and out == "", command
+        assert err.startswith("bdcutoff: ") and "Error" not in err
+
+
 def test_cli_runtime_failures_exit_two(capsys):
     for command in (["analyze", "--n", "12"],
                     ["probe", "marginal", "--n", "16"]):

@@ -273,7 +273,8 @@ def _sized(family, m):
 def test_replay_is_bit_identical_to_scalar_loop(monkeypatch, family, m):
     dist = _sized(family, m)
     for w in (0.25, 1.0, 4.0):
-        # 69 001 updates cross the 65 536-update batch; 9001 % 7 != 0
+        # 69 001 updates cross the scalar loop's 65 536-update batch and
+        # several replay batches; 9001 % 7 != 0
         cfg = SamplerConfig(dist, w=w, burnin=60000, steps=9001, thin=7,
                             seed=int(m * 10 + 4 * w))
         scalar, replay = _both_paths(monkeypatch, lambda: run_gibbs(cfg))
