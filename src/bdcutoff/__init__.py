@@ -14,19 +14,14 @@ from .dist import FAMILIES, StationaryDist, make_distribution
 from .kernel import (BDKernel, check_feasibility, kernel_from_superdiagonal,
                      metropolis_kernel)
 from .sampler import (CoupledTrace, GibbsTrace, SamplerConfig,
-                      acceptance_rate, collect_window, default_initial_state,
+                      collect_window, default_initial_state,
                       greedy_max_state, oracle_samples, run_coupled_pair,
                       run_gibbs, stream_fingerprint, substream)
-from .analysis import (AnalysisReport, DlpWindow, EXACT_TAU_LIMIT,
-                       MicloBounds, MixingBoundResult, analyze, dlp_window,
+from .analysis import (AnalysisReport, EXACT_TAU_LIMIT, MicloBounds, analyze,
                        expected_hitting_time, miclo_bounds, mixing_profile,
-                       mixing_time, pairwise_distance_profile,
-                       sd_mixing_bound, separation_decay_bound,
-                       spectral_gap)
-from .compare import (ComparisonFunctionals, ComparisonReport,
-                      MetropolisReport, XnSelection, build_functionals,
-                      comparison_diagnostic, eval_functionals, find_xn,
-                      metropolis_report)
+                       mixing_time, pairwise_distance_profile, spectral_gap)
+from .compare import (ComparisonReport, MetropolisReport, XnSelection,
+                      comparison_diagnostic, find_xn, metropolis_report)
 
 __version__ = "0.1.0"
 
@@ -37,17 +32,13 @@ __all__ = [
     "FAMILIES", "StationaryDist", "make_distribution",
     "BDKernel", "check_feasibility", "kernel_from_superdiagonal",
     "metropolis_kernel",
-    "CoupledTrace", "GibbsTrace", "SamplerConfig", "acceptance_rate",
-    "collect_window", "default_initial_state", "greedy_max_state",
-    "oracle_samples", "run_coupled_pair", "run_gibbs",
-    "stream_fingerprint", "substream",
-    "AnalysisReport", "DlpWindow", "EXACT_TAU_LIMIT", "MicloBounds",
-    "MixingBoundResult", "analyze", "dlp_window", "expected_hitting_time",
-    "miclo_bounds", "mixing_profile", "mixing_time",
-    "pairwise_distance_profile", "sd_mixing_bound",
-    "separation_decay_bound", "spectral_gap",
-    "ComparisonFunctionals", "ComparisonReport", "MetropolisReport",
-    "XnSelection", "build_functionals", "comparison_diagnostic",
-    "eval_functionals", "find_xn", "metropolis_report",
+    "CoupledTrace", "GibbsTrace", "SamplerConfig", "collect_window",
+    "default_initial_state", "greedy_max_state", "oracle_samples",
+    "run_coupled_pair", "run_gibbs", "stream_fingerprint", "substream",
+    "AnalysisReport", "EXACT_TAU_LIMIT", "MicloBounds", "analyze",
+    "expected_hitting_time", "miclo_bounds", "mixing_profile",
+    "mixing_time", "pairwise_distance_profile", "spectral_gap",
+    "ComparisonReport", "MetropolisReport", "XnSelection",
+    "comparison_diagnostic", "find_xn", "metropolis_report",
     "__version__",
 ]

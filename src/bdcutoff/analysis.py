@@ -13,7 +13,6 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .dist import StationaryDist
 from .errors import (DomainError, NonErgodicError, NotMixedError,
                      ParameterError, SpectrumError)
 from .kernel import BDKernel
@@ -398,100 +397,14 @@ def pairwise_distance_profile(kernel: BDKernel, tmax: int) -> np.ndarray:
     return out
 
 
-class DlpWindow(NamedTuple):
-    """Mixing-window width against the gap-based scale sqrt(tau/gap)."""
-
-    bound: float
-    window: int
-    ratio: float
-
-
-def dlp_window(kernel: BDKernel, eps: float = 0.1, *,
-               exhaustive: bool = False,
-               horizon: int = DEFAULT_HORIZON) -> DlpWindow:
-    """Measure tau(eps) - tau(1-eps) and the scale it is bounded by.
-
-    For lazy chains the window is at most a constant (depending on eps
-    alone) times sqrt(tau(1/4)/gap); the returned ratio is the
-    empirical constant.
-    """
-    if not 0.0 < eps < 0.5:
-        raise ParameterError(f"eps must be in (0, 0.5), got {eps}")
-    prof = mixing_profile(kernel, [eps, 1.0 - eps, 0.25],
-                          exhaustive=exhaustive, horizon=horizon)
-    window = prof[eps] - prof[1.0 - eps]
-    gap = spectral_gap(kernel)
-    bound = math.sqrt(prof[0.25] / gap)
-    return DlpWindow(bound=bound, window=window, ratio=window / bound)
-
-
-class MixingBoundResult(NamedTuple):
-    """Decay of conditional dependence along the super-diagonal.
-
-    product multiplies one factor per two coordinates of separation;
-    alt_product is the coarser alternating-representation rate at the
-    matching distance. clamped marks factors where no contraction is
-    guaranteed (steeply falling mass) and 1 was used.
-    """
-
-    product: float
-    alt_product: float
-    clamped: bool
-
-
-def _contraction_complement(cq: float) -> float:
-    # 1 - R where R = 1 + (C-1) log(1 - 1/C); no guarantee for C <= 1
-    if cq <= 1.0:
-        return 1.0
-    return -(cq - 1.0) * math.log1p(-1.0 / cq)
-
-
-def sd_mixing_bound(dist: StationaryDist, i: int, ell: int) -> MixingBoundResult:
-    """Influence bound between coordinate i and coordinates 2*ell away.
-
-    Each factor is the one-step contraction of conditional dependence
-    across two coordinates; their product bounds how much conditioning
-    at distance 2*ell can move the marginal of coordinate i.
-    """
-    m = dist.n - 1
-    if not 0 <= i <= m - 1:
-        raise IndexError(f"coordinate {i} out of range [0, {m - 1}]")
-    if ell < 0:
-        raise ParameterError(f"ell must be >= 0, got {ell}")
-    if ell and i + 2 * ell + 2 > dist.n - 2:
-        raise ParameterError(
-            f"separation 2*{ell} from coordinate {i} leaves the chain "
-            f"(need i + 2*ell + 4 <= n = {dist.n})")
-    product = 1.0
-    clamped = False
-    for q in range(1, ell + 1):
-        cq = 16.0 * min(float(dist.ratios[i + 2 * q + 2]), 1.0)
-        if cq <= 1.0:
-            clamped = True
-        product *= _contraction_complement(cq)
-    return MixingBoundResult(product=product,
-                             alt_product=(23.0 / 27.0) ** (ell // 2),
-                             clamped=clamped)
-
-
-def separation_decay_bound(ell: int) -> float:
-    """Alternating-representation dependence bound at separation 4*ell.
-
-    Decays geometrically with ratio 23/27 per unit of ell.
-    """
-    if ell < 0:
-        raise ParameterError(f"ell must be >= 0, got {ell}")
-    return (23.0 / 27.0) ** ell
-
-
 @dataclass(frozen=True)
 class AnalysisReport:
     """Mixing summary of one kernel.
 
-    dlp_scale is sqrt(tau/gap), the Ding-Lubetzky-Peres window scale
-    (dlp_window() measures the window itself). tau and dlp_scale are
-    None when the exact mixing time was skipped for cost (proxy_flag
-    True); cutoff_product then uses the hitting-time proxy.
+    dlp_scale is sqrt(tau/gap), the Ding-Lubetzky-Peres window scale.
+    tau and dlp_scale are None when the exact mixing time was skipped
+    for cost (proxy_flag True); cutoff_product then uses the
+    hitting-time proxy.
     """
 
     gap: float

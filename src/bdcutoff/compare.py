@@ -4,21 +4,21 @@ The Metropolis chain for a distribution is the deterministic benchmark:
 if it does not exhibit cutoff, neither do typical random kernels with
 the same stationary law. The apparatus here mirrors that argument at
 finite n: quartile hitting statistics for the reference chain, a cut
-index chosen where the gap-bound sums peak, two weighted functionals
-with their normalizers, and an ensemble diagnostic flagging replicates
-whose mixing product exceeds the comparison threshold.
+index chosen where the gap-bound sums peak, and an ensemble diagnostic
+flagging replicates whose mixing product exceeds the comparison
+threshold.
 """
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .analysis import (_miclo_log_curves, analyze, expected_hitting_time,
                        miclo_bounds, spectral_gap)
 from .dist import StationaryDist
-from .errors import DomainError, EmptyEnsembleError, ParameterError
-from .kernel import BDKernel, metropolis_kernel
+from .errors import EmptyEnsembleError, ParameterError
+from .kernel import metropolis_kernel
 
 FLAG_CONSTANT = 24576.0  # comparison threshold multiplier, over alpha
 
@@ -70,9 +70,7 @@ def find_xn(dist: StationaryDist, alpha: float | None = None) -> XnSelection:
     (the default) the global argmax is returned, realizing the largest
     possible fraction of the overall bound B; ties between sides
     resolve to the minus side for determinism. A requested alpha keeps
-    the weaker minus side whenever it attains that fraction of B,
-    since the downstream comparison functional is built on the
-    below-median window.
+    the weaker minus side whenever it attains that fraction of B.
 
     The discrete median breaks mirror symmetry at even state counts:
     the central edge joins the upper sum, so for an even symmetric
@@ -104,127 +102,6 @@ def find_xn(dist: StationaryDist, alpha: float | None = None) -> XnSelection:
         side = "plus"
         achieved = 1.0
     return XnSelection(x_n=x, side=side, alpha_achieved=achieved)
-
-
-def _logdot(logterms: np.ndarray, w: np.ndarray) -> float:
-    """log of sum(w * exp(logterms)) for nonnegative w; -inf when empty."""
-    # scipy.special is imported here, its one caller, to keep it off CLI start-up
-    from scipy.special import logsumexp
-    mask = w > 0.0
-    if not mask.any():
-        return -np.inf
-    return float(logsumexp(logterms[mask] + np.log(w[mask])))
-
-
-def _check_weights(dist: StationaryDist, weights) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (dist.n,):
-        raise ParameterError(
-            f"weights have length {w.size}, expected {dist.n}")
-    if not np.all(np.isfinite(w)):
-        raise DomainError("weights must be finite")
-    if np.any(w < 0.0):
-        raise DomainError("weights must be nonnegative")
-    return w
-
-
-def _g_window(dist: StationaryDist, x_n: int):
-    """Log terms, weight slice, and log outer tail for the g functional."""
-    m = dist.quantile(0.5)
-    n = dist.n
-    if 1 <= x_n <= m - 1:
-        # average over [x_n, m) against 1/pi, tail mass strictly below x_n
-        logterms = -dist.log_mass[x_n:m]
-        sl = slice(x_n, m)
-        outer = float(dist.log_prefix[x_n - 1])
-    elif m + 1 <= x_n <= n - 2:
-        # mirror window (m, x_n] against 1/pi(v-1), tail strictly above
-        logterms = -dist.log_mass[m:x_n]
-        sl = slice(m + 1, x_n + 1)
-        outer = float(dist.log_suffix[x_n + 1])
-    else:
-        raise ParameterError(
-            f"x_n = {x_n} leaves no window against median {m} "
-            f"(need 1 <= x_n <= {m - 1} or {m + 1} <= x_n <= {n - 2})")
-    return logterms, sl, outer
-
-
-@dataclass(frozen=True)
-class ComparisonFunctionals:
-    """Normalized weighted functionals for the comparison argument.
-
-    f_hat and g_hat evaluate the raw (unnormalized) functionals on a
-    length-n nonnegative weight vector; beta1 and beta2 are the
-    matching normalizers, chosen so the all-ones vector maps to 1 on
-    the first branch and on the g window respectively.
-    """
-
-    x_n: int
-    side: str
-    alpha_achieved: float
-    beta1: float
-    beta2: float
-    f_hat: Callable[[np.ndarray], float]
-    g_hat: Callable[[np.ndarray], float]
-
-
-def eval_functionals(dist: StationaryDist, x_n: int,
-                     weights) -> tuple[float, float]:
-    """Normalized f and g values of a weight vector.
-
-    f is the larger of two branches: mass-ratio weighted sums below the
-    3/4 quantile (prefix form) and above the 1/4 quantile (suffix
-    form), normalized by the first branch at all-ones. g averages the
-    weights over the window between x_n and the median with 1/pi
-    weighting; its tail factor cancels in the normalization.
-    """
-    w = _check_weights(dist, weights)
-    u = dist.quantile(0.25)
-    v = dist.quantile(0.75)
-    lt1 = dist.log_prefix[:v] - dist.log_mass[:v]
-    lt2 = dist.log_suffix[u + 1:] - dist.log_mass[u + 1:]
-    b1 = _logdot(lt1, w[:v])
-    b2 = _logdot(lt2, w[u + 1:])
-    b1_ones = _logdot(lt1, np.ones(v))
-    if not np.isfinite(b1_ones):
-        raise ParameterError(
-            f"first branch is empty (3/4 quantile at state {v})")
-    f_value = float(np.exp(max(b1, b2) - b1_ones))
-
-    logterms, sl, _ = _g_window(dist, x_n)
-    g_num = _logdot(logterms, w[sl])
-    g_den = _logdot(logterms, np.ones(len(logterms)))
-    g_value = float(np.exp(g_num - g_den))
-    return f_value, g_value
-
-
-def build_functionals(dist: StationaryDist,
-                      alpha: float | None = None) -> ComparisonFunctionals:
-    """Select x_n and package the raw functionals with their normalizers."""
-    sel = find_xn(dist, alpha)
-    u = dist.quantile(0.25)
-    v = dist.quantile(0.75)
-    lt1 = dist.log_prefix[:v] - dist.log_mass[:v]
-    lt2 = dist.log_suffix[u + 1:] - dist.log_mass[u + 1:]
-    logterms, sl, outer = _g_window(dist, sel.x_n)
-
-    def f_hat(weights) -> float:
-        w = _check_weights(dist, weights)
-        return float(np.exp(max(_logdot(lt1, w[:v]),
-                                _logdot(lt2, w[u + 1:]))))
-
-    def g_hat(weights) -> float:
-        w = _check_weights(dist, weights)
-        return float(np.exp(outer + _logdot(logterms, w[sl])))
-
-    b1_ones = _logdot(lt1, np.ones(v))
-    g_ones = outer + _logdot(logterms, np.ones(len(logterms)))
-    beta1 = float(np.exp(-b1_ones))
-    beta2 = float(np.exp(-g_ones))
-    return ComparisonFunctionals(x_n=sel.x_n, side=sel.side,
-                                 alpha_achieved=sel.alpha_achieved,
-                                 beta1=beta1, beta2=beta2,
-                                 f_hat=f_hat, g_hat=g_hat)
 
 
 @dataclass(frozen=True)

@@ -58,18 +58,6 @@ class StationaryDist:
         object.__setattr__(self, "prefix", np.exp(self.log_prefix))
         object.__setattr__(self, "caps", np.minimum(1.0, self.ratios))
 
-    def ratio(self, i: int) -> float:
-        """Return pi(i+1)/pi(i) by closed form."""
-        if not 0 <= i <= self.n - 2:
-            raise IndexError(f"ratio index {i} out of range [0, {self.n - 2}]")
-        return float(self.ratios[i])
-
-    def prefix_mass(self, i: int) -> float:
-        """Cumulative probability of states 0..i."""
-        if not 0 <= i <= self.n - 1:
-            raise IndexError(f"state {i} out of range [0, {self.n - 1}]")
-        return float(self.prefix[i])
-
     def quantile(self, delta: float) -> int:
         """Smallest state k whose prefix mass reaches delta."""
         if not 0.0 < delta < 1.0:

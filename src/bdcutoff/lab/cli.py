@@ -139,6 +139,8 @@ def _parse_config_value(name: str, raw: str):
     field = _CONFIG_FIELDS[name]
     raw = raw.strip()
     if raw.lower() in ("none", ""):
+        if field.default is not None:
+            raise ParameterError(f"config key {name}: cannot be none")
         return None
     if name == "n_list":
         return tuple(int(v) for v in raw.split(","))

@@ -68,11 +68,19 @@ class ExperimentConfig:
             raise ParameterError(f"reps must be >= 0, got {self.reps}")
         if self.k < 1:
             raise ParameterError(f"block size k must be >= 1, got {self.k}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.horizon < 1:
             raise ParameterError(f"horizon must be >= 1, got {self.horizon}")
+        if self.probe_samples < 1:
+            raise ParameterError(
+                f"probe_samples must be >= 1, got {self.probe_samples}")
         if self.probe_thin is not None and self.probe_thin < 1:
             raise ParameterError(
                 f"probe_thin must be >= 1, got {self.probe_thin}")
+        if self.coupon_runs < 1:
+            raise ParameterError(
+                f"coupon_runs must be >= 1, got {self.coupon_runs}")
         if self.format not in FORMATS:
             raise ParameterError(
                 f"format must be one of {FORMATS}, got {self.format!r}")

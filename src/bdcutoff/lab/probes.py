@@ -447,10 +447,9 @@ def probe_contraction(cfg: ExperimentConfig) -> ProbeResult:
             run = run_gibbs(cfg.sampler_config(dist, seed, burnin=t_coupon))
             if _coverage_miss(run.update_counts, cfg.k, m):
                 misses += 1
-        frac = misses / cfg.coupon_runs if cfg.coupon_runs else float("nan")
+        frac = misses / cfg.coupon_runs
         coupon_se = math.sqrt(max(frac * (1.0 - frac), 1e-12)
-                              / cfg.coupon_runs) if cfg.coupon_runs \
-            else float("nan")
+                              / cfg.coupon_runs)
 
         scale = dist.n * math.log(dist.n)
         results.append({

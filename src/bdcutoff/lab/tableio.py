@@ -123,8 +123,3 @@ def read_csv_rows(path: str):
             raise ValueError(
                 f"{path}: missing schema tag {SCHEMA_TAG!r} (got {first!r})")
         return list(csv.DictReader(f))
-
-
-def read_json_rows(path: str):
-    with open(path) as f:
-        return json.load(f)

@@ -476,21 +476,6 @@ def oracle_samples(dist: StationaryDist, count: int,
     return out
 
 
-def acceptance_rate(dist: StationaryDist, trials: int,
-                    rng: np.random.Generator) -> float:
-    """Fraction of box proposals that land in the polytope."""
-    m = dist.n - 1
-    caps = dist.caps
-    hits = 0
-    left = trials
-    while left:
-        b = min(left, 65536)
-        c = rng.random((b, m)) * caps
-        hits += int(np.all(c <= _bounds(dist, c), axis=1).sum())
-        left -= b
-    return hits / trials
-
-
 def run_coupled_pair(config: SamplerConfig, initial_pair=None) -> CoupledTrace:
     """Evolve two chains on shared randomness until they merge.
 

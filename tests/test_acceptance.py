@@ -169,7 +169,7 @@ def test_criterion_05_tail_constant_and_monotonicity():
 def _structural_checks(dist, vals, start):
     mid = start + 2
     cap = float(dist.caps[mid])
-    ratio = dist.ratio(mid)
+    ratio = float(dist.ratios[mid])
     _, bad_half = half_interval_rows(vals[:, 2])
     _, bad_dom = uniform_domination_rows(vals[:, 2], cap)
     _, bad_small = small_value_rows(vals[:, 0], vals[:, 2], vals[:, 4],

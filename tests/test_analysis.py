@@ -12,11 +12,9 @@ from conftest import (dense_gap, equilibrated_kernel, solve_hitting,
 from bdcutoff import analysis
 from bdcutoff.analysis import (_MIN_BLOCK, _advance, _block_tv,
                                _padded_coefficients, _segments, analyze,
-                               dlp_window, expected_hitting_time,
-                               miclo_bounds, mixing_profile, mixing_time,
-                               pairwise_distance_profile,
-                               separation_decay_bound, sd_mixing_bound,
-                               spectral_gap)
+                               expected_hitting_time, miclo_bounds,
+                               mixing_profile, mixing_time,
+                               pairwise_distance_profile, spectral_gap)
 from bdcutoff.dist import StationaryDist, make_distribution
 from bdcutoff.errors import (DomainError, NonErgodicError, NotMixedError,
                              ParameterError)
@@ -531,64 +529,6 @@ def test_pairwise_profile_submultiplicative_smoke():
     for s in range(1, 30):
         for t in range(1, 30):
             assert d[s + t] <= d[s] * d[t] + 1e-10
-
-
-# window diagnostics
-
-def test_dlp_window_two_state():
-    win = dlp_window(full_mixing_two_state(), eps=0.1)
-    assert win.window == 0
-    assert win.bound == pytest.approx(1.0)
-    assert win.ratio == pytest.approx(0.0)
-
-
-def test_dlp_window_nonnegative():
-    kern = sampled("binomial", {}, 24, stream_fingerprint(56)).lazy(0.5)
-    win = dlp_window(kern, eps=0.1)
-    assert win.window >= 0
-    assert win.bound > 0
-    with pytest.raises(ParameterError):
-        dlp_window(kern, eps=0.5)
-
-
-# conditional-dependence decay bounds
-
-def test_sd_mixing_bound_flat_mass():
-    uni = make_distribution("uniform", 40)
-    got = sd_mixing_bound(uni, 3, 1)
-    assert got.product == pytest.approx(15.0 * math.log(16.0 / 15.0),
-                                        rel=1e-12)
-    assert got.product == pytest.approx(0.96808, abs=5e-6)
-    assert not got.clamped
-    assert sd_mixing_bound(uni, 3, 0) == (1.0, 1.0, False)
-    assert sd_mixing_bound(uni, 3, 4).alt_product == pytest.approx(
-        (23.0 / 27.0) ** 2, rel=1e-12)
-
-
-def test_sd_mixing_bound_clamps_steep_descent():
-    dist = make_distribution("if", 20, eps=0.25, a=32.0)
-    got = sd_mixing_bound(dist, 24, 1)
-    assert got.clamped
-    assert got.product == 1.0
-
-
-def test_sd_mixing_bound_validation():
-    uni = make_distribution("uniform", 10)
-    with pytest.raises(IndexError):
-        sd_mixing_bound(uni, 9, 0)
-    with pytest.raises(ParameterError):
-        sd_mixing_bound(uni, 0, -1)
-    with pytest.raises(ParameterError):
-        sd_mixing_bound(uni, 0, 4)
-
-
-def test_separation_decay_bound_values():
-    assert separation_decay_bound(0) == 1.0
-    assert separation_decay_bound(4) == pytest.approx((23.0 / 27.0) ** 4,
-                                                      rel=1e-12)
-    assert separation_decay_bound(4) == pytest.approx(0.5266, abs=1e-4)
-    with pytest.raises(ParameterError):
-        separation_decay_bound(-1)
 
 
 # full report

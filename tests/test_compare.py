@@ -1,4 +1,4 @@
-"""Metropolis benchmark statistics, cut selection, comparison functionals."""
+"""Metropolis benchmark statistics, cut selection, comparison diagnostic."""
 
 import math
 
@@ -8,11 +8,10 @@ import pytest
 from conftest import equilibrated_kernel
 
 from bdcutoff.analysis import expected_hitting_time, miclo_bounds
-from bdcutoff.compare import (FLAG_CONSTANT, build_functionals,
-                              comparison_diagnostic, eval_functionals,
-                              find_xn, metropolis_report)
+from bdcutoff.compare import (FLAG_CONSTANT, comparison_diagnostic, find_xn,
+                              metropolis_report)
 from bdcutoff.dist import make_distribution
-from bdcutoff.errors import (DomainError, EmptyEnsembleError, ParameterError)
+from bdcutoff.errors import EmptyEnsembleError, ParameterError
 from bdcutoff.kernel import metropolis_kernel
 from bdcutoff.sampler import stream_fingerprint
 
@@ -101,61 +100,6 @@ def test_find_xn_alpha_validation():
     for bad in (0.0, -0.2, 1.5):
         with pytest.raises(ParameterError):
             find_xn(uni, alpha=bad)
-
-
-def test_functionals_constant_weights():
-    uni = make_distribution("uniform", 16)
-    x = find_xn(uni).x_n
-    assert eval_functionals(uni, x, np.ones(16)) == (1.0, 1.0)
-    assert eval_functionals(uni, x, np.zeros(16)) == (0.0, 0.0)
-
-
-def test_functionals_ramp_matches_brute_force():
-    n = 16
-    uni = make_distribution("uniform", n)
-    sel = find_xn(uni)
-    w = np.arange(n) / n
-    pi = uni.mass
-    prefix = np.cumsum(pi)
-    suffix = np.cumsum(pi[::-1])[::-1]
-    u, m, v = uni.quantile(0.25), uni.quantile(0.5), uni.quantile(0.75)
-    b1 = sum(w[i] * prefix[i] / pi[i] for i in range(v))
-    b2 = sum(w[i] * suffix[i] / pi[i] for i in range(u + 1, n))
-    ones1 = sum(prefix[i] / pi[i] for i in range(v))
-    assert sel.x_n <= m - 1
-    lo, hi = sel.x_n, m
-    g = (sum(w[i] / pi[i] for i in range(lo, hi))
-         / sum(1.0 / pi[i] for i in range(lo, hi)))
-    fv, gv = eval_functionals(uni, sel.x_n, w)
-    assert fv == pytest.approx(max(b1, b2) / ones1, abs=1e-10)
-    assert gv == pytest.approx(g, abs=1e-10)
-
-
-def test_functionals_weight_validation():
-    uni = make_distribution("uniform", 16)
-    x = find_xn(uni).x_n
-    with pytest.raises(ParameterError):
-        eval_functionals(uni, x, np.ones(15))
-    with pytest.raises(DomainError):
-        eval_functionals(uni, x, -np.ones(16))
-    with pytest.raises(DomainError):
-        eval_functionals(uni, x, [np.inf] + [1.0] * 15)
-    with pytest.raises(ParameterError):
-        eval_functionals(uni, 0, np.ones(16))  # no window at the edge
-    with pytest.raises(ParameterError):
-        eval_functionals(uni, uni.quantile(0.5), np.ones(16))
-
-
-def test_build_functionals_normalization():
-    for family, kw in (("uniform", {}), ("geometric", {"a": 2.0}),
-                       ("binomial", {})):
-        dist = make_distribution(family, 20, **kw)
-        fun = build_functionals(dist)
-        ones = np.ones(20)
-        assert fun.beta2 * fun.g_hat(ones) == pytest.approx(1.0, rel=1e-12)
-        assert fun.beta1 > 0 and fun.beta2 > 0
-        fv, gv = eval_functionals(dist, fun.x_n, ones)
-        assert fv == pytest.approx(fun.beta1 * fun.f_hat(ones), rel=1e-12)
 
 
 def test_diagnostic_empty_ensemble():

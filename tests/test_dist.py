@@ -25,42 +25,29 @@ def test_if_ratio_by_region():
     assert d.n == 199
     center = d.n // 2
     flat = d.params["flat_halfwidth"]
-    assert d.ratio(0) == pytest.approx(2.0, rel=1e-15)
-    assert d.ratio(center) == pytest.approx(1.0, rel=1e-15)
-    assert d.ratio(center - flat) == pytest.approx(1.0, rel=1e-15)
-    assert d.ratio(center - flat - 1) == pytest.approx(2.0, rel=1e-15)
-    assert d.ratio(d.n - 2) == pytest.approx(0.5, rel=1e-15)
+    assert d.ratios[0] == pytest.approx(2.0, rel=1e-15)
+    assert d.ratios[center] == pytest.approx(1.0, rel=1e-15)
+    assert d.ratios[center - flat] == pytest.approx(1.0, rel=1e-15)
+    assert d.ratios[center - flat - 1] == pytest.approx(2.0, rel=1e-15)
+    assert d.ratios[d.n - 2] == pytest.approx(0.5, rel=1e-15)
 
 
 def test_ratio_uniform_and_geometric():
-    assert make_distribution("uniform", 8).ratio(3) == 1.0
+    assert make_distribution("uniform", 8).ratios[3] == 1.0
     g = make_distribution("geometric", 6, a=2.0)
     for i in range(5):
-        assert g.ratio(i) == 2.0
+        assert g.ratios[i] == 2.0
 
 
 def test_ratio_binomial():
-    assert make_distribution("binomial", 3).ratio(0) == pytest.approx(2.0)
-
-
-def test_ratio_out_of_range():
-    d = make_distribution("uniform", 4)
-    with pytest.raises(IndexError):
-        d.ratio(3)
-    with pytest.raises(IndexError):
-        d.ratio(-1)
+    assert make_distribution("binomial", 3).ratios[0] == pytest.approx(2.0)
 
 
 def test_prefix_mass():
-    assert make_distribution("uniform", 4).prefix_mass(1) == pytest.approx(0.5)
-    assert make_distribution("binomial", 3).prefix_mass(0) == pytest.approx(0.25)
+    assert make_distribution("uniform", 4).prefix[1] == pytest.approx(0.5)
+    assert make_distribution("binomial", 3).prefix[0] == pytest.approx(0.25)
     d = make_distribution("if", 100, eps=0.5, a=2.0)
-    assert d.prefix_mass(d.n - 1) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_prefix_mass_out_of_range():
-    with pytest.raises(IndexError):
-        make_distribution("uniform", 4).prefix_mass(4)
+    assert d.prefix[d.n - 1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_quantile_examples():
@@ -96,7 +83,7 @@ def test_quantile_monotone_in_level():
     qs = [d.quantile(x) for x in levels]
     assert all(a <= b for a, b in zip(qs, qs[1:]))
     for i in range(d.n):
-        p = d.prefix_mass(i)
+        p = d.prefix[i]
         if 0.0 < p < 1.0:
             assert d.quantile(p) <= i
 

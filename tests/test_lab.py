@@ -1,5 +1,7 @@
 """Experiment config, ensemble runner, table persistence, CLI."""
 
+import ast
+import importlib
 import json
 import math
 import os
@@ -17,9 +19,8 @@ from bdcutoff.lab.ensemble import (RECORD_FIELDS, record_rows,
                                    replicate_seed, run_ensemble,
                                    sampled_kernel)
 from bdcutoff.lab.tableio import (SCHEMA_TAG, format_value, jsonable,
-                                  parse_value, read_csv_rows,
-                                  read_json_rows, render_csv, render_json,
-                                  render_table, write_table)
+                                  parse_value, read_csv_rows, render_csv,
+                                  render_json, render_table, write_table)
 from bdcutoff.sampler import stream_fingerprint
 
 
@@ -87,6 +88,10 @@ def test_load_config_file_errors(tmp_path):
     burnin.write_text("burnin = 5\n")
     with pytest.raises(ParameterError, match=r"e\.cfg:1.*burnin"):
         load_config_file(str(burnin))
+    no_seed = tmp_path / "f.cfg"
+    no_seed.write_text("seed = none\n")
+    with pytest.raises(ParameterError, match="seed: cannot be none"):
+        load_config_file(str(no_seed))
 
 
 def test_flags_override_config_file(tmp_path):
@@ -202,7 +207,7 @@ def test_json_round_trip(tmp_path):
     rows = [{"x": 1.5, "y": float("nan")}, {"x": 2.0, "y": float("-inf")}]
     path = tmp_path / "t.json"
     write_table(str(path), fields, rows, "json")
-    back = read_json_rows(str(path))
+    back = json.loads(path.read_text())
     assert back == [{"x": 1.5, "y": "nan"}, {"x": 2.0, "y": "-inf"}]
     with pytest.raises(ValueError):
         render_table(fields, rows, "tsv")
@@ -303,7 +308,7 @@ def test_cli_probe_json(tmp_path, capsys):
     got = json.loads(out)
     assert got["probe"] == "tail"
     assert got["summary"]["monotone_violations"] == 0
-    rows = read_json_rows(path)
+    rows = json.loads(Path(path).read_text())
     assert len(rows) == 3  # default grid
     assert {r["x"] for r in rows} == {5.0, 10.0, 20.0}
 
@@ -355,6 +360,15 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
                     ["probe", "tail", "--k", "0"],
                     ["probe", "marginal", "--probe-thin", "0"],
                     ["probe", "markov", "--probe-thin", "0"],
+                    ["probe", "marginal", "--n", "16",
+                     "--probe-samples", "0"],
+                    ["probe", "tail", "--n", "64", "--probe-samples", "0"],
+                    ["probe", "markov", "--n", "64", "--probe-samples", "0"],
+                    ["probe", "marginal", "--probe-samples", "-4"],
+                    ["probe", "contraction", "--n", "16",
+                     "--coupon-runs", "-1"],
+                    ["probe", "contraction", "--n", "16",
+                     "--coupon-runs", "0"],
                     ["ensemble", "--family", "if", "--n", "16"],
                     ["ensemble", "--delta", "0.3"],
                     ["ensemble", "--k", "9", "--workers", "2"]):
@@ -383,6 +397,15 @@ def test_negative_n_is_a_usage_error(capsys):
         rc, out, err = run_cli(capsys, [command, "--n", "-3"])
         assert rc == 1 and out == "", command
         assert err.startswith("bdcutoff: ") and "Error" not in err
+
+
+def test_negative_seed_is_a_usage_error(capsys):
+    with pytest.raises(ParameterError, match="seed must be >= 0"):
+        ExperimentConfig(seed=-1)
+    for command in ("sample", "ensemble"):
+        rc, out, err = run_cli(capsys, [command, "--n", "8", "--seed", "-1"])
+        assert rc == 1 and out == "", command
+        assert "seed must be >= 0" in err
 
 
 def test_cli_runtime_failures_exit_two(capsys):
@@ -431,3 +454,45 @@ def test_star_imports_resolve():
     # a star import raises AttributeError for any stale name in __all__
     for module in ("bdcutoff", "bdcutoff.lab"):
         exec(f"from {module} import *", {})
+
+
+def _module_files(*paths):
+    # __init__.py files only re-export, so their imports and uses are skipped
+    for path in paths:
+        files = sorted(path.rglob("*.py")) if path.is_dir() else [path]
+        yield from (f for f in files if f.name != "__init__.py")
+
+
+def test_public_names_have_callers():
+    # every exported name is used by the package, the benchmark or an
+    # acceptance criterion; one that only unit tests call is dead surface
+    root = Path(__file__).resolve().parent.parent
+    used = set()
+    for path in _module_files(root / "src", root / "bench",
+                              root / "tests" / "test_acceptance.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                used.add(node.attr)
+    dead = [f"{module}.{name}" for module in ("bdcutoff", "bdcutoff.lab")
+            for name in importlib.import_module(module).__all__
+            if name not in used]
+    assert dead == []
+
+
+def test_src_has_no_unused_imports():
+    src = Path(__file__).resolve().parent.parent / "src"
+    unused = []
+    for path in _module_files(src):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []

@@ -10,12 +10,11 @@ from scipy import stats
 from bdcutoff import sampler
 from bdcutoff.dist import make_distribution
 from bdcutoff.errors import ParameterError, StallError
-from bdcutoff.kernel import check_feasibility
-from bdcutoff.sampler import (CoupledTrace, SamplerConfig, acceptance_rate,
-                              collect_window, default_initial_state,
-                              greedy_max_state, oracle_samples,
-                              run_coupled_pair, run_gibbs, stream_fingerprint,
-                              substream)
+from bdcutoff.kernel import _bounds, check_feasibility
+from bdcutoff.sampler import (CoupledTrace, SamplerConfig, collect_window,
+                              default_initial_state, greedy_max_state,
+                              oracle_samples, run_coupled_pair, run_gibbs,
+                              stream_fingerprint, substream)
 
 UNI3 = make_distribution("uniform", 3)
 UNI4 = make_distribution("uniform", 4)
@@ -331,14 +330,11 @@ def test_oracle_triangle_mean():
     assert abs(float(vals.mean()) - 1.0 / 3.0) <= 3.0 * se
 
 
-def test_oracle_acceptance_rate_near_half():
-    rate = acceptance_rate(UNI3, 100_000, substream(45))
-    assert abs(rate - 0.5) <= 3.0 * math.sqrt(0.25 / 100_000)
-
-
 def test_acceptance_rate_matches_scalar_reference():
-    # the same box draws, judged one proposal at a time by the chained
-    # row constraints; m = 1 has none, so every draw is accepted
+    # the same box draws, judged in one batch by kernel._bounds (the
+    # predicate of oracle_samples and check_feasibility) and one proposal
+    # at a time by the chained row constraints; m = 1 has none, so every
+    # draw is accepted
     for dist in (make_distribution("explicit", 2, mass=(0.6, 0.4)), UNI4,
                  make_distribution("geometric", 6, a=2.0),
                  make_distribution("binomial", 6),
@@ -346,9 +342,13 @@ def test_acceptance_rate_matches_scalar_reference():
         m = dist.n - 1
         rec = [1.0 / r for r in dist.ratios.tolist()]
         box = substream(47).random((4000, m)) * dist.caps
-        hits = sum(all(c[i] <= 1.0 - c[i - 1] * rec[i - 1]
-                       for i in range(1, m)) for c in box.tolist())
-        assert acceptance_rate(dist, 4000, substream(47)) == hits / 4000
+        hits = [all(c[i] <= 1.0 - c[i - 1] * rec[i - 1] for i in range(1, m))
+                for c in box.tolist()]
+        assert np.all(box <= _bounds(dist, box), axis=1).tolist() == hits
+    # the triangle fills half of the uniform box
+    box = substream(45).random((100_000, 2)) * UNI3.caps
+    rate = float(np.all(box <= _bounds(UNI3, box), axis=1).mean())
+    assert abs(rate - 0.5) <= 3.0 * math.sqrt(0.25 / 100_000)
 
 
 def test_oracle_samples_are_feasible():
