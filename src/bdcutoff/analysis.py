@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import (DomainError, NonErgodicError, NotMixedError,
                      ParameterError, SpectrumError)
@@ -132,6 +131,9 @@ def spectral_gap(kernel: BDKernel) -> float:
     when the mass ratios do not. Only the top two eigenvalues are
     extracted (bisection), so cost is O(n) per call.
     """
+    # scipy.linalg costs about 0.3 s and 20 MB to import; sample and the
+    # probes never get here
+    from scipy.linalg import eigh_tridiagonal
     n = kernel.n
     e = np.sqrt(kernel.c * kernel.sub)
     vals = eigh_tridiagonal(kernel.diag, e, eigvals_only=True,
@@ -308,6 +310,7 @@ def _spectral_crossing_times(kernel: BDKernel, starts, levels, horizon: int):
     # bisection and inverse iteration (stebz), which spectral_gap has
     # loaded: 3x slower than stemr at 32 states (0.2 ms), 0.9 MB less
     # resident
+    from scipy.linalg import eigh_tridiagonal
     lam, vec = eigh_tridiagonal(diag, np.sqrt(c * sub),
                                 lapack_driver="stebz")
     if abs(lam[-1] - 1.0) > 1e-8:

@@ -450,6 +450,31 @@ def test_cli_import_skips_scipy_stats_and_special():
     assert proc.stdout.strip() == "[]"
 
 
+def test_sample_and_probes_load_no_scipy():
+    # only the tridiagonal eigensolves of gap and exact tau use scipy
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = f"""
+import contextlib, io, sys
+sys.path.insert(0, {str(src)!r})
+import bdcutoff, bdcutoff.lab.cli
+from bdcutoff.lab.cli import cli_main
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_main(list(argv)) == 0, argv
+run("sample", "--n", "6", "--reps", "2")
+run("probe", "marginal", "--n", "16", "--probe-samples", "200")
+run("probe", "contraction", "--n", "16", "--reps", "2", "--coupon-runs", "5")
+run("probe", "levy", "--n", "64", "--reps", "3")
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+run("ensemble", "--n", "8", "--reps", "2")
+print("scipy.linalg" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-I", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "True"]
+
+
 def test_star_imports_resolve():
     # a star import raises AttributeError for any stale name in __all__
     for module in ("bdcutoff", "bdcutoff.lab"):

@@ -13,7 +13,8 @@ from bdcutoff.dist import make_distribution
 from bdcutoff.errors import ParameterError
 from bdcutoff.lab.config import ExperimentConfig
 from bdcutoff.lab.probes import (PROBES, SIN_REFERENCE_MEDIAN,
-                                 batch_means_ess, coupon_miss_reference, half_interval_rows,
+                                 _ks_statistic, batch_means_ess,
+                                 coupon_miss_reference, half_interval_rows,
                                  interior_reference_cdf, probe_contraction,
                                  probe_levy_sum, probe_marginal,
                                  probe_markov, probe_tail,
@@ -189,6 +190,19 @@ def test_levy_sum_windows_share_shape():
     assert len(res.rows) == 5
     assert all(r["count"] == 60 for r in res.rows)
     assert res.flags == ()
+
+
+def test_levy_ks_statistic_equals_scipy():
+    # bit-equal to ks_2samp, whose exact mode rounds to a multiple of 1/reps
+    rng = np.random.default_rng(12)
+    for size in (2, 3, 10, 101, 2000):
+        cont = rng.normal(size=size)
+        pairs = [(cont, rng.normal(0.2, 1.3, size)), (cont, cont),
+                 (rng.integers(0, 4, size) * 0.5, rng.integers(1, 5, size) * 0.5),
+                 (np.append(cont[1:], np.inf), cont + 0.01)]
+        for a, b in pairs:
+            got = _ks_statistic(np.sort(a), np.sort(b))
+            assert got == stats.ks_2samp(a, b).statistic
 
 
 def test_levy_window_validation():
