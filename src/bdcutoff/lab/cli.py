@@ -9,6 +9,7 @@ error, 2 runtime failure.
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -95,7 +96,12 @@ def _common_flags() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser tree, built on the first call and shared by every
+    later call in the process; parsing leaves it unchanged. Building it
+    costs about as much as a small ensemble run, which matters to
+    callers that run cli_main many times in one process."""
     common = _common_flags()
     top = argparse.ArgumentParser(
         prog="bdcutoff",
@@ -262,6 +268,9 @@ def _cmd_probe(cfg: ExperimentConfig, probe_name: str) -> int:
 
 
 def _cmd_compare(cfg: ExperimentConfig) -> int:
+    if cfg.reps < 1:
+        raise ParameterError(
+            f"compare-metropolis needs --reps >= 1, got {cfg.reps}")
     # comparison_diagnostic fixes its own analysis settings
     for name, flag in (("delta", "--delta"), ("raw_kernel", "--raw-kernel"),
                        ("exact_tau", "--exact-tau")):

@@ -78,6 +78,9 @@ class ExperimentConfig:
         if self.probe_thin is not None and self.probe_thin < 1:
             raise ParameterError(
                 f"probe_thin must be >= 1, got {self.probe_thin}")
+        if not math.isfinite(self.coupon_c):
+            raise ParameterError(
+                f"coupon_c must be finite, got {self.coupon_c}")
         if self.coupon_runs < 1:
             raise ParameterError(
                 f"coupon_runs must be >= 1, got {self.coupon_runs}")

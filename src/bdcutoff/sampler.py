@@ -27,7 +27,7 @@ from .kernel import _bounds
 _CHUNK = 65536
 # k = 1 runs on at least this many coordinates are replayed with numpy
 # (_replay_site); shorter chains are too deep for the replay to pay off
-_REPLAY_MIN_SITES = 48
+_REPLAY_MIN_SITES = 128
 # updates per replay batch: its working set is about 20 arrays of this
 # length (2.5 MB), much of which the allocator keeps resident after the
 # run; 65 536 ran the ensemble-proxy benchmark 2.5% faster (2 vCPUs)
@@ -237,7 +237,8 @@ def run_gibbs(config: SamplerConfig, initial=None, coords=None) -> GibbsTrace:
 
 
 def _run_site(dist, c, counts, total, config, rng, store, keep):
-    """Exact single-site sweep; two uniforms per update. Row r of store
+    """Exact single-site sweep; two uniforms per update, the block
+    starts of a chunk mapped at once by _start_sites. Row r of store
     gets the coordinates keep of the state after retained update r."""
     m = dist.n - 1
     rat = [float(v) for v in dist.ratios]
@@ -245,20 +246,19 @@ def _run_site(dist, c, counts, total, config, rng, store, keep):
     last = m - 1
     burnin, thin = config.burnin, config.thin
     next_keep = burnin + thin
-    pick = _start_picker(m, config.w)
     idx = keep.tolist()
     row = done = 0
     while done < total:
         batch = min(_CHUNK, total - done)
-        us = rng.random(2 * batch).tolist()
-        for j in range(0, 2 * batch, 2):
-            i = pick(us[j])
+        us = rng.random(2 * batch)
+        sites = _start_sites(us[0::2], m, config.w).tolist()
+        for i, u in zip(sites, us[1::2].tolist()):
             left = 1.0 - rec[i - 1] * c[i - 1] if i else 1.0
             right = rat[i] * (1.0 - c[i + 1]) if i < last else rat[last]
             hi = left if left < right else right
             if hi < 0.0:
                 hi = 0.0
-            c[i] = us[j + 1] * hi
+            c[i] = u * hi
             counts[i] += 1
             done += 1
             if done == next_keep:

@@ -369,12 +369,57 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
                      "--coupon-runs", "-1"],
                     ["probe", "contraction", "--n", "16",
                      "--coupon-runs", "0"],
+                    ["probe", "contraction", "--n", "16", "--coupon-c", "nan"],
+                    ["probe", "contraction", "--n", "16", "--coupon-c", "inf"],
+                    ["probe", "contraction", "--n", "16", "--coupon-c=-inf"],
                     ["ensemble", "--family", "if", "--n", "16"],
                     ["ensemble", "--delta", "0.3"],
                     ["ensemble", "--k", "9", "--workers", "2"]):
         rc, out, err = run_cli(capsys, command + ["--reps", "2"])
         assert rc == 1 and out == "", command
         assert err.startswith("bdcutoff: ") and "Error" not in err
+    # a comparison needs a kernel; an empty ensemble table is still valid
+    rc, out, err = run_cli(capsys, ["compare-metropolis", "--n", "16",
+                                    "--reps", "0"])
+    assert rc == 1 and out == ""
+    assert err.startswith("bdcutoff: ") and "Error" not in err
+    rc, out, _ = run_cli(capsys, ["ensemble", "--n", "8", "--reps", "0"])
+    assert rc == 0 and out.startswith(SCHEMA_TAG)
+
+
+def test_cached_parser_matches_fresh_process(tmp_path, capsys, monkeypatch):
+    # build_parser runs once per process; a call that follows other calls
+    # must print and write what it does in a fresh interpreter
+    assert build_parser() is build_parser()
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); "
+            "from bdcutoff.lab.cli import cli_main; "
+            "sys.exit(cli_main(sys.argv[1:]))")
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal
+    config = tmp_path / "run.cfg"
+    config.write_text("family = geometric\na = 1.5\nn = 8,12\nreps = 2\n")
+    calls = [["ensemble", "--family", "cauchy"],
+             ["--help"],
+             ["ensemble", "--config", str(config), "--seed", "5", "--out"],
+             ["probe", "marginal", "--n", "16", "--probe-samples", "200",
+              "--seed", "2", "--out"]]
+    build_parser.cache_clear()
+    for i, call in enumerate(calls):
+        here, fresh = tmp_path / f"here{i}.csv", tmp_path / f"fresh{i}.csv"
+        writes = call[-1] == "--out"
+        rc = cli_main(call + [str(here)] if writes else call)
+        got = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-I", "-c", code,
+             *(call + [str(fresh)] if writes else call)],
+            env={**os.environ, "COLUMNS": "80"}, capture_output=True,
+            text=True, timeout=120)
+        assert (rc, got.out, got.err) == (
+            proc.returncode, proc.stdout, proc.stderr), call
+        assert rc == (1, 0, 0, 0)[i], call
+        if writes:
+            assert here.read_bytes() == fresh.read_bytes(), call
+    assert build_parser.cache_info().misses == 1
 
 
 def test_horizon_below_one_is_a_usage_error(capsys):

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import site_chain_reference
+
 from bdcutoff import sampler
 from bdcutoff.dist import make_distribution
 from bdcutoff.errors import ParameterError, StallError
@@ -266,7 +268,7 @@ def _sized(family, m):
 @pytest.mark.parametrize("family,m", [
     (family, m)
     for family in ("uniform", "geometric", "binomial", "if", "explicit")
-    for m in (1, 2, 3, sampler._REPLAY_MIN_SITES - 1,
+    for m in (1, 2, 3, 47, 49, sampler._REPLAY_MIN_SITES - 1,
               sampler._REPLAY_MIN_SITES + 1, 255)
     if not (family == "if" and m == 1)])  # if: m is even
 def test_replay_is_bit_identical_to_scalar_loop(monkeypatch, family, m):
@@ -290,6 +292,26 @@ def test_replay_is_bit_identical_to_scalar_loop(monkeypatch, family, m):
         assert np.array_equal(scalar.acceptance_stats,
                               replay.acceptance_stats)
         assert scalar.block_tries == replay.block_tries == 69001
+
+
+@pytest.mark.parametrize("family", ["uniform", "geometric"])
+@pytest.mark.parametrize("m", [1, 2, 3, 31, 47])
+def test_site_chain_matches_per_update_reference(family, m):
+    dist = _sized(family, m)
+    sub = sorted({0, m // 2, m - 1})
+    for w in (0.25, 1.0, 4.0):
+        # the burn-in crosses the 65 536-update chunk and retention the
+        # next one; 70 001 % 7 != 0
+        cfg = SamplerConfig(dist, w=w, burnin=66000, steps=70001, thin=7,
+                            seed=int(m * 10 + 4 * w))
+        final, samples, counts = site_chain_reference(cfg)
+        got = run_gibbs(cfg)
+        assert _same_bits(got.final, final)
+        assert _same_bits(got.samples, samples)
+        assert got.samples.shape == (70001 // 7, m)
+        assert np.array_equal(got.update_counts, counts)
+        assert _same_bits(run_gibbs(cfg, coords=sub).samples,
+                          site_chain_reference(cfg, sub)[1])
 
 
 def test_replay_window_and_start_match_scalar_loop(monkeypatch):
