@@ -92,7 +92,7 @@ def make_distribution(family: str, n: int, *, a: float | None = None,
         family it is the state count. ``binomial`` with n states tosses
         n-1 fair coins.
     a : float, optional
-        Geometric rate, required > 1 for ``geometric`` and ``if``.
+        Geometric rate, required finite and > 1 for ``geometric`` and ``if``.
     eps : float, optional
         Flat-region exponent in (0, 1), required for ``if``.
     mass, log_mass : sequence, optional
@@ -106,10 +106,11 @@ def make_distribution(family: str, n: int, *, a: float | None = None,
 
     if family == "uniform":
         return _finish(family, n, {}, np.zeros(n), np.ones(n - 1))
+    if family in ("geometric", "if") and (
+            a is None or not 1.0 < a < math.inf):
+        raise ParameterError(f"{family} family needs a finite a > 1, got {a}")
 
     if family == "geometric":
-        if a is None or not a > 1.0:
-            raise ParameterError(f"geometric family needs a > 1, got {a}")
         idx = np.arange(n, dtype=float)
         return _finish(family, n, {"a": a}, idx * math.log(a),
                        np.full(n - 1, float(a)))
@@ -125,8 +126,6 @@ def make_distribution(family: str, n: int, *, a: float | None = None,
         return _finish(family, n, {"coins": coins}, lu, ratios)
 
     if family == "if":
-        if a is None or not a > 1.0:
-            raise ParameterError(f"if family needs a > 1, got {a}")
         if eps is None or not 0.0 < eps < 1.0:
             raise ParameterError(f"if family needs eps in (0, 1), got {eps}")
         # half-width of the flat region; +1e-9 so n**eps an ulp below an

@@ -1,6 +1,7 @@
 """Experiment configuration shared by the runner, probes, and CLI."""
 
 import math
+import sys
 from dataclasses import dataclass
 
 from ..analysis import DEFAULT_HORIZON
@@ -64,6 +65,9 @@ class ExperimentConfig:
         if self.mass is not None:
             object.__setattr__(self, "mass",
                                tuple(float(v) for v in self.mass))
+            if not all(0.0 < v < math.inf for v in self.mass):
+                raise ParameterError(
+                    f"mass must be finite and positive, got {self.mass}")
         if self.reps < 0:
             raise ParameterError(f"reps must be >= 0, got {self.reps}")
         if self.k < 1:
@@ -78,9 +82,11 @@ class ExperimentConfig:
         if self.probe_thin is not None and self.probe_thin < 1:
             raise ParameterError(
                 f"probe_thin must be >= 1, got {self.probe_thin}")
-        if not math.isfinite(self.coupon_c):
+        # the contraction probe's limit law takes exp(coupon_c)
+        if not -math.inf < self.coupon_c <= math.log(sys.float_info.max):
             raise ParameterError(
-                f"coupon_c must be finite, got {self.coupon_c}")
+                f"coupon_c must be finite and at most ln of the largest "
+                f"float (709.78...), got {self.coupon_c}")
         if self.coupon_runs < 1:
             raise ParameterError(
                 f"coupon_runs must be >= 1, got {self.coupon_runs}")

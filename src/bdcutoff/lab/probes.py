@@ -430,12 +430,18 @@ def probe_contraction(cfg: ExperimentConfig) -> ProbeResult:
         dist = cfg.make_dist(n)
         m = dist.n - 1
         horizon = max(1, int(round(80.0 * dist.n * math.log(dist.n))))
+        t = dist.n * (math.log(dist.n) - cfg.coupon_c) / cfg.k
+        if t == math.inf:
+            raise ParameterError(
+                f"coupon_c {cfg.coupon_c} puts the coverage check at an "
+                f"infinite time for {dist.n} states")
+        t_coupon = max(1, int(round(t)))
         times = []
         censored = 0
         for r in range(reps):
             seed = int(stream_fingerprint(cfg.seed, 11, dist.n, r))
             trace = run_coupled_pair(cfg.sampler_config(
-                dist, seed, steps=horizon, burnin=0, thin=horizon))
+                dist, seed, steps=horizon, burnin=0))
             if trace.coalesced_at is None:
                 censored += 1
             else:
@@ -445,8 +451,6 @@ def probe_contraction(cfg: ExperimentConfig) -> ProbeResult:
         if censored:
             flags.append(f"n={dist.n}: {censored} runs hit the horizon")
 
-        t_coupon = max(1, int(round(
-            dist.n * (math.log(dist.n) - cfg.coupon_c) / cfg.k)))
         misses = 0
         for r in range(cfg.coupon_runs):
             seed = int(stream_fingerprint(cfg.seed, 13, dist.n, r))

@@ -24,15 +24,15 @@ from .dist import StationaryDist
 from .errors import ParameterError, StallError
 from .kernel import _bounds
 
-_CHUNK = 65536
 # k = 1 runs on at least this many coordinates are replayed with numpy
 # (_replay_site); shorter chains are too deep for the replay to pay off
 _REPLAY_MIN_SITES = 128
-# updates per replay batch: its working set is about 20 arrays of this
+# updates per batch of either k = 1 loop, and the largest chunk of
+# _uniforms: a replay batch's working set is about 20 arrays of this
 # length (2.5 MB), much of which the allocator keeps resident after the
 # run; 65 536 ran the ensemble-proxy benchmark 2.5% faster (2 vCPUs)
 # and kept up to 7 MB
-_REPLAY_BATCH = 1 << 14
+_BATCH = 1 << 14
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -92,7 +92,6 @@ class SamplerConfig:
 class GibbsTrace:
     samples: np.ndarray       # (kept, len(coords)) retained values
     update_counts: np.ndarray  # times each block start was chosen
-    acceptance_stats: np.ndarray  # proposals drawn per block start
     block_updates: int
     block_tries: int          # proposals drawn; equals block_updates at k=1
     final: np.ndarray
@@ -100,11 +99,8 @@ class GibbsTrace:
 
 @dataclass(frozen=True)
 class CoupledTrace:
-    distances: np.ndarray     # unequal-coordinate count every thin updates
     coalesced_at: int | None  # update index of exact merge, 1-based;
                               # 0 when the pair starts equal
-    updates: int
-    final_pair: tuple
 
 
 def default_initial_state(dist: StationaryDist) -> np.ndarray:
@@ -180,11 +176,11 @@ def _block_ok(c: list, s: int, prop: list, k: int, rec: list, m: int) -> bool:
 
 def _uniforms(rng):
     """Uniforms one at a time, drawn in chunks that double from 256 to
-    _CHUNK; split Philox draws equal one long draw."""
+    _BATCH; split Philox draws equal one long draw."""
     size = 256
     while True:
         yield from rng.random(size).tolist()
-        size = min(2 * size, _CHUNK)
+        size = min(2 * size, _BATCH)
 
 
 def run_gibbs(config: SamplerConfig, initial=None, coords=None) -> GibbsTrace:
@@ -210,35 +206,34 @@ def run_gibbs(config: SamplerConfig, initial=None, coords=None) -> GibbsTrace:
     total = config.burnin + config.steps
     c = [float(v) for v in initial]
     counts = [0] * (m - config.k + 1)
-    tries_by = [0] * (m - config.k + 1)
     store = np.empty((config.steps // config.thin, keep.size))
 
     if config.k == 1:
         run = _replay_site if m >= _REPLAY_MIN_SITES else _run_site
-        tries = run(dist, c, counts, total, config, rng, store, keep)
-        tries_by = counts  # one proposal per update at k = 1
+        run(dist, c, counts, total, config, rng, store, keep)
+        tries = total  # one proposal per update
     else:
         burnin, thin = config.burnin, config.thin
         idx = keep.tolist()
+        tries = 0
 
-        def step(done, s, tries):
+        def step(done, s, drawn):
+            nonlocal tries
             counts[s] += 1
-            tries_by[s] += tries
+            tries += drawn
             if done > burnin and (done - burnin) % thin == 0:
                 store[(done - burnin) // thin - 1] = [c[i] for i in idx]
 
         _run_block(dist, [c], total, config, rng, step)
-        tries = sum(tries_by)
 
     return GibbsTrace(samples=store, update_counts=np.asarray(counts),
-                      acceptance_stats=np.asarray(tries_by),
                       block_updates=total, block_tries=tries,
                       final=np.asarray(c))
 
 
 def _run_site(dist, c, counts, total, config, rng, store, keep):
     """Exact single-site sweep; two uniforms per update, the block
-    starts of a chunk mapped at once by _start_sites. Row r of store
+    starts of a batch mapped at once by _start_sites. Row r of store
     gets the coordinates keep of the state after retained update r."""
     m = dist.n - 1
     rat = [float(v) for v in dist.ratios]
@@ -249,7 +244,7 @@ def _run_site(dist, c, counts, total, config, rng, store, keep):
     idx = keep.tolist()
     row = done = 0
     while done < total:
-        batch = min(_CHUNK, total - done)
+        batch = min(_BATCH, total - done)
         us = rng.random(2 * batch)
         sites = _start_sites(us[0::2], m, config.w).tolist()
         for i, u in zip(sites, us[1::2].tolist()):
@@ -265,7 +260,6 @@ def _run_site(dist, c, counts, total, config, rng, store, keep):
                 next_keep += thin
                 store[row] = [c[i] for i in idx]
                 row += 1
-    return total
 
 
 def _replay_site(dist, c, counts, total, config, rng, store, keep):
@@ -297,7 +291,7 @@ def _replay_site(dist, c, counts, total, config, rng, store, keep):
     tally = np.zeros(m, dtype=np.int64)
     row = done = 0
     while done < total:
-        batch = min(_REPLAY_BATCH, total - done)
+        batch = min(_BATCH, total - done)
         us = rng.random(2 * batch)
         sites = _start_sites(us[0::2], m, config.w)
         hits = np.bincount(sites, minlength=m)
@@ -319,7 +313,6 @@ def _replay_site(dist, c, counts, total, config, rng, store, keep):
         done += batch
     c[:] = state[:m].tolist()
     counts[:] = tally.tolist()
-    return total
 
 
 def _neighbour_sources(sites, hits, lsite, rsite):
@@ -489,7 +482,8 @@ def run_coupled_pair(config: SamplerConfig, initial_pair=None) -> CoupledTrace:
     exactly 0 and no proposal can ever be accepted. Scaling a feasible
     state by s in [0, 1] stays feasible, and the backoff keeps every
     slab at least cap/16 wide. Explicit boundary pairs are allowed and
-    may stall by construction.
+    may stall by construction. The pair runs until it merges or for
+    config.burnin + config.steps updates; config.thin plays no part.
     """
     dist = config.dist
     m = dist.n - 1
@@ -501,9 +495,6 @@ def run_coupled_pair(config: SamplerConfig, initial_pair=None) -> CoupledTrace:
         raise ParameterError(f"initial states must have length {m}")
 
     total = config.burnin + config.steps
-    thin = config.thin
-
-    dists = []
     coalesced_at = 0 if x == y else None
 
     def step(done, s, tries):
@@ -511,12 +502,7 @@ def run_coupled_pair(config: SamplerConfig, initial_pair=None) -> CoupledTrace:
         if x == y:
             coalesced_at = done
             return True
-        if done % thin == 0:
-            dists.append(sum(a != b for a, b in zip(x, y)))
-        return False
 
     if coalesced_at is None:
         _run_block(dist, [x, y], total, config, substream(config.seed), step)
-    return CoupledTrace(distances=np.asarray(dists), coalesced_at=coalesced_at,
-                        updates=total,
-                        final_pair=(np.asarray(x), np.asarray(y)))
+    return CoupledTrace(coalesced_at=coalesced_at)

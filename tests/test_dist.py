@@ -126,5 +126,8 @@ def test_family_and_parameter_validation():
         make_distribution("if", 5, a=2.0, eps=1.0)
     with pytest.raises(ParameterError):
         make_distribution("if", 5, a=0.5, eps=0.5)
+    for family in ("geometric", "if"):
+        with pytest.raises(ParameterError):
+            make_distribution(family, 5, a=float("inf"), eps=0.5)
     assert set(FAMILIES) == {"uniform", "geometric", "if", "binomial",
                              "explicit"}

@@ -372,6 +372,19 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
                     ["probe", "contraction", "--n", "16", "--coupon-c", "nan"],
                     ["probe", "contraction", "--n", "16", "--coupon-c", "inf"],
                     ["probe", "contraction", "--n", "16", "--coupon-c=-inf"],
+                    ["probe", "contraction", "--n", "16", "--coupon-c", "710"],
+                    ["probe", "contraction", "--n", "16",
+                     "--coupon-c=-1e308"],
+                    ["ensemble", "--family", "geometric", "--a", "inf",
+                     "--n", "8"],
+                    ["ensemble", "--family", "if", "--a", "inf",
+                     "--eps", "0.25", "--n", "8"],
+                    ["analyze", "--family", "if", "--a", "inf",
+                     "--eps", "0.25", "--n", "8"],
+                    ["analyze", "--family", "explicit", "--n", "3",
+                     "--mass", "1,inf,2"],
+                    ["ensemble", "--family", "explicit", "--n", "3",
+                     "--mass", "1,inf,2"],
                     ["ensemble", "--family", "if", "--n", "16"],
                     ["ensemble", "--delta", "0.3"],
                     ["ensemble", "--k", "9", "--workers", "2"]):

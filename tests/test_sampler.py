@@ -274,8 +274,8 @@ def _sized(family, m):
 def test_replay_is_bit_identical_to_scalar_loop(monkeypatch, family, m):
     dist = _sized(family, m)
     for w in (0.25, 1.0, 4.0):
-        # 69 001 updates cross the scalar loop's 65 536-update batch and
-        # several replay batches; 9001 % 7 != 0
+        # 69 001 updates cross several 16 384-update batches of both
+        # loops; 9001 % 7 != 0
         cfg = SamplerConfig(dist, w=w, burnin=60000, steps=9001, thin=7,
                             seed=int(m * 10 + 4 * w))
         scalar, replay = _both_paths(monkeypatch, lambda: run_gibbs(cfg))
@@ -289,8 +289,6 @@ def test_replay_is_bit_identical_to_scalar_loop(monkeypatch, family, m):
         assert scalar.samples.shape == (9001 // 7, dist.n - 1)
         assert np.array_equal(scalar.update_counts, replay.update_counts)
         assert scalar.update_counts.dtype == replay.update_counts.dtype
-        assert np.array_equal(scalar.acceptance_stats,
-                              replay.acceptance_stats)
         assert scalar.block_tries == replay.block_tries == 69001
 
 
@@ -300,8 +298,8 @@ def test_site_chain_matches_per_update_reference(family, m):
     dist = _sized(family, m)
     sub = sorted({0, m // 2, m - 1})
     for w in (0.25, 1.0, 4.0):
-        # the burn-in crosses the 65 536-update chunk and retention the
-        # next one; 70 001 % 7 != 0
+        # the burn-in and the retention each cross 16 384-update batch
+        # boundaries; 70 001 % 7 != 0
         cfg = SamplerConfig(dist, w=w, burnin=66000, steps=70001, thin=7,
                             seed=int(m * 10 + 4 * w))
         final, samples, counts = site_chain_reference(cfg)
@@ -392,16 +390,6 @@ def test_coupled_identical_start_coalesces_immediately():
         initial_pair=(init, init.copy()))
     assert isinstance(trace, CoupledTrace)
     assert trace.coalesced_at == 0
-    assert trace.distances.size == 0
-    assert np.array_equal(trace.final_pair[0], trace.final_pair[1])
-
-
-def test_coupled_distance_is_bounded_coordinate_count():
-    dist = make_distribution("uniform", 16)
-    trace = run_coupled_pair(
-        SamplerConfig(dist=dist, steps=2000, thin=5, seed=11))
-    assert np.all(trace.distances <= 15)
-    assert np.all(trace.distances >= 0)
 
 
 def test_coupled_coalescence_scales_like_coupon_collection():
@@ -455,15 +443,12 @@ def _rejection_digests():
                                         seed=100 + 10 * i + k))
             out[f"gibbs-{name}-{k}"] = _digest(
                 t.final, t.samples, t.update_counts.astype(np.int64),
-                t.acceptance_stats.astype(np.int64), t.block_updates,
-                t.block_tries)
+                t.block_updates, t.block_tries)
         for k in (1, 2):
             t = run_coupled_pair(SamplerConfig(pairs[name], k=k, w=0.5,
                                                steps=20000, thin=3,
                                                seed=200 + 10 * i + k))
-            out[f"coupled-{name}-{k}"] = _digest(
-                t.distances.astype(np.int64), t.coalesced_at, t.updates,
-                t.final_pair[0], t.final_pair[1])
+            out[f"coupled-{name}-{k}"] = _digest(t.coalesced_at)
     t = run_gibbs(SamplerConfig(UNI3, k=2, steps=500, thin=5, seed=300))
     out["gibbs-uniform3-2"] = _digest(t.final, t.samples, t.block_tries)
     v = collect_window(SamplerConfig(small["binomial"], k=2, burnin=100,
@@ -476,37 +461,37 @@ def _rejection_digests():
 # or the bookkeeping of either caller of the block rejection loop shows here
 REJECTION_DIGESTS = {
     "gibbs-uniform-2":
-        "b7bde4e4cd68e2ed655a3aca4ecb5159651fb3217982fe8f2d3d82ea8660f15e",
+        "cd66ed4964538f546dedac8aebbf3aefffdec311ef1cc08225bcfd5a88289fab",
     "gibbs-uniform-3":
-        "940983fd8b1b5d66eb3a7f1a7efacda661f77cd738be99181805b8136ea53636",
+        "a3c83a0c7dc9a0df76cc7ffb3b11e5e987b24fdc5bb9de8d19fa931a72a76f52",
     "coupled-uniform-1":
-        "89401bcbb5695416e24757b24001fb383b140aa50dd4196c62220bdcc8c1fa85",
+        "0dfcddb0440e967f05bb68ca09a5e2188b8abc36bfb5b95b83b88be59c42c6e7",
     "coupled-uniform-2":
-        "5131d79a12cfccd4e992a8a4565a57c21bad6a7413ad86aec8a763c069d34413",
+        "9bdb2af6799204a299c603994b8e400e4b1fd625efdb74066cc869fee42c9df3",
     "gibbs-geometric-2":
-        "654478587b95bc0a6dd2adc756243fa40babaa61c37bf2875542b8d9e8d5e069",
+        "d041c94480047a6d1d91341f30f5dd89f6ee27c31ff871114fe37f2306bb8581",
     "gibbs-geometric-3":
-        "a798697ff8aa9dbdf360cc939d3e925065dfb9200c5a65347feb903b50436ceb",
+        "2638d8220bd9d7bde3ba6621d5f741b7c986542cdd66d61e67454aa41ba9c859",
     "coupled-geometric-1":
-        "f12fbf2901a1e0945e1549f360ed9c8c321357cc7b0ea1a38d3b6901a51344c7",
+        "560aa3e6e94314c78236109e209ac79e15e05ec8bf2dcb78300ae65e720edf9e",
     "coupled-geometric-2":
-        "a81b14b4a0e45ebc4cb05827e4b3ba7d42b02a6e3dfa8cb1621f31da1a8d76ee",
+        "2abaca4911e68fa9bfbf3482ee797fd5b9045b841fdff7253557c5fe15de6477",
     "gibbs-binomial-2":
-        "fb1028b3abf75f982df2d7735a10aa23b5eb9a1b24019e8065d916b1c7b5a0ad",
+        "b53a8e69769b399709a65f37a0466673c139a59b8c4a60d4cbb237ea1c4f991e",
     "gibbs-binomial-3":
-        "f7832f2151760723ec7e5c3277eb491c212c81e06a6de4cde9c82269e0a83b09",
+        "017b03c46facfb0ec53ce3978806fdc5ff45807e6cb73521bd01e6cabb922512",
     "coupled-binomial-1":
-        "a3425520b3483829aa372319be096bfaa2d3fd2119f7c84d0ea237b90898d742",
+        "c76b405781134be1dab7fe45adfb8c32104805a01de7b863e1004b66d56edf9f",
     "coupled-binomial-2":
-        "a30ffec0c4e82f6e56290374233a7f473dce219e6142203913f4b5c4a0105f65",
+        "81b8a03f97e8787c53fe1a86bda042b6f0de9b0ec9c09357e107c99ba4d6948a",
     "gibbs-if-2":
-        "7674bb2cb0b8a3419199ed7cea598ef092c12c1a667e5c7fbdeec899fc0f26b7",
+        "5cc8fc9789d3d3b6455157800bbd6c1ea60e907821164d50a1bca491c6e8fe10",
     "gibbs-if-3":
-        "a9ab5e44e6779b2b1b086f66355f51ce02d48e913df32644673b9d69d70e2639",
+        "1e48680fab4432a5468306e70b7794c5251f6b8e2f2020ea8d3a3dfb09c9791b",
     "coupled-if-1":
-        "4da02626f400f301f367c1dc34bb764f90d08c8b105ed74211818174c34c6581",
+        "d874e4e4a5df21173b0f83e313151f813bea4f488686efe670ae47f87c177595",
     "coupled-if-2":
-        "e929ec823fb38a12ac4153be64ceed93ddba51c1d8ebb88d8b3ddb9705fbddca",
+        "d48ff4b2f68a10fd7c86f185a6ccede0dc0f2c48538d697cb33b6ada3f1e85db",
     "gibbs-uniform3-2":
         "4e3103bfbe24f208de5a50c9351e2f40751ff886189564c25ff45a87eaa43550",
     "collect-binomial-2":
