@@ -14,8 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import (_miclo_log_curves, analyze, expected_hitting_time,
-                       miclo_bounds, spectral_gap)
+from .analysis import _miclo_log_curves, analyze
 from .dist import StationaryDist
 from .errors import EmptyEnsembleError, ParameterError
 from .kernel import metropolis_kernel
@@ -38,23 +37,18 @@ class MetropolisReport(NamedTuple):
 def metropolis_report(dist: StationaryDist) -> MetropolisReport:
     """Reference-chain summary: quartile hitting time, gap, gap bound.
 
-    tau_met is the larger of the two crossing times between an endpoint
-    and the far quartile; for the Metropolis chain this tracks the true
-    mixing time within universal constants.
+    tau_met is analyze's hitting-time proxy of the (already lazy) chain:
+    the larger of the two crossing times between an endpoint and the far
+    quartile, which tracks the true mixing time within universal constants.
     """
     if dist.n < 5:
         raise ParameterError(
             f"comparison statistics need n >= 5, got {dist.n}")
-    met = metropolis_kernel(dist)
-    u = dist.quantile(0.25)
-    m = dist.quantile(0.5)
-    v = dist.quantile(0.75)
-    tau_met = max(expected_hitting_time(met, 0, v),
-                  expected_hitting_time(met, dist.n - 1, u))
-    gap_met = spectral_gap(met)
-    b_met = miclo_bounds(met).B
-    return MetropolisReport(u=u, m=m, v=v, tau_met=tau_met, gap_met=gap_met,
-                            B_met=b_met, product_met=tau_met * gap_met)
+    report = analyze(metropolis_kernel(dist), lazy=False, exact_tau=False)
+    return MetropolisReport(
+        u=dist.quantile(0.25), m=dist.quantile(0.5), v=dist.quantile(0.75),
+        tau_met=report.tau_proxy, gap_met=report.gap, B_met=report.miclo.B,
+        product_met=report.cutoff_product)
 
 
 class XnSelection(NamedTuple):
@@ -124,30 +118,20 @@ class ComparisonReport:
     ratio_quantiles: dict
     threshold: float
     flagged: np.ndarray
-    proxy: bool = True
 
 
 _RATIO_QUANTILES = (0.1, 0.25, 0.5, 0.75, 0.9)
 
 
-def comparison_diagnostic(dist: StationaryDist, kernels,
+def comparison_diagnostic(dist: StationaryDist, products,
                           alpha: float | None = None) -> ComparisonReport:
     """Proxy mixing products of an ensemble, relative to Metropolis."""
-    kernels = list(kernels)
-    if not kernels:
-        raise EmptyEnsembleError("comparison needs at least one kernel")
-    for k in kernels:
-        if k.dist is not dist and not (
-                k.dist.n == dist.n
-                and np.array_equal(k.dist.log_mass, dist.log_mass)):
-            raise ParameterError(
-                "all kernels must share the reference distribution")
+    products = np.array(products, dtype=float)
+    if not products.size:
+        raise EmptyEnsembleError("comparison needs at least one product")
     met = metropolis_report(dist)
     sel = find_xn(dist, alpha)
     alpha_used = sel.alpha_achieved if alpha is None else float(alpha)
-    products = np.array([
-        analyze(k, lazy=True, exact_tau=False).cutoff_product
-        for k in kernels])
     ratios = products / met.product_met
     quantiles = {q: float(np.quantile(ratios, q)) for q in _RATIO_QUANTILES}
     threshold = (FLAG_CONSTANT / alpha_used) * met.product_met

@@ -12,7 +12,9 @@ import numpy as np
 
 from .errors import DomainError, ParameterError
 
-FAMILIES = ("uniform", "geometric", "if", "binomial", "explicit")
+_FAMILY_PARAMS = {"uniform": (), "geometric": ("a",), "if": ("a", "eps"),
+                  "binomial": (), "explicit": ("mass", "log_mass")}
+FAMILIES = tuple(_FAMILY_PARAMS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,9 +100,17 @@ def make_distribution(family: str, n: int, *, a: float | None = None,
     mass, log_mass : sequence, optional
         Explicit masses (strictly positive) or log masses for the
         ``explicit`` family. Exactly one of the two.
+
+    A parameter the family does not read raises ParameterError.
     """
     if family not in FAMILIES:
         raise ParameterError(f"unknown family {family!r}")
+    given = {"a": a, "eps": eps, "mass": mass, "log_mass": log_mass}
+    unused = [k for k, v in given.items()
+              if v is not None and k not in _FAMILY_PARAMS[family]]
+    if unused:
+        raise ParameterError(
+            f"{family} family does not take {', '.join(unused)}")
     if n < 2:
         raise ParameterError(f"need at least 2 states, got n={n}")
 

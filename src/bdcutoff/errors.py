@@ -15,41 +15,37 @@ class FeasibilityError(ValueError):
     ``index`` names the first offending coordinate.
     """
 
-    def __init__(self, index, message=None):
+    def __init__(self, index):
         self.index = index
-        super().__init__(message or f"infeasible super-diagonal entry at index {index}")
+        super().__init__(f"infeasible super-diagonal entry at index {index}")
 
 
 class StallError(RuntimeError):
     """Block rejection sampling exceeded its try budget."""
 
-    def __init__(self, block_index, tries, message=None):
+    def __init__(self, block_index, tries):
         self.block_index = block_index
         self.tries = tries
         super().__init__(
-            message
-            or f"block update at start {block_index} rejected {tries} proposals; "
-            "conditional slab is too thin"
-        )
+            f"block update at start {block_index} rejected {tries} proposals; "
+            "conditional slab is too thin")
 
 
 class NonErgodicError(RuntimeError):
     """The target state cannot be reached (a required edge has rate zero)."""
 
-    def __init__(self, edge, message=None):
+    def __init__(self, edge):
         self.edge = edge
-        super().__init__(message or f"chain is cut at edge ({edge}, {edge + 1})")
+        super().__init__(f"chain is cut at edge ({edge}, {edge + 1})")
 
 
 class NotMixedError(RuntimeError):
     """Evolution hit the horizon before crossing the requested TV level."""
 
-    def __init__(self, last_tv, horizon, message=None):
+    def __init__(self, last_tv, horizon):
         self.last_tv = last_tv
         self.horizon = horizon
-        super().__init__(
-            message or f"TV still {last_tv:.6g} after {horizon} steps"
-        )
+        super().__init__(f"TV still {last_tv:.6g} after {horizon} steps")
 
 
 class SpectrumError(RuntimeError):

@@ -13,6 +13,8 @@ import numpy as np
 from .dist import StationaryDist
 from .errors import FeasibilityError, ParameterError
 
+FEASIBILITY_TOL = 1e-12  # feasibility slack on both sides of every bound
+
 
 def _bounds(dist: StationaryDist, c: np.ndarray):
     """Row-form upper bounds along the last axis of c (one super-diagonal
@@ -27,21 +29,21 @@ def _bounds(dist: StationaryDist, c: np.ndarray):
     return upper
 
 
-def check_feasibility(dist: StationaryDist, c, tol: float = 1e-12):
+def check_feasibility(dist: StationaryDist, c):
     """Return the first coordinate violating feasibility, or None.
 
     A vector c of length n-1 is feasible when every entry sits in
     [0, min(1 - c[i-1]*pi(i-1)/pi(i), (1 - c[i+1])*pi(i+1)/pi(i))]
     with the out-of-range neighbors treated as 0. Violations are
-    tested with slack ``tol`` on both sides and attributed row-wise:
-    a broken pair constraint names the higher coordinate, whose row's
-    diagonal would go negative.
+    tested with slack FEASIBILITY_TOL on both sides and attributed
+    row-wise: a broken pair constraint names the higher coordinate,
+    whose row's diagonal would go negative.
     """
     c = np.asarray(c, dtype=float)
     if c.shape != (dist.n - 1,):
         raise ParameterError(
             f"superdiagonal has length {c.size}, expected {dist.n - 1}")
-    bad = (c < -tol) | (c > _bounds(dist, c) + tol)
+    bad = (c < -FEASIBILITY_TOL) | (c > _bounds(dist, c) + FEASIBILITY_TOL)
     if not bad.any():
         return None
     return int(np.nonzero(bad)[0][0])
@@ -95,8 +97,8 @@ class BDKernel:
         return k
 
 
-def kernel_from_superdiagonal(dist: StationaryDist, c, *, check: bool = True,
-                              tol: float = 1e-12) -> BDKernel:
+def kernel_from_superdiagonal(dist: StationaryDist, c, *,
+                              check: bool = True) -> BDKernel:
     """Assemble the kernel with super-diagonal c.
 
     With ``check`` (the default) an infeasible c raises FeasibilityError
@@ -107,7 +109,7 @@ def kernel_from_superdiagonal(dist: StationaryDist, c, *, check: bool = True,
         raise ParameterError(
             f"superdiagonal has length {c.size}, expected {dist.n - 1}")
     if check:
-        idx = check_feasibility(dist, c, tol=tol)
+        idx = check_feasibility(dist, c)
         if idx is not None:
             raise FeasibilityError(idx)
     sub = c / dist.ratios

@@ -271,7 +271,7 @@ def _cmd_compare(cfg: ExperimentConfig) -> int:
     if cfg.reps < 1:
         raise ParameterError(
             f"compare-metropolis needs --reps >= 1, got {cfg.reps}")
-    # comparison_diagnostic fixes its own analysis settings
+    # the comparison is defined on the proxy product of the half-lazy kernel
     for name, flag in (("delta", "--delta"), ("raw_kernel", "--raw-kernel"),
                        ("exact_tau", "--exact-tau")):
         if getattr(cfg, name) != getattr(ExperimentConfig, name):
@@ -280,28 +280,27 @@ def _cmd_compare(cfg: ExperimentConfig) -> int:
                 f"the hitting-time proxy of the half-lazy kernel at delta "
                 f"{ExperimentConfig.delta}")
     n = cfg.n_list[0]
+    records = run_ensemble(dataclasses.replace(cfg, n_list=(n,)))
+    for r in records:
+        if r.error:
+            print(f"bdcutoff: {r.error}", file=sys.stderr)
+            return 2
     dist = cfg.make_dist(n)
-    kernels = []
-    seeds = []
-    for rep in range(cfg.reps):
-        seed_sub, kern = sampled_kernel(cfg, n, rep)
-        kernels.append(kern)
-        seeds.append(seed_sub)
-    report = comparison_diagnostic(dist, kernels, alpha=cfg.alpha)
-    met = report.metropolis
+    report = comparison_diagnostic(
+        dist, [r.cutoff_product for r in records], alpha=cfg.alpha)
     _emit_json({
-        "n": dist.n, "family": cfg.family, "replicates": len(kernels),
-        "metropolis": dict(met._asdict()),
+        "n": dist.n, "family": cfg.family, "replicates": len(records),
+        "metropolis": dict(report.metropolis._asdict()),
         "x_n": report.x_n, "side": report.side, "alpha": report.alpha,
         "threshold": report.threshold,
         "ratio_quantiles": report.ratio_quantiles,
-        "flagged": int(report.flagged.sum()), "proxy": report.proxy}, None)
+        "flagged": int(report.flagged.sum()), "proxy": True}, None)
     if cfg.out:
-        rows = [{"rep_id": i, "seed_sub": seeds[i],
+        rows = [{"rep_id": r.rep_id, "seed_sub": r.seed_sub,
                  "product": float(report.products[i]),
                  "ratio": float(report.ratios[i]),
                  "flagged": bool(report.flagged[i])}
-                for i in range(len(kernels))]
+                for i, r in enumerate(records)]
         write_table(cfg.out, ("rep_id", "seed_sub", "product", "ratio",
                               "flagged"), rows, cfg.format)
     return 0

@@ -426,16 +426,20 @@ def probe_contraction(cfg: ExperimentConfig) -> ProbeResult:
     flags = []
     expected = coupon_miss_reference(cfg.coupon_c)
     reps = max(1, cfg.reps)
+    # check every size before any run: past the pair horizon is unbounded
+    plans = []
     for n in sorted(cfg.n_list):
         dist = cfg.make_dist(n)
-        m = dist.n - 1
         horizon = max(1, int(round(80.0 * dist.n * math.log(dist.n))))
         t = dist.n * (math.log(dist.n) - cfg.coupon_c) / cfg.k
-        if t == math.inf:
+        if t > horizon:
             raise ParameterError(
-                f"coupon_c {cfg.coupon_c} puts the coverage check at an "
-                f"infinite time for {dist.n} states")
-        t_coupon = max(1, int(round(t)))
+                f"coupon_c {cfg.coupon_c} puts the coverage check at "
+                f"{t:.6g} updates for {dist.n} states, past the pair "
+                f"horizon of {horizon}")
+        plans.append((dist, horizon, max(1, int(round(t)))))
+    for dist, horizon, t_coupon in plans:
+        m = dist.n - 1
         times = []
         censored = 0
         for r in range(reps):

@@ -329,18 +329,28 @@ def test_cli_probe_levy_defaults(capsys):
 
 
 def test_cli_compare_metropolis(tmp_path, capsys):
-    path = str(tmp_path / "cmp.csv")
-    rc, out, _ = run_cli(capsys, ["compare-metropolis", "--n", "16",
-                                  "--reps", "3", "--seed", "6",
-                                  "--out", path])
-    assert rc == 0
-    got = json.loads(out)
+    # replicates run through the ensemble runner, so the worker count
+    # leaves stdout and the table unchanged
+    outputs = []
+    for workers in ("1", "2"):
+        path = tmp_path / f"cmp{workers}.csv"
+        rc, out, _ = run_cli(capsys, ["compare-metropolis", "--n", "16",
+                                      "--reps", "3", "--seed", "6",
+                                      "--workers", workers,
+                                      "--out", str(path)])
+        assert rc == 0
+        outputs.append((out, path.read_bytes()))
+    assert outputs[0] == outputs[1]
+    got = json.loads(outputs[0][0])
     assert got["replicates"] == 3
     assert got["flagged"] == 0
+    assert got["proxy"] is True
     assert got["metropolis"]["product_met"] > 0
-    rows = read_csv_rows(path)
+    rows = read_csv_rows(str(tmp_path / "cmp1.csv"))
     assert len(rows) == 3
     assert rows[0]["flagged"] in ("True", "False")
+    assert [int(r["seed_sub"]) for r in rows] == [
+        replicate_seed(6, 16, rep) for rep in range(3)]
 
 
 def test_cli_usage_errors_exit_one(tmp_path, capsys):
@@ -375,6 +385,24 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
                     ["probe", "contraction", "--n", "16", "--coupon-c", "710"],
                     ["probe", "contraction", "--n", "16",
                      "--coupon-c=-1e308"],
+                    # coverage time past the pair horizon 80 n ln n
+                    ["probe", "contraction", "--n", "16",
+                     "--coupon-c=-1e307"],
+                    ["probe", "contraction", "--n", "16",
+                     "--coupon-c=-300"],
+                    # parameters the family never reads
+                    ["analyze", "--family", "uniform", "--n", "8", "--a", "3",
+                     "--eps", "0.5", "--mass", "1,2"],
+                    ["analyze", "--family", "uniform", "--n", "8",
+                     "--a", "3"],
+                    ["analyze", "--family", "binomial", "--n", "8",
+                     "--eps", "0.5"],
+                    ["ensemble", "--family", "geometric", "--a", "2",
+                     "--eps", "0.5", "--n", "8"],
+                    ["analyze", "--family", "explicit", "--n", "3",
+                     "--mass", "1,2,3", "--a", "2"],
+                    ["analyze", "--family", "if", "--a", "2", "--eps", "0.25",
+                     "--n", "8", "--mass", "1,2"],
                     ["ensemble", "--family", "geometric", "--a", "inf",
                      "--n", "8"],
                     ["ensemble", "--family", "if", "--a", "inf",
@@ -468,7 +496,8 @@ def test_negative_seed_is_a_usage_error(capsys):
 
 def test_cli_runtime_failures_exit_two(capsys):
     for command in (["analyze", "--n", "12"],
-                    ["probe", "marginal", "--n", "16"]):
+                    ["probe", "marginal", "--n", "16"],
+                    ["compare-metropolis", "--n", "12", "--reps", "3"]):
         rc, _, err = run_cli(capsys, command + ["--k", "2",
                                                 "--max-rejection-tries", "1",
                                                 "--seed", "1"])
