@@ -55,7 +55,9 @@ def _common_flags() -> argparse.ArgumentParser:
                    help="explicit stationary mass")
     g = p.add_argument_group("sampler")
     g.add_argument("--k", type=int, help="block width")
-    g.add_argument("--w", type=float, help="boundary block-start weight")
+    g.add_argument("--w", type=float,
+                   help="boundary block-start weight; at --k 1 only "
+                        "probe contraction reads it")
     g.add_argument("--steps", type=int,
                    help="updates to run after equilibration")
     g.add_argument("--thin", type=int, help="updates per retained state")

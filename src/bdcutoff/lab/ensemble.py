@@ -112,6 +112,8 @@ def run_ensemble(cfg: ExperimentConfig) -> list[EnsembleRecord]:
     count: every replicate draws from its own derived stream, and the
     output is sorted by (n, rep_id) regardless of completion order.
     """
+    for n in cfg.n_list:
+        cfg.make_dist(n)  # a bad family setting fails even with no reps
     tasks = [(cfg, n, rep) for n in sorted(cfg.n_list)
              for rep in range(cfg.reps)]
     if cfg.workers > 1 and len(tasks) > 1:

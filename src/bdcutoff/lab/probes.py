@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ParameterError
-from ..sampler import (collect_window, oracle_samples, run_coupled_pair,
-                       run_gibbs, stream_fingerprint, substream)
+from ..sampler import (_start_sites, collect_window, oracle_samples,
+                       run_coupled_pair, run_gibbs, stream_fingerprint,
+                       substream)
 from .config import ExperimentConfig
 
 SIN_REFERENCE_MEDIAN = 1.0 / 3.0
@@ -419,8 +420,9 @@ def probe_contraction(cfg: ExperimentConfig) -> ProbeResult:
 
     Per n: coalescence-time statistics over cfg.reps coupled runs
     (censored at 80 n ln n updates), plus a coupon-collector check that
-    the fraction of single-chain runs with an untouched coordinate at
-    t = n(ln n - c)/k matches the classical limit law.
+    the fraction of runs of t = n(ln n - c)/k random block picks that
+    leave a coordinate untouched matches the classical limit law. At
+    k >= 2 the picks are those of a single chain's run.
     """
     results = []
     flags = []
@@ -458,8 +460,16 @@ def probe_contraction(cfg: ExperimentConfig) -> ProbeResult:
         misses = 0
         for r in range(cfg.coupon_runs):
             seed = int(stream_fingerprint(cfg.seed, 13, dist.n, r))
-            run = run_gibbs(cfg.sampler_config(dist, seed, burnin=t_coupon))
-            if _coverage_miss(run.update_counts, cfg.k, m):
+            if cfg.k == 1:
+                # coverage needs only the sites picked, not a chain: t
+                # picks from every other uniform of the run's stream,
+                # endpoints weighted by w
+                us = substream(seed).random(2 * t_coupon)[0::2]
+                counts = np.bincount(_start_sites(us, m, cfg.w), minlength=m)
+            else:
+                counts = run_gibbs(cfg.sampler_config(
+                    dist, seed, burnin=t_coupon)).update_counts
+            if _coverage_miss(counts, cfg.k, m):
                 misses += 1
         frac = misses / cfg.coupon_runs
         coupon_se = math.sqrt(max(frac * (1.0 - frac), 1e-12)

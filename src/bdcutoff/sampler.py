@@ -1,13 +1,16 @@
 """Uniform sampling from the feasible polytope of super-diagonals.
 
-The workhorse is a block Gibbs sweep: pick a window of k adjacent
-coordinates (endpoints reweighted by w), then redraw the window from its
-exact conditional, which is uniform on a section of the polytope. For
-k = 1 the section is an interval and the draw is a single scaled
-uniform; for k >= 2 we rejection-sample from the product of per-site
-boxes [0, min(1, ratio)]. On _REPLAY_MIN_SITES or more coordinates the
-k = 1 chain is replayed with numpy a batch of updates at a time, with
-the same draws and bit-identical results.
+The workhorse is a Gibbs chain whose updates redraw k adjacent
+coordinates from their exact conditional, which is uniform on a section
+of the polytope. For k = 1 the section is an interval and the draw is a
+single scaled uniform, and the chain is a systematic scan: each sweep
+updates the even sites in ascending order, then the odd ones. A site's
+interval reads only its two neighbours, so the sites of one parity are
+conditionally independent given the others, and on _VECTOR_MIN_SITES or
+more coordinates a half-sweep is one numpy expression, with results
+bit-identical to the site-by-site loop. For k >= 2 each update picks a
+block start (endpoints reweighted by w) and rejection-samples the block
+from the product of per-site boxes [0, min(1, ratio)].
 
 A brute-force rejection sampler over the whole polytope doubles as a
 ground-truth oracle for small state counts. Two chains that share every
@@ -24,14 +27,13 @@ from .dist import StationaryDist
 from .errors import ParameterError, StallError
 from .kernel import _bounds
 
-# k = 1 runs on at least this many coordinates are replayed with numpy
-# (_replay_site); shorter chains are too deep for the replay to pay off
-_REPLAY_MIN_SITES = 128
-# updates per batch of either k = 1 loop, and the largest chunk of
-# _uniforms: a replay batch's working set is about 20 arrays of this
-# length (2.5 MB), much of which the allocator keeps resident after the
-# run; 65 536 ran the ensemble-proxy benchmark 2.5% faster (2 vCPUs)
-# and kept up to 7 MB
+# k = 1 runs on at least this many coordinates update a half-sweep at a
+# time with numpy (_vector_sweeps), shorter ones one site at a time: over
+# 200 000 updates (2 vCPUs) numpy took 1.1-1.2 of the loop's time at 63
+# and 71 coordinates, 0.9 at 79 and 0.5 at 199
+_VECTOR_MIN_SITES = 76
+# uniforms per chunk of the k = 1 scan (whole sweeps, at least one), and
+# the largest chunk of _uniforms
 _BATCH = 1 << 14
 
 
@@ -59,7 +61,9 @@ class SamplerConfig:
 
     steps counts post-burnin block updates; every thin-th state after
     burnin is retained. w is the relative weight of the two endpoint
-    block positions (w = 1 is the unbiased sweep).
+    block starts (w = 1 is unbiased) where starts are drawn: at k >= 2
+    and in the coupled pair. run_gibbs at k = 1 scans every site in turn
+    and needs w = 1.
     """
 
     dist: StationaryDist
@@ -91,7 +95,7 @@ class SamplerConfig:
 @dataclass(frozen=True)
 class GibbsTrace:
     samples: np.ndarray       # (kept, len(coords)) retained values
-    update_counts: np.ndarray  # times each block start was chosen
+    update_counts: np.ndarray  # updates per block start (per site at k=1)
     block_updates: int
     block_tries: int          # proposals drawn; equals block_updates at k=1
     final: np.ndarray
@@ -184,7 +188,8 @@ def _uniforms(rng):
 
 
 def run_gibbs(config: SamplerConfig, initial=None, coords=None) -> GibbsTrace:
-    """Run the block Gibbs chain and return its trace.
+    """Run the Gibbs chain (the k = 1 scan, or the k >= 2 block chain)
+    and return its trace.
 
     initial defaults to a strictly interior state. Each retained state
     keeps the coordinates coords (default: every coordinate), so
@@ -204,17 +209,21 @@ def run_gibbs(config: SamplerConfig, initial=None, coords=None) -> GibbsTrace:
 
     rng = substream(config.seed)
     total = config.burnin + config.steps
-    c = [float(v) for v in initial]
-    counts = [0] * (m - config.k + 1)
     store = np.empty((config.steps // config.thin, keep.size))
 
     if config.k == 1:
-        run = _replay_site if m >= _REPLAY_MIN_SITES else _run_site
-        run(dist, c, counts, total, config, rng, store, keep)
+        if config.w != 1.0:
+            raise ParameterError(
+                f"the k = 1 scan has no block starts for the endpoint "
+                f"weight w to weight; w must be 1, got {config.w}")
+        final, counts = _run_scan(dist, initial, total, config, rng, store,
+                                  keep)
         tries = total  # one proposal per update
     else:
         burnin, thin = config.burnin, config.thin
         idx = keep.tolist()
+        c = [float(v) for v in initial]
+        counts = [0] * (m - config.k + 1)
         tries = 0
 
         def step(done, s, drawn):
@@ -225,182 +234,120 @@ def run_gibbs(config: SamplerConfig, initial=None, coords=None) -> GibbsTrace:
                 store[(done - burnin) // thin - 1] = [c[i] for i in idx]
 
         _run_block(dist, [c], total, config, rng, step)
+        final = np.asarray(c)
 
     return GibbsTrace(samples=store, update_counts=np.asarray(counts),
-                      block_updates=total, block_tries=tries,
-                      final=np.asarray(c))
+                      block_updates=total, block_tries=tries, final=final)
 
 
-def _run_site(dist, c, counts, total, config, rng, store, keep):
-    """Exact single-site sweep; two uniforms per update, the block
-    starts of a batch mapped at once by _start_sites. Row r of store
-    gets the coordinates keep of the state after retained update r."""
-    m = dist.n - 1
-    rat = [float(v) for v in dist.ratios]
-    rec = [1.0 / v for v in rat]
-    last = m - 1
-    burnin, thin = config.burnin, config.thin
-    next_keep = burnin + thin
-    idx = keep.tolist()
-    row = done = 0
-    while done < total:
-        batch = min(_BATCH, total - done)
-        us = rng.random(2 * batch)
-        sites = _start_sites(us[0::2], m, config.w).tolist()
-        for i, u in zip(sites, us[1::2].tolist()):
-            left = 1.0 - rec[i - 1] * c[i - 1] if i else 1.0
-            right = rat[i] * (1.0 - c[i + 1]) if i < last else rat[last]
-            hi = left if left < right else right
-            if hi < 0.0:
-                hi = 0.0
-            c[i] = u * hi
-            counts[i] += 1
-            done += 1
-            if done == next_keep:
-                next_keep += thin
-                store[row] = [c[i] for i in idx]
-                row += 1
+def _run_scan(dist, x, total, config, rng, store, keep):
+    """The k = 1 chain from x for total updates; returns the final state
+    and the update count of each site.
 
-
-def _replay_site(dist, c, counts, total, config, rng, store, keep):
-    """_run_site replayed a batch at a time with numpy.
-
-    It draws the same uniforms and performs the same float operations
-    per update, so c, counts and the retained states come out bit for
-    bit as the scalar loop leaves them. Within a batch each draw reads
-    only the latest earlier values at its two neighbour sites, so the
-    batch's values solve an acyclic system v = F(v) with a unique
-    solution; _settle finds it by iterating F.
+    Each sweep updates the even sites in ascending order, then the odd
+    ones, so a run of total updates ends inside a sweep unless m divides
+    it. Uniforms come from rng a whole number of sweeps at a time, up to
+    _BATCH per chunk. Row r of store gets the coordinates keep after
+    update burnin + (r+1)*thin: each kept site's value from the row's
+    sweep if the site came up at or before that update, else from the
+    sweep before, both read from a per-sweep history of the kept sites.
     """
     m = dist.n - 1
     rat = np.asarray(dist.ratios, dtype=float)
-    recl = np.zeros(m)  # rec[i-1]; times the zero slot at i = 0
+    recl = np.zeros(m)  # 1/r[i-1]; times the zero pad at i = 0
     recl[1:] = 1.0 / rat[:-1]
-    # the site each update reads on either side; m is the zero slot
-    # that stands in for the missing neighbour at either end
-    lsite = np.arange(-1, m - 1)
-    lsite[0] = m
-    rsite = np.arange(1, m + 1)
-    rsite[-1] = m
-    # a pass settles about m/4 to m/2 draws; a wider window mostly
-    # recomputes draws that the next pass evaluates again
-    width = min(4 * m, 4096)
+    order = np.r_[0:m:2, 1:m:2]
+    place = np.empty(m, dtype=np.intp)  # each site's place in a sweep
+    place[order] = np.arange(m)
+    # [0 | x | 0]: site i sits at i + 1, between its two neighbours
+    xp = np.zeros(m + 2)
+    xp[1:-1] = x
+    slot = keep + 1
+    sweeps = _scalar_sweeps if m < _VECTOR_MIN_SITES else _vector_sweeps
+    per = max(1, _BATCH // m)
+    hist = np.empty((per + 1, keep.size))
     thin = config.thin
-    next_keep = config.burnin + thin
-    state = np.append(np.asarray(c, dtype=float), 0.0)
-    tally = np.zeros(m, dtype=np.int64)
-    row = done = 0
-    while done < total:
-        batch = min(_BATCH, total - done)
-        us = rng.random(2 * batch)
-        sites = _start_sites(us[0::2], m, config.w)
-        hits = np.bincount(sites, minlength=m)
-        tally += hits
-        srcl, srcr, bysite = _neighbour_sources(sites, hits, lsite, rsite)
-        # [batch values | state before the batch | 0.0]
-        ext = np.zeros(batch + m + 1)
-        ext[batch:] = state
-        _settle(ext, srcl, srcr, recl[sites], rat[sites], us[1::2], width)
-        if next_keep <= done + batch:
-            stops = np.arange(next_keep - done - 1, batch, thin)
-            _kept_after(ext, bysite, hits, keep, stops,
-                        store[row:row + stops.size])
-            row += stops.size
-            next_keep += stops.size * thin
-        ends = np.cumsum(hits) - 1
-        touched = hits > 0
-        state[:m][touched] = ext[bysite[ends[touched]]]
-        done += batch
-    c[:] = state[:m].tolist()
-    counts[:] = tally.tolist()
+    next_keep = config.burnin + thin - 1  # 0-based update of the next row
+    row = 0
+    for a in range(0, total, per * m):
+        us = rng.random(min(per * m, total - a))
+        if next_keep >= a + us.size:  # no row in this chunk
+            sweeps(xp, us, rat, recl, order, slot, None)
+            continue
+        hist[0] = xp[slot]
+        sweeps(xp, us, rat, recl, order, slot, hist)
+        stops = np.arange(next_keep - a, us.size, thin)
+        _rows_from_history(store[row:row + stops.size], hist, stops,
+                           place[keep], m)
+        row += stops.size
+        next_keep += stops.size * thin
+    counts = np.full(m, total // m)
+    counts[order[:total % m]] += 1
+    return xp[1:-1].copy(), counts
 
 
-def _neighbour_sources(sites, hits, lsite, rsite):
-    """Where each update of a batch reads its left and right neighbour.
-
-    Indices into [batch values | state before the batch | 0.0]: the
-    latest earlier update at site s-1 (s+1), else that site's entry in
-    the state before the batch. Also returns the updates sorted by site
-    (stable, so each site's updates stay in time order).
-
-    Every update j at site s joins two groups: group s as its upper
-    member and group s+1 as its lower one. A stable sort by group lists
-    sites s-1 and s of group s merged in time order, and both kinds of
-    member, taken alone, run through the updates in site order. So an
-    upper member's latest earlier lower member is the count of lower
-    members before it, as a position in that order, and vice versa.
+def _rows_from_history(out, hist, stops, keep_place, m):
+    """out[r] = the kept values after update stops[r] of a chunk, counted
+    from 0 at the chunk's start: a site whose place in that update's sweep
+    q is at most the update's own takes hist[q + 1], the values after
+    sweep q; the others still hold hist[q]. About 2**16 values at a time.
     """
-    n = sites.size
-    group = np.empty(2 * n, dtype=np.min_scalar_type(hits.size))
-    group[0::2] = sites
-    group[1::2] = sites
-    group[1::2] += 1
-    order = np.argsort(group, kind="stable")
-    upper = (order & 1) == 0
-    pos_up = np.flatnonzero(upper)
-    pos_low = np.flatnonzero(~upper)
-    bysite = order[pos_up] >> 1
-    ss = np.repeat(np.arange(hits.size), hits)
-    rank = np.arange(1, n + 1)
-    li = pos_up - rank  # -1 reads ss[-1], the largest site: never s - 1
-    ri = pos_low - rank
-    srcl = np.empty(n, dtype=np.intp)
-    srcr = np.empty(n, dtype=np.intp)
-    srcl[bysite] = np.where(ss[li] == ss - 1, bysite[li], n + lsite[ss])
-    srcr[bysite] = np.where(ss[ri] == ss + 1, bysite[ri], n + rsite[ss])
-    return srcl, srcr, bysite
-
-
-def _kept_after(ext, bysite, hits, keep, stops, out):
-    """Fill out[r] with the values at sites keep after update stops[r]
-    of a batch.
-
-    ext is [batch values | state before the batch | 0.0] and bysite
-    lists the batch's updates sorted by (site, time), hits[s] of them at
-    site s. One search over that order finds each kept site's last write
-    at or before each stop; a site with none keeps its value from
-    before the batch. Queries go about 2**16 at a time.
-    """
-    n = bysite.size
-    key = np.repeat(np.arange(hits.size) * n, hits) + bysite
-    first = (np.cumsum(hits) - hits)[keep]
-    before = n + keep
-    per = max(1, (1 << 16) // max(1, keep.size))
+    per = max(1, (1 << 16) // max(1, keep_place.size))
     for r in range(0, stops.size, per):
-        pos = np.searchsorted(key, stops[r:r + per, None] + keep * n,
-                              side="right") - 1
-        out[r:r + per] = ext[np.where(pos >= first, bysite[pos], before)]
+        q, p = np.divmod(stops[r:r + per], m)
+        newer = keep_place <= p[:, None]
+        out[r:r + per] = np.where(newer, hist[q + 1], hist[q])
 
 
-def _settle(ext, srcl, srcr, rl, rr, u, width):
-    """Solve v = F(v) in ext[:n] for the batch's n draws, where
-    F(v)[j] = u[j]*max(0, min(1 - rl[j]*v[srcl[j]], rr[j]*(1 - v[srcr[j]])))
-    in _run_site's operation order, reading ext beyond n as constants.
+def _scalar_sweeps(xp, us, rat, recl, order, slot, hist):
+    """Apply the updates us to the padded state xp one site at a time,
+    in sweep order; with hist, hist[q + 1] gets xp[slot] after sweep q
+    (the last sweep may be partial)."""
+    c = xp.tolist()
+    m = order.size
+    sites = list(zip(order.tolist(), recl[order].tolist(),
+                     rat[order].tolist()))
+    idx = slot.tolist()
+    us = us.tolist()
+    for q, a in enumerate(range(0, len(us), m)):
+        for (i, rl, rr), u in zip(sites, us[a:a + m]):
+            left = 1.0 - rl * c[i]
+            right = rr * (1.0 - c[i + 2])
+            hi = left if left < right else right
+            if hi < 0.0:
+                hi = 0.0
+            c[i + 1] = u * hi
+        if hist is not None:
+            hist[q + 1] = [c[j] for j in idx]
+    xp[:] = c
 
-    Every source of draw j lies before j, so once a prefix of the batch
-    is a fixed point it is the solution there. Each pass evaluates the
-    width draws after the settled prefix; draws up to the first one
-    whose value moved were already settled, and that one was computed
-    from settled values, so the prefix grows by at least one per pass.
-    """
-    n = u.size
-    f = 0
-    while f < n:
-        e = min(f + width, n)
-        left = 1.0 - rl[f:e] * ext[srcl[f:e]]
-        right = rr[f:e] * (1.0 - ext[srcr[f:e]])
-        # "left if left < right else right", NaN included
-        hi = np.where(left < right, left, right)
-        np.maximum(hi, 0.0, out=hi)
-        hi *= u[f:e]
-        old = ext[f:e]
-        moved = hi != old
-        d = int(moved.argmax())
-        if moved[d]:
-            old[d:] = hi[d:]
-            f += d + 1
-        else:
-            f = e
+
+def _vector_sweeps(xp, us, rat, recl, order, slot, hist):
+    """_scalar_sweeps a half-sweep at a time. Each even site reads only
+    odd neighbours and vice versa, so the sites of one parity are
+    conditionally independent and one numpy expression updates them all,
+    with the scalar loop's float operations at each site."""
+    m = order.size
+    halves = [(xp[s:s + 2 * size:2], xp[s + 1:s + 1 + 2 * size:2],
+               xp[s + 2:s + 2 + 2 * size:2], recl[s::2], rat[s::2])
+              for s, size in ((0, (m + 1) // 2), (1, m // 2))]
+    ne = halves[0][3].size
+    for q, a in enumerate(range(0, us.size, m)):
+        u = us[a:a + m]
+        for (left_nb, target, right_nb, rl, rr), v in zip(
+                halves, (u[:ne], u[ne:])):
+            k = v.size
+            if k < rl.size:  # the partial last sweep
+                left_nb, target, right_nb, rl, rr = (
+                    left_nb[:k], target[:k], right_nb[:k], rl[:k], rr[:k])
+            left = 1.0 - rl * left_nb
+            right = rr * (1.0 - right_nb)
+            # "left if left < right else right", NaN included
+            hi = np.where(left < right, left, right)
+            np.maximum(hi, 0.0, out=hi)
+            np.multiply(hi, v, out=target)
+        if hist is not None:
+            hist[q + 1] = xp[slot]
 
 
 def _run_block(dist, chains, total, config, rng, step):

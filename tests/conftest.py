@@ -7,9 +7,8 @@ by transfer-operator quadrature with no sampler at all, so agreement is
 evidence rather than an identity. The exceptions are exact tau, whose
 reference is the definition itself, one start and one step at a time,
 which the library's blocked evaluator must match bit for bit, and the
-k = 1 Gibbs chain, whose reference picks each update's site from its
-own uniform, which the library's chunked site mapping must match bit
-for bit.
+k = 1 Gibbs chain, whose reference runs the scan one update at a time,
+which both of the library's sweep evaluators must match bit for bit.
 """
 
 import math
@@ -18,8 +17,8 @@ import numpy as np
 
 from bdcutoff.errors import DomainError, NotMixedError
 from bdcutoff.kernel import kernel_from_superdiagonal
-from bdcutoff.sampler import (SamplerConfig, _start_picker,
-                              default_initial_state, run_gibbs, substream)
+from bdcutoff.sampler import (SamplerConfig, default_initial_state,
+                              run_gibbs, substream)
 
 
 def equilibration_budget(n: int) -> int:
@@ -35,32 +34,35 @@ def equilibrated_kernel(dist, seed: int, budget: int | None = None):
     return kernel_from_superdiagonal(dist, trace.final)
 
 
-def site_chain_reference(config, coords=None):
-    """The k = 1 chain from the default start, one update at a time:
-    each update maps its first uniform to a site with _start_picker and
-    scales its second by the site's conditional interval. Draws every
-    uniform in one call, where the library draws them a chunk at a time
-    (split Philox draws equal one long draw). Returns (final, samples,
+def site_chain_reference(config, coords=None, initial=None):
+    """The k = 1 chain one update at a time: update j (from 0) redraws
+    site order[j % m], where order lists the even sites ascending and
+    then the odd ones, as uniform j times the site's conditional
+    interval. Draws every uniform in one call, where the library draws
+    them a chunk at a time (split Philox draws equal one long draw).
+    initial defaults to the default start. Returns (final, samples,
     update_counts) as run_gibbs would."""
     dist = config.dist
     m = dist.n - 1
     rat = [float(v) for v in dist.ratios]
     rec = [1.0 / v for v in rat]
+    order = list(range(0, m, 2)) + list(range(1, m, 2))
     keep = list(range(m)) if coords is None else list(coords)
-    pick = _start_picker(m, config.w)
     total = config.burnin + config.steps
-    us = substream(config.seed).random(2 * total).tolist()
-    c = default_initial_state(dist).tolist()
+    us = substream(config.seed).random(total).tolist()
+    if initial is None:
+        initial = default_initial_state(dist)
+    c = [float(v) for v in initial]
     counts = [0] * m
     rows = []
     for done in range(1, total + 1):
-        i = pick(us[2 * done - 2])
+        i = order[(done - 1) % m]
         left = 1.0 - rec[i - 1] * c[i - 1] if i else 1.0
         right = rat[i] * (1.0 - c[i + 1]) if i < m - 1 else rat[m - 1]
         hi = left if left < right else right
         if hi < 0.0:
             hi = 0.0
-        c[i] = us[2 * done - 1] * hi
+        c[i] = us[done - 1] * hi
         counts[i] += 1
         if done > config.burnin and (done - config.burnin) % config.thin == 0:
             rows.append([c[s] for s in keep])

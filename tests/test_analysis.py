@@ -203,16 +203,21 @@ def test_mixing_profile_levels_and_validation():
 
 
 def test_slow_start_from_a_thin_flank_mixes():
-    """TV rounds to exactly 1 for hundreds of steps from a flank of mass
-    about 2**-250, yet the chain mixes; tau is checked against dense
-    powers of the lazy kernel."""
+    """TV rounds to 1 (within rounding) for hundreds of steps from a
+    flank of mass about 2**-250, yet the chain mixes; tau is checked
+    against dense powers of the lazy kernel."""
     cfg = ExperimentConfig(family="if", a=2.0, eps=0.25, seed=11)
-    for rep_id, want in ((7, 7778), (8, 10_270)):
+    for rep_id, want in ((7, 10_676), (8, 30_093)):
         _, kern = sampled_kernel(cfg, 256, rep_id)
         lazy = kern.lazy(0.5)
         tau = mixing_time(lazy, 0.25, horizon=200_000)
         assert tau == want
         pi, dense = lazy.dist.mass, lazy.dense()
+        v = np.eye(lazy.n)[[0, -1]]
+        for _ in range(500):
+            v = lazy.evolve(v)
+        tv = 0.5 * np.abs(v - pi).sum(axis=1).max()
+        assert abs(tv - 1.0) < 1e-13, (rep_id, tv)
         before = np.linalg.matrix_power(dense, tau - 1)
         at = before @ dense
         for p, mixed in ((before, False), (at, True)):
@@ -449,13 +454,14 @@ def test_spectral_tau_matches_stepwise_without_stepping(monkeypatch):
         raise AssertionError("stepped where the spectral route applies")
 
     monkeypatch.setattr(analysis, "_crossing_times", no_stepping)
-    # log pi spreads over 0, 0, 12.6 and 19.5 nats
+    # log pi spreads over 0, 0, 12.6 and 19.5 nats; the uniform 64
+    # kernel takes 148 450 steps to reach TV 0.1
     for family, n in (("uniform", 32), ("uniform", 64), ("geometric", 32),
                       ("binomial", 32)):
         kern = oracle_kernel(family, n)
         for levels in ([0.25], [0.1, 0.25, 0.9]):
-            want = stepwise_profile(kern, levels, horizon=100_000)
-            assert mixing_profile(kern, levels, horizon=100_000) == want
+            want = stepwise_profile(kern, levels, horizon=200_000)
+            assert mixing_profile(kern, levels, horizon=200_000) == want
 
 
 def test_spectral_tau_declines_where_it_may_differ(monkeypatch):

@@ -415,7 +415,10 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
                      "--mass", "1,inf,2"],
                     ["ensemble", "--family", "if", "--n", "16"],
                     ["ensemble", "--delta", "0.3"],
-                    ["ensemble", "--k", "9", "--workers", "2"]):
+                    ["ensemble", "--k", "9", "--workers", "2"],
+                    # the k = 1 scan has no block starts to weight
+                    ["ensemble", "--n", "8", "--w", "2"],
+                    ["sample", "--n", "8", "--w", "0.5"]):
         rc, out, err = run_cli(capsys, command + ["--reps", "2"])
         assert rc == 1 and out == "", command
         assert err.startswith("bdcutoff: ") and "Error" not in err
@@ -426,6 +429,13 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
     assert err.startswith("bdcutoff: ") and "Error" not in err
     rc, out, _ = run_cli(capsys, ["ensemble", "--n", "8", "--reps", "0"])
     assert rc == 0 and out.startswith(SCHEMA_TAG)
+    # with no replicates the distribution settings are still checked
+    for command in (["ensemble", "--family", "if", "--n", "8"],
+                    ["ensemble", "--family", "uniform", "--a", "3",
+                     "--n", "8"]):
+        rc, out, err = run_cli(capsys, command + ["--reps", "0"])
+        assert rc == 1 and out == "", command
+        assert err.startswith("bdcutoff: ") and "Error" not in err
 
 
 def test_cached_parser_matches_fresh_process(tmp_path, capsys, monkeypatch):

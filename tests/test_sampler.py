@@ -39,15 +39,14 @@ def triangle_cells(c0, c1):
 # single-site updates
 
 def test_site_update_pinched_interval_is_deterministic():
-    # c0 = 1 pins site 1 to [0, 0], so an update there writes exactly 0
-    picked = 0
+    # c1 = 1 pins site 0 to [0, 0], so the first update, which is at
+    # site 0, writes exactly 0 whatever its uniform; c0 starts off the
+    # polytope at 0.25 so that the write shows
     for seed in range(8):
         trace = run_gibbs(SamplerConfig(UNI3, steps=1, seed=seed),
-                          initial=[1.0, 0.0])
-        if trace.update_counts[1]:
-            picked += 1
-            assert trace.final.tolist() == [1.0, 0.0]
-    assert picked
+                          initial=[0.25, 1.0])
+        assert trace.update_counts.tolist() == [1, 0]
+        assert trace.final.tolist() == [0.0, 1.0]
 
 
 def test_site_update_chain_mean():
@@ -163,8 +162,9 @@ def test_run_gibbs_deterministic_in_seed():
 ])
 def test_run_gibbs_samples_stay_feasible(family, kw, k):
     dist = make_distribution(family, 12, **kw)
-    cfg = SamplerConfig(dist=dist, k=k, w=2.0, steps=3000, burnin=200,
-                        thin=30, seed=5)
+    # the k = 1 scan takes no endpoint weight
+    cfg = SamplerConfig(dist=dist, k=k, w=2.0 if k > 1 else 1.0, steps=3000,
+                        burnin=200, thin=30, seed=5)
     trace = run_gibbs(cfg)
     assert trace.samples.shape == (100, 11)
     for row in trace.samples:
@@ -185,7 +185,7 @@ def test_run_gibbs_coords_select_columns():
     assert run_gibbs(cfg, coords=[]).samples.shape == (200, 0)
 
 
-@pytest.mark.parametrize("m", [2, sampler._REPLAY_MIN_SITES])
+@pytest.mark.parametrize("m", [2, 128])  # scalar and numpy sweeps
 def test_run_gibbs_rejects_bad_coords(m):
     cfg = SamplerConfig(make_distribution("uniform", m + 1), steps=10)
     for bad in ([m], [-1], [0, m], [[0, 1]]):
@@ -194,15 +194,26 @@ def test_run_gibbs_rejects_bad_coords(m):
 
 
 def test_endpoint_weighting():
-    # first block start carries probability w / (nstarts - 2 + 2w)
-    cfg = SamplerConfig(dist=make_distribution("uniform", 8), w=5.0,
+    # first block start carries probability w / (nstarts - 2 + 2w); at
+    # k = 2 on 7 coordinates there are 6 starts
+    cfg = SamplerConfig(dist=make_distribution("uniform", 8), k=2, w=5.0,
                         steps=20000, seed=77)
     trace = run_gibbs(cfg)
-    p = 5.0 / (5 + 2 * 5.0)
+    p = 5.0 / (4 + 2 * 5.0)
     freq = trace.update_counts[0] / trace.update_counts.sum()
     assert abs(freq - p) <= 3.0 * math.sqrt(p * (1 - p) / 20000)
     assert trace.update_counts[0] == pytest.approx(
         trace.update_counts[-1], rel=0.1)
+
+
+def test_site_scan_rejects_endpoint_weight():
+    # the k = 1 scan visits every site once a sweep: no block start to
+    # weight; the coupled pair still reads w at k = 1
+    for w in (0.5, 2.0):
+        cfg = SamplerConfig(make_distribution("uniform", 8), w=w, steps=10)
+        with pytest.raises(ParameterError, match="w must be 1"):
+            run_gibbs(cfg)
+        assert isinstance(run_coupled_pair(cfg), CoupledTrace)
 
 
 def test_sampler_config_validation():
@@ -235,14 +246,14 @@ def test_collect_window_shape():
     assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
 
 
-# numpy replay of the k = 1 chain
+# the k = 1 scan: scalar and numpy sweeps against the per-update reference
 
 def _both_paths(monkeypatch, run):
-    """run() on the scalar loop, then on the numpy replay, whatever the
-    coordinate count."""
+    """run() on the scalar sweeps, then on the numpy half-sweeps,
+    whatever the coordinate count."""
     out = []
     for threshold in (1 << 62, 1):
-        monkeypatch.setattr(sampler, "_REPLAY_MIN_SITES", threshold)
+        monkeypatch.setattr(sampler, "_VECTOR_MIN_SITES", threshold)
         out.append(run())
     return out
 
@@ -265,61 +276,78 @@ def _sized(family, m):
     return make_distribution(family, m + 1)
 
 
+def _scan_configs(dist, seed):
+    """Runs across several 16 384-uniform chunks that end inside a
+    sweep, retaining more and less often than once a sweep."""
+    m = dist.n - 1
+    return [SamplerConfig(dist, burnin=60000, steps=9001, thin=7, seed=seed),
+            SamplerConfig(dist, burnin=33333, steps=21 * (2 * m + 3),
+                          thin=2 * m + 3, seed=seed + 1)]
+
+
 @pytest.mark.parametrize("family,m", [
     (family, m)
     for family in ("uniform", "geometric", "binomial", "if", "explicit")
-    for m in (1, 2, 3, 47, 49, sampler._REPLAY_MIN_SITES - 1,
-              sampler._REPLAY_MIN_SITES + 1, 255)
+    for m in (1, 2, 3, 47, 49, 127, 129, 255)
     if not (family == "if" and m == 1)])  # if: m is even
 def test_replay_is_bit_identical_to_scalar_loop(monkeypatch, family, m):
+    # the numpy half-sweeps replay the scalar loop's chain
     dist = _sized(family, m)
-    for w in (0.25, 1.0, 4.0):
-        # 69 001 updates cross several 16 384-update batches of both
-        # loops; 9001 % 7 != 0
-        cfg = SamplerConfig(dist, w=w, burnin=60000, steps=9001, thin=7,
-                            seed=int(m * 10 + 4 * w))
-        scalar, replay = _both_paths(monkeypatch, lambda: run_gibbs(cfg))
-        assert _same_bits(scalar.final, replay.final)
-        assert _same_bits(scalar.samples, replay.samples)
-        size = dist.n - 1  # m, or m - 1 for if at odd m
-        sub = sorted({0, size // 2, size - 1})
+    size = dist.n - 1  # m, or m - 1 for if at odd m
+    sub = sorted({0, size // 2, size - 1})
+    for cfg in _scan_configs(dist, m):
+        scalar, vector = _both_paths(monkeypatch, lambda: run_gibbs(cfg))
+        assert _same_bits(scalar.final, vector.final)
+        assert _same_bits(scalar.samples, vector.samples)
         for picked in _both_paths(
                 monkeypatch, lambda: run_gibbs(cfg, coords=sub).samples):
             assert _same_bits(picked, scalar.samples[:, sub])
-        assert scalar.samples.shape == (9001 // 7, dist.n - 1)
-        assert np.array_equal(scalar.update_counts, replay.update_counts)
-        assert scalar.update_counts.dtype == replay.update_counts.dtype
-        assert scalar.block_tries == replay.block_tries == 69001
+        assert scalar.samples.shape == (cfg.steps // cfg.thin, size)
+        assert np.array_equal(scalar.update_counts, vector.update_counts)
+        assert scalar.update_counts.dtype == vector.update_counts.dtype
+        total = cfg.burnin + cfg.steps
+        assert scalar.block_tries == vector.block_tries == total
 
 
 @pytest.mark.parametrize("family", ["uniform", "geometric"])
-@pytest.mark.parametrize("m", [1, 2, 3, 31, 47])
-def test_site_chain_matches_per_update_reference(family, m):
+@pytest.mark.parametrize("m", [
+    1, 2, 3, 31, 47, sampler._VECTOR_MIN_SITES - 1,
+    sampler._VECTOR_MIN_SITES + 1, 199, 255])
+def test_site_chain_matches_per_update_reference(monkeypatch, family, m):
     dist = _sized(family, m)
     sub = sorted({0, m // 2, m - 1})
-    for w in (0.25, 1.0, 4.0):
-        # the burn-in and the retention each cross 16 384-update batch
-        # boundaries; 70 001 % 7 != 0
-        cfg = SamplerConfig(dist, w=w, burnin=66000, steps=70001, thin=7,
-                            seed=int(m * 10 + 4 * w))
+    for cfg in _scan_configs(dist, 10 * m):
         final, samples, counts = site_chain_reference(cfg)
-        got = run_gibbs(cfg)
-        assert _same_bits(got.final, final)
-        assert _same_bits(got.samples, samples)
-        assert got.samples.shape == (70001 // 7, m)
-        assert np.array_equal(got.update_counts, counts)
-        assert _same_bits(run_gibbs(cfg, coords=sub).samples,
-                          site_chain_reference(cfg, sub)[1])
+        assert samples.shape == (cfg.steps // cfg.thin, m)
+        for got in _both_paths(monkeypatch, lambda: run_gibbs(cfg)):
+            assert _same_bits(got.final, final)
+            assert _same_bits(got.samples, samples)
+            assert np.array_equal(got.update_counts, counts)
+        for picked in _both_paths(
+                monkeypatch, lambda: run_gibbs(cfg, coords=sub).samples):
+            assert _same_bits(picked, samples[:, sub])
+
+
+def test_sweep_threshold_splits_benchmark_sizes():
+    # the 31 coordinates of an n = 32 exact-tau replicate stay on the
+    # scalar sweeps; 199 and more (probe marginal, proxy replicates) go
+    # to numpy
+    assert 31 < sampler._VECTOR_MIN_SITES <= 199
 
 
 def test_replay_window_and_start_match_scalar_loop(monkeypatch):
     dist = make_distribution("uniform", 200)
     cfg = SamplerConfig(dist, burnin=5000, steps=49 * 2000, thin=49, seed=8)
-    start = greedy_max_state(dist)
-    scalar, replay = _both_paths(
-        monkeypatch, lambda: collect_window(cfg, [0, 99, 198], initial=start))
-    assert scalar.shape == (2000, 3)
-    assert _same_bits(scalar, replay)
+    # a vertex, and a start off the polytope (odd sites at 1.5) whose
+    # first half-sweep meets empty intervals: hi < 0, clipped to 0
+    for start in (greedy_max_state(dist), 1.5 * (np.arange(199) % 2)):
+        scalar, vector = _both_paths(
+            monkeypatch,
+            lambda: collect_window(cfg, [0, 99, 198], initial=start))
+        assert scalar.shape == (2000, 3)
+        assert _same_bits(scalar, vector)
+        assert _same_bits(scalar, site_chain_reference(
+            cfg, [0, 99, 198], initial=start)[1])
 
 
 def test_start_sites_match_picker():
