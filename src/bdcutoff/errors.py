@@ -31,6 +31,10 @@ class StallError(RuntimeError):
             "conditional slab is too thin")
 
 
+class NotCoalescedError(RuntimeError):
+    """The exact start's bounding chains did not meet within its depth cap."""
+
+
 class NonErgodicError(RuntimeError):
     """The target state cannot be reached (a required edge has rate zero)."""
 

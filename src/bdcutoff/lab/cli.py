@@ -16,7 +16,7 @@ import sys
 from ..compare import comparison_diagnostic
 from ..dist import FAMILIES
 from ..errors import ParameterError
-from ..sampler import run_gibbs
+from ..sampler import _check_scan_weight, run_gibbs
 from .config import FORMATS, ExperimentConfig
 from .ensemble import (RECORD_FIELDS, analyze_kernel, record_rows,
                        replicate_seed, run_ensemble, sampled_kernel)
@@ -64,7 +64,8 @@ def _common_flags() -> argparse.ArgumentParser:
     g.add_argument("--reps", type=int, help="replicates per state count")
     g.add_argument("--seed", type=int, help="master seed (64-bit)")
     g.add_argument("--equilibration", type=int,
-                   help="equilibration updates (default 20 n ln n)")
+                   help="updates before the first kept state (default "
+                        "0 at --k 1, which starts exact; else 20 n ln n)")
     g.add_argument("--max-rejection-tries", type=int,
                    help="block-proposal stall threshold")
     g = p.add_argument_group("analysis")
@@ -217,6 +218,7 @@ def _emit_table(fieldnames, rows, cfg: ExperimentConfig) -> None:
 
 
 def _cmd_sample(cfg: ExperimentConfig) -> int:
+    _check_scan_weight(cfg.k, cfg.w)
     rows = []
     for n in sorted(cfg.n_list):
         dist = cfg.make_dist(n)

@@ -18,8 +18,8 @@ class ExperimentConfig:
 
     Sampler fields mirror SamplerConfig; analysis fields control which
     mixing statistics run per replicate; probe fields are read only by
-    the probe that needs them. equilibration=None means the default
-    budget of 20*n*ln(n) block updates.
+    the probe that needs them. equilibration=None means 0 at k = 1,
+    which starts from an exact draw, else 20*n*ln(n) block updates.
     """
 
     family: str = "uniform"
@@ -103,6 +103,8 @@ class ExperimentConfig:
     def equilibration_budget(self, n: int) -> int:
         if self.equilibration is not None:
             return int(self.equilibration)
+        if self.k == 1:
+            return 0
         return max(1, int(round(20.0 * n * math.log(n))))
 
     def sampler_config(self, dist: StationaryDist, seed: int,

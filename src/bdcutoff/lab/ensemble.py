@@ -6,7 +6,7 @@ from dataclasses import dataclass, fields
 from ..analysis import AnalysisReport, analyze
 from ..errors import ParameterError
 from ..kernel import BDKernel, kernel_from_superdiagonal
-from ..sampler import run_gibbs, stream_fingerprint
+from ..sampler import _check_scan_weight, run_gibbs, stream_fingerprint
 from .config import ExperimentConfig
 
 NAN = float("nan")
@@ -57,8 +57,8 @@ def _failed_record(cfg: ExperimentConfig, n: int, rep_id: int,
 
 def sampled_kernel(cfg: ExperimentConfig, n: int,
                    rep_id: int) -> tuple[int, BDKernel]:
-    """The equilibrated kernel of replicate rep_id at size n, with the
-    derived seed that reproduces it."""
+    """The sampled kernel of replicate rep_id at size n (an exact draw
+    at k = 1), with the derived seed that reproduces it."""
     seed_sub = replicate_seed(cfg.seed, n, rep_id)
     dist = cfg.make_dist(n)
     trace = run_gibbs(cfg.sampler_config(dist, seed_sub))
@@ -112,6 +112,7 @@ def run_ensemble(cfg: ExperimentConfig) -> list[EnsembleRecord]:
     count: every replicate draws from its own derived stream, and the
     output is sorted by (n, rep_id) regardless of completion order.
     """
+    _check_scan_weight(cfg.k, cfg.w)
     for n in cfg.n_list:
         cfg.make_dist(n)  # a bad family setting fails even with no reps
     tasks = [(cfg, n, rep) for n in sorted(cfg.n_list)

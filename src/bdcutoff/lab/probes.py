@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ParameterError
-from ..sampler import (_start_sites, collect_window, oracle_samples,
-                       run_coupled_pair, run_gibbs, stream_fingerprint,
-                       substream)
+from ..sampler import (_check_scan_weight, _start_sites, collect_window,
+                       oracle_samples, run_coupled_pair, run_gibbs,
+                       stream_fingerprint, substream)
 from .config import ExperimentConfig
 
 SIN_REFERENCE_MEDIAN = 1.0 / 3.0
@@ -89,6 +89,7 @@ def _coordinate_window(cfg: ExperimentConfig, tag: int, reach: int = 0,
             f"coordinate {coord} outside [{reach}, {m - 1 - reach}]")
     coords = list(range(coord - reach, coord + reach + 1))
     if dist.n <= exact_states:
+        _check_scan_weight(cfg.k, cfg.w)
         draws = oracle_samples(dist, cfg.probe_samples, substream(cfg.seed, tag))
         return dist, coord, draws[:, coords], 0, 0
     thin = cfg.probe_thin or max(1, m // (per_sweep * cfg.k))

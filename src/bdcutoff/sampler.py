@@ -8,9 +8,11 @@ updates the even sites in ascending order, then the odd ones. A site's
 interval reads only its two neighbours, so the sites of one parity are
 conditionally independent given the others, and on _VECTOR_MIN_SITES or
 more coordinates a half-sweep is one numpy expression, with results
-bit-identical to the site-by-site loop. For k >= 2 each update picks a
-block start (endpoints reweighted by w) and rejection-samples the block
-from the product of per-site boxes [0, min(1, ratio)].
+bit-identical to the site-by-site loop. The scan starts from an exact
+draw (monotone coupling from the past on the same half-sweeps), so it
+needs no burn-in. For k >= 2 each update picks a block start (endpoints
+reweighted by w) and rejection-samples the block from the product of
+per-site boxes [0, min(1, ratio)].
 
 A brute-force rejection sampler over the whole polytope doubles as a
 ground-truth oracle for small state counts. Two chains that share every
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import StationaryDist
-from .errors import ParameterError, StallError
+from .errors import NotCoalescedError, ParameterError, StallError
 from .kernel import _bounds
 
 # k = 1 runs on at least this many coordinates update a half-sweep at a
@@ -35,6 +37,8 @@ _VECTOR_MIN_SITES = 76
 # uniforms per chunk of the k = 1 scan (whole sweeps, at least one), and
 # the largest chunk of _uniforms
 _BATCH = 1 << 14
+_CFTP_KEY = 0x43465450  # "CFTP", the exact start's substream tag
+_MAX_CFTP_SWEEPS = 1 << 16  # its deepest start; 4095 states needed <= 24
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -60,10 +64,10 @@ class SamplerConfig:
     """Settings for one Gibbs run.
 
     steps counts post-burnin block updates; every thin-th state after
-    burnin is retained. w is the relative weight of the two endpoint
-    block starts (w = 1 is unbiased) where starts are drawn: at k >= 2
-    and in the coupled pair. run_gibbs at k = 1 scans every site in turn
-    and needs w = 1.
+    burnin is retained. w weights the two endpoint block starts (w = 1
+    is unbiased) where starts are drawn: at k >= 2 and in the coupled
+    pair. run_gibbs at k = 1 scans every site in turn from an exact
+    draw, so it needs no burnin, and takes only w = 1.
     """
 
     dist: StationaryDist
@@ -191,14 +195,16 @@ def run_gibbs(config: SamplerConfig, initial=None, coords=None) -> GibbsTrace:
     """Run the Gibbs chain (the k = 1 scan, or the k >= 2 block chain)
     and return its trace.
 
-    initial defaults to a strictly interior state. Each retained state
-    keeps the coordinates coords (default: every coordinate), so
+    initial defaults to an exact draw at k = 1, else an interior point.
+    Each retained state keeps the coordinates coords (default: all), so
     samples has config.steps // config.thin rows of len(coords) values.
     """
     dist = config.dist
     m = dist.n - 1
+    _check_scan_weight(config.k, config.w)
     if initial is None:
-        initial = default_initial_state(dist)
+        initial = (_exact_start(dist, config.seed) if config.k == 1
+                   else default_initial_state(dist))
     initial = np.asarray(initial, dtype=float)
     if initial.shape != (m,):
         raise ParameterError(f"initial state has length {initial.size}, expected {m}")
@@ -212,10 +218,6 @@ def run_gibbs(config: SamplerConfig, initial=None, coords=None) -> GibbsTrace:
     store = np.empty((config.steps // config.thin, keep.size))
 
     if config.k == 1:
-        if config.w != 1.0:
-            raise ParameterError(
-                f"the k = 1 scan has no block starts for the endpoint "
-                f"weight w to weight; w must be 1, got {config.w}")
         final, counts = _run_scan(dist, initial, total, config, rng, store,
                                   keep)
         tries = total  # one proposal per update
@@ -240,6 +242,62 @@ def run_gibbs(config: SamplerConfig, initial=None, coords=None) -> GibbsTrace:
                       block_updates=total, block_tries=tries, final=final)
 
 
+def _check_scan_weight(k: int, w: float) -> None:
+    """Reject w != 1 at k = 1, where no block start is drawn to weight."""
+    if k == 1 and w != 1.0:
+        raise ParameterError(
+            f"the k = 1 scan has no block starts for the endpoint "
+            f"weight w to weight; w must be 1, got {w}")
+
+
+def _exact_start(dist, seed):
+    """An exact uniform draw by monotone coupling from the past (Propp &
+    Wilson 1996): the heat bath is monotone in the order "even sites <=,
+    odd >=", and a site takes p = u1 * cap if p <= hi, else u2 * hi
+    (uniform on [0, hi]), so the pair from the order's extremes meets
+    where p is below both bounds. The start is m.bit_length() sweeps back
+    and doubles per retry; block j of sweeps (block 0 ends at time 0)
+    redraws substream(seed, _CFTP_KEY, j) on every pass."""
+    m, caps, rat = dist.n - 1, dist.caps, dist.ratios
+    pair = np.zeros((2, m + 2))  # [0 | top | 0] over [0 | bottom | 0]
+    halves = _halves(pair, m, np.r_[0.0, 1.0 / rat[:-1]], rat, caps)
+    blocks = [m.bit_length()]  # sweeps per block, block 0 first
+    while sum(blocks) <= _MAX_CFTP_SWEEPS:
+        pair[:] = 0.0
+        pair[0, 1:-1:2], pair[1, 2:-1:2] = caps[0::2], caps[1::2]
+        for j in reversed(range(len(blocks))):
+            rng = substream(seed, _CFTP_KEY, j)
+            for half in halves * blocks[j]:  # even, odd, even, ...
+                _pair_half_sweep(half, rng)
+        if pair[0].tobytes() == pair[1].tobytes():
+            return pair[0, 1:-1].copy()
+        blocks.append(sum(blocks))
+    raise NotCoalescedError(f"no meeting from {_MAX_CFTP_SWEEPS} sweeps back")
+
+
+def _pair_half_sweep(half, rng):
+    """Both bounding chains' half-sweep on two shared uniforms per site."""
+    left_nb, target, right_nb, rl, rr, cap = half
+    u1, u2 = rng.random((2, cap.size))
+    hi, p = _upper(left_nb, right_nb, rl, rr), u1 * cap
+    target[...] = np.where(p <= hi, p, u2 * hi)
+
+
+def _halves(xp, m, *per_site):
+    """(left nbrs, sites, right nbrs, *per_site) views, even then odd."""
+    return [(xp[..., s:s + 2 * size:2], xp[..., s + 1:s + 1 + 2 * size:2],
+             xp[..., s + 2:s + 2 + 2 * size:2], *(a[s::2] for a in per_site))
+            for s, size in ((0, (m + 1) // 2), (1, m // 2))]
+
+
+def _upper(left_nb, right_nb, rl, rr):
+    """Interval ends, "left if left < right else right" clipped at 0."""
+    left = 1.0 - rl * left_nb
+    right = rr * (1.0 - right_nb)
+    hi = np.where(left < right, left, right)
+    return np.maximum(hi, 0.0, out=hi)
+
+
 def _run_scan(dist, x, total, config, rng, store, keep):
     """The k = 1 chain from x for total updates; returns the final state
     and the update count of each site.
@@ -254,8 +312,7 @@ def _run_scan(dist, x, total, config, rng, store, keep):
     """
     m = dist.n - 1
     rat = np.asarray(dist.ratios, dtype=float)
-    recl = np.zeros(m)  # 1/r[i-1]; times the zero pad at i = 0
-    recl[1:] = 1.0 / rat[:-1]
+    recl = np.r_[0.0, 1.0 / rat[:-1]]  # 1/r[i-1]; times the pad at i = 0
     order = np.r_[0:m:2, 1:m:2]
     place = np.empty(m, dtype=np.intp)  # each site's place in a sweep
     place[order] = np.arange(m)
@@ -328,9 +385,7 @@ def _vector_sweeps(xp, us, rat, recl, order, slot, hist):
     conditionally independent and one numpy expression updates them all,
     with the scalar loop's float operations at each site."""
     m = order.size
-    halves = [(xp[s:s + 2 * size:2], xp[s + 1:s + 1 + 2 * size:2],
-               xp[s + 2:s + 2 + 2 * size:2], recl[s::2], rat[s::2])
-              for s, size in ((0, (m + 1) // 2), (1, m // 2))]
+    halves = _halves(xp, m, recl, rat)
     ne = halves[0][3].size
     for q, a in enumerate(range(0, us.size, m)):
         u = us[a:a + m]
@@ -340,12 +395,7 @@ def _vector_sweeps(xp, us, rat, recl, order, slot, hist):
             if k < rl.size:  # the partial last sweep
                 left_nb, target, right_nb, rl, rr = (
                     left_nb[:k], target[:k], right_nb[:k], rl[:k], rr[:k])
-            left = 1.0 - rl * left_nb
-            right = rr * (1.0 - right_nb)
-            # "left if left < right else right", NaN included
-            hi = np.where(left < right, left, right)
-            np.maximum(hi, 0.0, out=hi)
-            np.multiply(hi, v, out=target)
+            np.multiply(_upper(left_nb, right_nb, rl, rr), v, out=target)
         if hist is not None:
             hist[q + 1] = xp[slot]
 

@@ -26,11 +26,13 @@ def equilibration_budget(n: int) -> int:
 
 
 def equilibrated_kernel(dist, seed: int, budget: int | None = None):
-    """One sampled kernel: block Gibbs from the default interior start."""
+    """One sampled kernel: the site chain from the default interior start
+    after a 20 n ln n burn-in."""
     if budget is None:
         budget = equilibration_budget(dist.n)
     trace = run_gibbs(
-        SamplerConfig(dist=dist, steps=0, burnin=budget, seed=seed))
+        SamplerConfig(dist=dist, steps=0, burnin=budget, seed=seed),
+        initial=default_initial_state(dist))
     return kernel_from_superdiagonal(dist, trace.final)
 
 

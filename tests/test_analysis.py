@@ -207,7 +207,7 @@ def test_slow_start_from_a_thin_flank_mixes():
     flank of mass about 2**-250, yet the chain mixes; tau is checked
     against dense powers of the lazy kernel."""
     cfg = ExperimentConfig(family="if", a=2.0, eps=0.25, seed=11)
-    for rep_id, want in ((7, 10_676), (8, 30_093)):
+    for rep_id, want in ((7, 94_635), (8, 10_198)):
         _, kern = sampled_kernel(cfg, 256, rep_id)
         lazy = kern.lazy(0.5)
         tau = mixing_time(lazy, 0.25, horizon=200_000)

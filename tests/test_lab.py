@@ -42,7 +42,10 @@ def test_config_validation():
 def test_config_defaults_and_budget():
     cfg = ExperimentConfig(n_list=[np.int64(16), 32.0])
     assert cfg.n_list == (16, 32)
-    assert cfg.equilibration_budget(64) == round(20 * 64 * math.log(64))
+    # k = 1 starts from an exact draw; block chains burn in 20 n ln n
+    assert cfg.equilibration_budget(64) == 0
+    assert ExperimentConfig(k=2).equilibration_budget(64) == round(
+        20 * 64 * math.log(64))
     assert ExperimentConfig(equilibration=7).equilibration_budget(64) == 7
     assert cfg.make_dist(16).n == 16
 
@@ -285,8 +288,8 @@ def test_cli_sample_retains_trace(capsys):
 
 
 def test_cli_sample_final_states_match_sampled_kernel(capsys):
-    # the one burn-in is the equilibration budget, so each row's state
-    # is the kernel that its seed_sub reproduces
+    # both start from the exact draw of seed_sub with no burn-in, so each
+    # row's state is the kernel that its seed_sub reproduces
     rc, out, _ = run_cli(capsys, ["sample", "--n", "64", "--reps", "2",
                                   "--seed", "21"])
     assert rc == 0
@@ -436,6 +439,14 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
         rc, out, err = run_cli(capsys, command + ["--reps", "0"])
         assert rc == 1 and out == "", command
         assert err.startswith("bdcutoff: ") and "Error" not in err
+    # --w at k = 1 exits 1 where no chain runs too: no replicates, and
+    # the markov probe's exact rejection draws at 12 states or fewer
+    for command in (["ensemble", "--n", "8", "--w", "2", "--reps", "0"],
+                    ["sample", "--n", "8", "--w", "2", "--reps", "0"],
+                    ["probe", "markov", "--n", "8", "--w", "2"]):
+        rc, out, err = run_cli(capsys, command)
+        assert rc == 1 and out == "", command
+        assert "w must be 1" in err
 
 
 def test_cached_parser_matches_fresh_process(tmp_path, capsys, monkeypatch):

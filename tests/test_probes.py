@@ -80,7 +80,7 @@ def test_probes_registry():
 
 def test_marginal_edge_coordinate_follows_sine_curve():
     res = probe_marginal(ExperimentConfig(
-        n_list=(64,), coord=0, probe_samples=4000, seed=301))
+        n_list=(64,), coord=0, probe_samples=40_000, seed=301))
     assert res.summary["ks"] < 0.07
     assert res.summary["ks_interior"] > 0.10
     assert abs(res.summary["empirical_median"] - SIN_REFERENCE_MEDIAN) < 0.04

@@ -11,7 +11,7 @@ from conftest import site_chain_reference
 
 from bdcutoff import sampler
 from bdcutoff.dist import make_distribution
-from bdcutoff.errors import ParameterError, StallError
+from bdcutoff.errors import NotCoalescedError, ParameterError, StallError
 from bdcutoff.kernel import _bounds, check_feasibility
 from bdcutoff.sampler import (CoupledTrace, SamplerConfig, collect_window,
                               default_initial_state, greedy_max_state,
@@ -316,22 +316,24 @@ def test_replay_is_bit_identical_to_scalar_loop(monkeypatch, family, m):
 def test_site_chain_matches_per_update_reference(monkeypatch, family, m):
     dist = _sized(family, m)
     sub = sorted({0, m // 2, m - 1})
+    start = default_initial_state(dist)  # the reference's start
     for cfg in _scan_configs(dist, 10 * m):
         final, samples, counts = site_chain_reference(cfg)
         assert samples.shape == (cfg.steps // cfg.thin, m)
-        for got in _both_paths(monkeypatch, lambda: run_gibbs(cfg)):
+        for got in _both_paths(monkeypatch,
+                               lambda: run_gibbs(cfg, initial=start)):
             assert _same_bits(got.final, final)
             assert _same_bits(got.samples, samples)
             assert np.array_equal(got.update_counts, counts)
         for picked in _both_paths(
-                monkeypatch, lambda: run_gibbs(cfg, coords=sub).samples):
+                monkeypatch,
+                lambda: run_gibbs(cfg, start, coords=sub).samples):
             assert _same_bits(picked, samples[:, sub])
 
 
 def test_sweep_threshold_splits_benchmark_sizes():
-    # the 31 coordinates of an n = 32 exact-tau replicate stay on the
-    # scalar sweeps; 199 and more (probe marginal, proxy replicates) go
-    # to numpy
+    # a chain on the 31 coordinates of n = 32 stays on the scalar
+    # sweeps; 199 and more (probe marginal) go to numpy
     assert 31 < sampler._VECTOR_MIN_SITES <= 199
 
 
@@ -360,6 +362,121 @@ def test_start_sites_match_picker():
         pick = sampler._start_picker(nstarts, w)
         want = [pick(float(u)) for u in us]
         assert sampler._start_sites(us, nstarts, w).tolist() == want
+
+
+# the exact start: monotone coupling from the past
+
+def _spy_half_sweeps(monkeypatch):
+    """Record the updated sites of both bounding chains, (2, sites), after
+    every half-sweep of the exact start."""
+    seen = []
+    run = sampler._pair_half_sweep
+
+    def spy(half, rng):
+        run(half, rng)
+        seen.append(half[1].copy())
+
+    monkeypatch.setattr(sampler, "_pair_half_sweep", spy)
+    return seen
+
+
+def test_bounding_pair_stays_ordered_and_meets(monkeypatch):
+    seen = _spy_half_sweeps(monkeypatch)
+    keys = []
+    stream = sampler.substream
+    monkeypatch.setattr(sampler, "substream",
+                        lambda *key: keys.append(key) or stream(*key))
+    retried = 0
+    for dist in (make_distribution("uniform", 32),
+                 make_distribution("if", 16, a=2.0, eps=0.25),
+                 make_distribution("geometric", 9, a=3.0)):
+        first = 2 * (dist.n - 1).bit_length()  # half-sweeps of one pass
+        for seed in range(20):
+            seen.clear()
+            keys.clear()
+            draw = sampler._exact_start(dist, seed)
+            # pass p starts p + 1 blocks back and redraws block j (j = 0
+            # ends at time 0) from the same substream, earliest block first;
+            # the first block is first / 2 sweeps long and each pass
+            # doubles the depth
+            passes = int(math.log2(len(seen) // first + 1))
+            assert keys == [(seed, sampler._CFTP_KEY, j)
+                            for p in range(passes) for j in range(p, -1, -1)]
+            assert len(seen) == first * (2 ** passes - 1)
+            # half-sweeps alternate even, odd: the top chain is above the
+            # bottom one at even sites and below it at odd sites
+            for h, (top, bottom) in enumerate(seen):
+                assert np.all(top >= bottom if h % 2 == 0 else top <= bottom)
+            even, odd = seen[-2], seen[-1]
+            assert _same_bits(even[0], even[1]) and _same_bits(odd[0], odd[1])
+            assert _same_bits(draw[0::2], even[0])
+            assert _same_bits(draw[1::2], odd[0])
+            retried += len(seen) > first
+    assert retried  # passes after the first are covered
+
+
+EXACT_CASES = {
+    "uniform-3": make_distribution("uniform", 3),
+    "uniform-6": make_distribution("uniform", 6),
+    "uniform-12": make_distribution("uniform", 12),
+    "if-9": make_distribution("if", 5, a=2.0, eps=0.25),
+    "geometric-8": make_distribution("geometric", 8, a=2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_CASES))
+def test_exact_start_matches_rejection_oracle(name):
+    # 3000 draws against 3000 oracle draws: a two-sample KS test per
+    # coordinate and per diagonal entry, each at 0.01 / (features)
+    dist = EXACT_CASES[name]
+    draws = np.array([sampler._exact_start(dist, 7919 * s + len(name))
+                      for s in range(3000)])
+    for row in draws[::50]:
+        assert check_feasibility(dist, row) is None
+    ref = oracle_samples(dist, 3000, substream(61, len(name)))
+    fd, fr = _features(dist, draws), _features(dist, ref)
+    for j in range(fd.shape[1]):
+        p = stats.ks_2samp(fd[:, j], fr[:, j]).pvalue
+        assert p > 0.01 / fd.shape[1], (name, j, p)
+
+
+def test_exact_start_edge_law_on_three_states():
+    # the triangle c0 + c1 <= 1: c0 has CDF 1 - (1 - x)^2
+    draws = np.array([sampler._exact_start(UNI3, s)[0] for s in range(4000)])
+    assert stats.kstest(draws, lambda x: 1.0 - (1.0 - x) ** 2).pvalue > 0.01
+
+
+def test_exact_start_is_keyed_by_seed():
+    dist = make_distribution("if", 40, a=2.0, eps=0.25)
+    a, b = sampler._exact_start(dist, 5), sampler._exact_start(dist, 5)
+    assert _same_bits(a, b)
+    assert not np.array_equal(a, sampler._exact_start(dist, 6))
+    assert check_feasibility(dist, a) is None
+    # run_gibbs at k = 1 starts there; burnin runs scan updates after it
+    trace = run_gibbs(SamplerConfig(dist, seed=5))
+    assert _same_bits(trace.final, a) and trace.block_updates == 0
+    trace = run_gibbs(SamplerConfig(dist, burnin=300, seed=5))
+    assert _same_bits(trace.final, run_gibbs(
+        SamplerConfig(dist, burnin=300, seed=5), initial=a).final)
+
+
+def test_exact_start_depth_ceiling(monkeypatch):
+    dist = make_distribution("uniform", 32)
+    first = (dist.n - 1).bit_length()
+    want = {s: sampler._exact_start(dist, s) for s in range(12)}
+    # with room for the first pass only, a draw that needs a deeper start
+    # raises instead of going on
+    monkeypatch.setattr(sampler, "_MAX_CFTP_SWEEPS", first)
+    raised = 0
+    for seed, draw in want.items():
+        try:
+            assert _same_bits(sampler._exact_start(dist, seed), draw)
+        except NotCoalescedError:
+            raised += 1
+    assert 0 < raised < len(want)
+    monkeypatch.setattr(sampler, "_MAX_CFTP_SWEEPS", 0)
+    with pytest.raises(NotCoalescedError):
+        run_gibbs(SamplerConfig(dist, seed=1))
 
 
 # rejection oracle
