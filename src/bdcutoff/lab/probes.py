@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ParameterError
-from ..sampler import (_check_scan_weight, _start_sites, collect_window,
-                       oracle_samples, run_coupled_pair, run_gibbs,
-                       stream_fingerprint, substream)
+from ..sampler import (_check_scan_weight, _start_sites, _window_chains,
+                       collect_window, oracle_samples, run_coupled_pair,
+                       run_gibbs, stream_fingerprint, substream)
 from .config import ExperimentConfig
 
 SIN_REFERENCE_MEDIAN = 1.0 / 3.0
@@ -71,15 +71,18 @@ def _coordinate_window(cfg: ExperimentConfig, tag: int, reach: int = 0,
                        per_sweep: int = 4, exact_states: int = 0):
     """Samples of coordinates coord - reach .. coord + reach, one row
     per retained state; the one sampling path of the marginal, tail and
-    markov probes. Returns (dist, coord, values, burnin, thin).
+    markov probes. Returns (dist, coord, values, burnin, thin, chains).
 
     The law is built for n_list[0]. coord is cfg.coord, else the middle
     coordinate, and needs reach neighbours on each side. On m
     coordinates a coordinate refreshes about every m/k block updates,
     so unless cfg.probe_thin is set, retained states are spaced a
-    per_sweep-th of that apart. Up to exact_states states the rows are
-    exact rejection draws instead, with burnin = thin = 0. tag keys the
-    random stream.
+    per_sweep-th of that apart. The rows come from collect_window: at
+    k = 1 from chains = _window_chains(rows) chains started from exact
+    draws, chain by chain; at k >= 2 from one chain (chains = 1). Up to
+    exact_states states the rows are exact rejection draws instead, with
+    burnin = thin = 0 and every row its own chain. tag keys the random
+    stream.
     """
     dist = cfg.make_dist(cfg.n_list[0])
     m = dist.n - 1
@@ -91,18 +94,32 @@ def _coordinate_window(cfg: ExperimentConfig, tag: int, reach: int = 0,
     if dist.n <= exact_states:
         _check_scan_weight(cfg.k, cfg.w)
         draws = oracle_samples(dist, cfg.probe_samples, substream(cfg.seed, tag))
-        return dist, coord, draws[:, coords], 0, 0
+        return dist, coord, draws[:, coords], 0, 0, cfg.probe_samples
     thin = cfg.probe_thin or max(1, m // (per_sweep * cfg.k))
     sampler = cfg.sampler_config(
         dist, stream_fingerprint(cfg.seed, tag),
         steps=cfg.probe_samples * thin, thin=thin)
-    return dist, coord, collect_window(sampler, coords), sampler.burnin, thin
+    chains = _window_chains(cfg.probe_samples) if cfg.k == 1 else 1
+    return (dist, coord, collect_window(sampler, coords), sampler.burnin,
+            thin, chains)
 
 
 def _edge_flags(coord: int, m: int) -> list:
     if min(coord, m - 1 - coord) < _EDGE:
         return [f"coordinate {coord} is within {_EDGE} of a boundary"]
     return []
+
+
+def _chain_se(values: np.ndarray, stat) -> np.ndarray:
+    """Standard error of stat over values from its spread over
+    _window_chains(len(values)) consecutive groups, cut as collect_window
+    deals rows to chains: the groups' sample SD over the root of their
+    number; nan below two groups."""
+    per = np.array([stat(g) for g in
+                    np.array_split(values, _window_chains(len(values)))])
+    if len(per) < 2:
+        return np.full(per.shape[1:], np.nan)
+    return per.std(axis=0, ddof=1) / math.sqrt(len(per))
 
 
 def _quantile_se(sorted_vals: np.ndarray, q: float) -> float:
@@ -152,10 +169,13 @@ def probe_marginal(cfg: ExperimentConfig) -> ProbeResult:
     the table grid. ks is against the sine curve; ks_interior against
     the interior law, which is what a mid-chain coordinate actually
     follows (the sine curve matches the edge; see the reference-cdf
-    docstrings). The row se values treat the retained samples as
-    independent; ess is their batch-means effective sample size.
+    docstrings). A row's se is the spread of the empirical CDF at x over
+    _window_chains(samples) consecutive groups of rows, over the root of
+    their number: at k = 1 the groups are the window's independent
+    chains, at k >= 2 batches of its one chain. ess is the batch-means
+    effective sample size of the rows.
     """
-    dist, coord, vals, budget, thin = _coordinate_window(cfg, 3)
+    dist, coord, vals, budget, thin, chains = _coordinate_window(cfg, 3)
     flags = _edge_flags(coord, dist.n - 1)
     ess = batch_means_ess(vals[:, 0])
     samples = np.sort(vals[:, 0])
@@ -164,18 +184,21 @@ def probe_marginal(cfg: ExperimentConfig) -> ProbeResult:
     ks = _ks_against(samples, sin_reference_cdf)
     ks_interior = _ks_against(samples, interior_reference_cdf)
 
+    grid = np.linspace(0.05, 1.0, 20)
+    ses = _chain_se(vals[:, 0], lambda g: np.searchsorted(
+        np.sort(g), grid, side="right") / g.size)
     rows = []
-    for x in np.linspace(0.05, 1.0, 20):
+    for x, se in zip(grid, ses):
         r = float(sin_reference_cdf(x))
         emp = float(np.searchsorted(samples, x, side="right")) / count
         rows.append({
             "x": round(float(x), 10), "empirical": emp, "reference": r,
             "reference_interior": float(interior_reference_cdf(x)),
-            "abs_gap": abs(emp - r),
-            "se": math.sqrt(r * (1.0 - r) / count), "count": count})
+            "abs_gap": abs(emp - r), "se": float(se), "count": count})
     summary = {
-        "n": dist.n, "coord": coord, "samples": count, "ess": ess,
-        "burnin": budget, "thin": thin, "ks": ks, "ks_interior": ks_interior,
+        "n": dist.n, "coord": coord, "samples": count, "chains": chains,
+        "ess": ess, "burnin": budget, "thin": thin, "ks": ks,
+        "ks_interior": ks_interior,
         "empirical_median": float(np.quantile(samples, 0.5)),
         "reference_median": SIN_REFERENCE_MEDIAN}
     return ProbeResult(
@@ -188,25 +211,30 @@ def probe_tail(cfg: ExperimentConfig) -> ProbeResult:
 
     f should be nondecreasing and bounded by 16 times the coordinate
     cap. For flat mass its large-x limit is the marginal density at 0:
-    pi/2 at the edge coordinate, 2 at interior coordinates. The se
-    values treat the retained samples as independent; ess is their
-    batch-means effective sample size.
+    pi/2 at the edge coordinate, 2 at interior coordinates. A row's se
+    is x times the spread of P[c < 1/x] over _window_chains(samples)
+    consecutive groups of rows, over the root of their number (the
+    groups as in probe_marginal), and the monotonicity and cap checks
+    allow 3 of it; a nan se, below two groups, flags nothing. ess is
+    the batch-means effective sample size of the rows.
     """
     grid = sorted(float(x) for x in cfg.tail_grid)
     if not grid or grid[0] <= 0:
         raise ParameterError("tail grid must be positive")
-    dist, coord, vals, budget, thin = _coordinate_window(cfg, 4)
+    dist, coord, vals, budget, thin, chains = _coordinate_window(cfg, 4)
     flags = _edge_flags(coord, dist.n - 1)
     samples = vals[:, 0]
     count = len(samples)
     bound = 16.0 * float(dist.caps[coord])
+    xs = np.asarray(grid)
+    cuts = 1.0 / xs
+    ses = xs * _chain_se(samples, lambda g: np.mean(g[:, None] < cuts, axis=0))
     rows = []
-    for x in grid:
+    for x, se in zip(grid, ses.tolist()):
         p = float(np.mean(samples < 1.0 / x))
-        se = x * math.sqrt(p * (1.0 - p) / count)
         rows.append({"x": x, "prob": p, "f": x * p, "se": se,
                      "count": count, "bound": bound,
-                     "bound_ok": x * p <= bound + 3.0 * se,
+                     "bound_ok": not x * p > bound + 3.0 * se,
                      "monotone_ok": True})
     for prev, row in zip(rows, rows[1:]):
         slack = 3.0 * math.hypot(prev["se"], row["se"])
@@ -219,7 +247,7 @@ def probe_tail(cfg: ExperimentConfig) -> ProbeResult:
     if bound_violations:
         flags.append(f"{bound_violations} cap-bound violations over 3 SE")
     summary = {
-        "n": dist.n, "coord": coord, "samples": count,
+        "n": dist.n, "coord": coord, "samples": count, "chains": chains,
         "ess": batch_means_ess(samples), "burnin": budget, "thin": thin,
         "f_last": rows[-1]["f"], "x_last": rows[-1]["x"],
         "limit_target": math.pi / 2.0, "limit_target_interior": 2.0,
@@ -291,7 +319,7 @@ def probe_markov(cfg: ExperimentConfig) -> ProbeResult:
     # autocorrelation, so default to a full sweep per retained sample
     # rather than the quarter sweep the scalar probes use; up to 12
     # states the draws are exact
-    dist, coord, trio, budget, thin = _coordinate_window(
+    dist, coord, trio, budget, thin, chains = _coordinate_window(
         cfg, 5, reach=1, per_sweep=1, exact_states=12)
     count = cfg.probe_samples
     left, mid, right = trio[:, 0], trio[:, 1], trio[:, 2]
@@ -318,8 +346,8 @@ def probe_markov(cfg: ExperimentConfig) -> ProbeResult:
         flags.append(f"{excluded} bins excluded below {min_count} samples")
     summary = {
         "n": dist.n, "coord": coord, "samples": count,
-        "sampler": "gibbs" if thin else "oracle", "burnin": budget,
-        "thin": thin,
+        "sampler": "gibbs" if thin else "oracle", "chains": chains,
+        "burnin": budget, "thin": thin,
         "bins": len(rows), "max_abs_rho": max_abs,
         "control_max_abs_rho": control_max,
         "adjacent_corr": _pearson(mid, right), "excluded_bins": excluded}
@@ -406,14 +434,14 @@ def probe_levy_sum(cfg: ExperimentConfig) -> ProbeResult:
         rows=rows, flags=tuple(flags))
 
 
-def _coverage_miss(counts: np.ndarray, k: int, m: int) -> bool:
-    """True when some coordinate was touched by no chosen block."""
-    if k == 1:
-        return bool(np.any(counts == 0))
-    covered = np.zeros(m, dtype=bool)
-    for s in np.nonzero(counts)[0]:
-        covered[s:s + k] = True
-    return not covered.all()
+def _coverage_misses(starts: np.ndarray, k: int, m: int) -> int:
+    """Runs (rows of block starts) that leave some of the m coordinates
+    in no block s..s+k-1."""
+    covered = np.zeros((starts.shape[0], m), dtype=bool)
+    runs = np.arange(starts.shape[0])[:, None]
+    for t in range(k):
+        covered[runs, starts + t] = True
+    return int(np.count_nonzero(~covered.all(axis=1)))
 
 
 def probe_contraction(cfg: ExperimentConfig) -> ProbeResult:
@@ -422,8 +450,10 @@ def probe_contraction(cfg: ExperimentConfig) -> ProbeResult:
     Per n: coalescence-time statistics over cfg.reps coupled runs
     (censored at 80 n ln n updates), plus a coupon-collector check that
     the fraction of runs of t = n(ln n - c)/k random block picks that
-    leave a coordinate untouched matches the classical limit law. At
-    k >= 2 the picks are those of a single chain's run.
+    leave a coordinate untouched matches the classical limit law. A
+    chain's block starts are i.i.d. draws of the start picker (endpoints
+    weighted by w) whatever its state, so the picks are drawn straight
+    from one stream per n, run by run, and no chain runs.
     """
     results = []
     flags = []
@@ -458,20 +488,13 @@ def probe_contraction(cfg: ExperimentConfig) -> ProbeResult:
         if censored:
             flags.append(f"n={dist.n}: {censored} runs hit the horizon")
 
+        picks = substream(cfg.seed, 13, dist.n)
+        per = max(1, (1 << 16) // t_coupon)  # runs per draw
         misses = 0
-        for r in range(cfg.coupon_runs):
-            seed = int(stream_fingerprint(cfg.seed, 13, dist.n, r))
-            if cfg.k == 1:
-                # coverage needs only the sites picked, not a chain: t
-                # picks from every other uniform of the run's stream,
-                # endpoints weighted by w
-                us = substream(seed).random(2 * t_coupon)[0::2]
-                counts = np.bincount(_start_sites(us, m, cfg.w), minlength=m)
-            else:
-                counts = run_gibbs(cfg.sampler_config(
-                    dist, seed, burnin=t_coupon)).update_counts
-            if _coverage_miss(counts, cfg.k, m):
-                misses += 1
+        for r in range(0, cfg.coupon_runs, per):
+            us = picks.random((min(per, cfg.coupon_runs - r), t_coupon))
+            misses += _coverage_misses(
+                _start_sites(us, m - cfg.k + 1, cfg.w), cfg.k, m)
         frac = misses / cfg.coupon_runs
         coupon_se = math.sqrt(max(frac * (1.0 - frac), 1e-12)
                               / cfg.coupon_runs)

@@ -10,7 +10,9 @@ conditionally independent given the others, and on _VECTOR_MIN_SITES or
 more coordinates a half-sweep is one numpy expression, with results
 bit-identical to the site-by-site loop. The scan starts from an exact
 draw (monotone coupling from the past on the same half-sweeps), so it
-needs no burn-in. For k >= 2 each update picks a block start (endpoints
+needs no burn-in. A k = 1 window (collect_window) runs independent
+chains from independent exact draws on a leading chain axis of the same
+half-sweeps. For k >= 2 each update picks a block start (endpoints
 reweighted by w) and rejection-samples the block from the product of
 per-site boxes [0, min(1, ratio)].
 
@@ -39,6 +41,11 @@ _VECTOR_MIN_SITES = 76
 _BATCH = 1 << 14
 _CFTP_KEY = 0x43465450  # "CFTP", the exact start's substream tag
 _MAX_CFTP_SWEEPS = 1 << 16  # its deepest start; 4095 states needed <= 24
+# chains behind a k = 1 window (collect_window): at 200 states (2 vCPUs)
+# 32 chains took 18 ns per site update on a 200 000-row window, against
+# 21 at 16 and 19 at 64, and as long as 16 on a 10 000-row one, where
+# 64 took a third longer (one exact start costs about 0.25 ms there)
+_WINDOW_CHAINS = 32
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -155,7 +162,7 @@ def _start_sites(us: np.ndarray, nstarts: int, w: float) -> np.ndarray:
     """_start_picker applied to an array of uniforms, with the same
     float operations, so both give the same starts."""
     if nstarts == 1:
-        return np.zeros(us.size, dtype=np.intp)
+        return np.zeros(us.shape, dtype=np.intp)
     tot = (nstarts - 2) + 2.0 * w
     w2 = 2.0 * w
     last = nstarts - 1
@@ -208,18 +215,18 @@ def run_gibbs(config: SamplerConfig, initial=None, coords=None) -> GibbsTrace:
     initial = np.asarray(initial, dtype=float)
     if initial.shape != (m,):
         raise ParameterError(f"initial state has length {initial.size}, expected {m}")
-    keep = np.arange(m) if coords is None else np.asarray(coords, dtype=np.intp)
-    if keep.ndim != 1 or np.any((keep < 0) | (keep >= m)):
-        raise ParameterError(
-            f"coords must be a list of coordinates in [0, {m - 1}]")
+    if not np.all(np.isfinite(initial)):
+        raise ParameterError("initial state must be finite")
+    keep = _kept(coords, m)
 
     rng = substream(config.seed)
     total = config.burnin + config.steps
     store = np.empty((config.steps // config.thin, keep.size))
 
     if config.k == 1:
-        final, counts = _run_scan(dist, initial, total, config, rng, store,
-                                  keep)
+        final, counts = _run_scan(dist, initial[None], total, config, rng,
+                                  store[None], keep)
+        final = final[0]
         tries = total  # one proposal per update
     else:
         burnin, thin = config.burnin, config.thin
@@ -242,6 +249,15 @@ def run_gibbs(config: SamplerConfig, initial=None, coords=None) -> GibbsTrace:
                       block_updates=total, block_tries=tries, final=final)
 
 
+def _kept(coords, m: int) -> np.ndarray:
+    """coords as an index array (default: all m coordinates), checked."""
+    keep = np.arange(m) if coords is None else np.asarray(coords, dtype=np.intp)
+    if keep.ndim != 1 or np.any((keep < 0) | (keep >= m)):
+        raise ParameterError(
+            f"coords must be a list of coordinates in [0, {m - 1}]")
+    return keep
+
+
 def _check_scan_weight(k: int, w: float) -> None:
     """Reject w != 1 at k = 1, where no block start is drawn to weight."""
     if k == 1 and w != 1.0:
@@ -250,27 +266,32 @@ def _check_scan_weight(k: int, w: float) -> None:
             f"weight w to weight; w must be 1, got {w}")
 
 
-def _exact_start(dist, seed):
+def _exact_start(dist, seed, lead=()):
     """An exact uniform draw by monotone coupling from the past (Propp &
     Wilson 1996): the heat bath is monotone in the order "even sites <=,
     odd >=", and a site takes p = u1 * cap if p <= hi, else u2 * hi
     (uniform on [0, hi]), so the pair from the order's extremes meets
     where p is below both bounds. The start is m.bit_length() sweeps back
     and doubles per retry; block j of sweeps (block 0 ends at time 0)
-    redraws substream(seed, _CFTP_KEY, j) on every pass."""
+    redraws substream(seed, _CFTP_KEY, j) on every pass.
+
+    lead = (R,) gives R independent draws as an (R, m) array: R pairs on
+    one schedule, which retries until every pair has met. That is still
+    exact, as a pair that met from some depth gives the same time-0 state
+    from every deeper start."""
     m, caps, rat = dist.n - 1, dist.caps, dist.ratios
-    pair = np.zeros((2, m + 2))  # [0 | top | 0] over [0 | bottom | 0]
+    pair = np.zeros((2, *lead, m + 2))  # [0 | top | 0] over [0 | bottom | 0]
     halves = _halves(pair, m, np.r_[0.0, 1.0 / rat[:-1]], rat, caps)
     blocks = [m.bit_length()]  # sweeps per block, block 0 first
     while sum(blocks) <= _MAX_CFTP_SWEEPS:
         pair[:] = 0.0
-        pair[0, 1:-1:2], pair[1, 2:-1:2] = caps[0::2], caps[1::2]
+        pair[0, ..., 1:-1:2], pair[1, ..., 2:-1:2] = caps[0::2], caps[1::2]
         for j in reversed(range(len(blocks))):
             rng = substream(seed, _CFTP_KEY, j)
             for half in halves * blocks[j]:  # even, odd, even, ...
                 _pair_half_sweep(half, rng)
         if pair[0].tobytes() == pair[1].tobytes():
-            return pair[0, 1:-1].copy()
+            return pair[0, ..., 1:-1].copy()
         blocks.append(sum(blocks))
     raise NotCoalescedError(f"no meeting from {_MAX_CFTP_SWEEPS} sweeps back")
 
@@ -278,7 +299,7 @@ def _exact_start(dist, seed):
 def _pair_half_sweep(half, rng):
     """Both bounding chains' half-sweep on two shared uniforms per site."""
     left_nb, target, right_nb, rl, rr, cap = half
-    u1, u2 = rng.random((2, cap.size))
+    u1, u2 = rng.random((2, *target.shape[1:]))
     hi, p = _upper(left_nb, right_nb, rl, rr), u1 * cap
     target[...] = np.where(p <= hi, p, u2 * hi)
 
@@ -291,113 +312,122 @@ def _halves(xp, m, *per_site):
 
 
 def _upper(left_nb, right_nb, rl, rr):
-    """Interval ends, "left if left < right else right" clipped at 0."""
-    left = 1.0 - rl * left_nb
-    right = rr * (1.0 - right_nb)
-    hi = np.where(left < right, left, right)
+    """Interval ends, the smaller of left and right clipped at 0. On
+    finite states neither end is nan or -0.0 (left is 1.0 minus a finite
+    value, right a positive ratio times one), so np.minimum picks what
+    "left if left < right else right" picks, bit for bit."""
+    left = rl * left_nb
+    np.subtract(1.0, left, out=left)
+    right = np.subtract(1.0, right_nb)
+    right *= rr
+    hi = np.minimum(left, right, out=left)
     return np.maximum(hi, 0.0, out=hi)
 
 
 def _run_scan(dist, x, total, config, rng, store, keep):
-    """The k = 1 chain from x for total updates; returns the final state
-    and the update count of each site.
+    """The k = 1 chains from the rows of x, total updates each; returns
+    their final states and the update count of each site.
 
     Each sweep updates the even sites in ascending order, then the odd
     ones, so a run of total updates ends inside a sweep unless m divides
-    it. Uniforms come from rng a whole number of sweeps at a time, up to
-    _BATCH per chunk. Row r of store gets the coordinates keep after
-    update burnin + (r+1)*thin: each kept site's value from the row's
-    sweep if the site came up at or before that update, else from the
-    sweep before, both read from a per-sweep history of the kept sites.
+    it. Each chunk draws (chains, whole sweeps) uniforms from rng, up to
+    _BATCH in all, and chain j takes row j. store[j, r] gets chain j's
+    coordinates keep after update burnin + (r+1)*thin: each kept site's
+    value from the row's sweep if the site came up at or before that
+    update, else from the sweep before, both read from a per-sweep
+    history of the kept sites.
     """
-    m = dist.n - 1
+    chains, m = x.shape
     rat = np.asarray(dist.ratios, dtype=float)
     recl = np.r_[0.0, 1.0 / rat[:-1]]  # 1/r[i-1]; times the pad at i = 0
     order = np.r_[0:m:2, 1:m:2]
     place = np.empty(m, dtype=np.intp)  # each site's place in a sweep
     place[order] = np.arange(m)
     # [0 | x | 0]: site i sits at i + 1, between its two neighbours
-    xp = np.zeros(m + 2)
-    xp[1:-1] = x
+    xp = np.zeros((chains, m + 2))
+    xp[:, 1:-1] = x
     slot = keep + 1
-    sweeps = _scalar_sweeps if m < _VECTOR_MIN_SITES else _vector_sweeps
-    per = max(1, _BATCH // m)
-    hist = np.empty((per + 1, keep.size))
+    sweeps = (_scalar_sweeps if chains * m < _VECTOR_MIN_SITES
+              else _vector_sweeps)
+    per = max(1, _BATCH // (chains * m))
+    hist = np.empty((chains, per + 1, keep.size))
     thin = config.thin
     next_keep = config.burnin + thin - 1  # 0-based update of the next row
     row = 0
     for a in range(0, total, per * m):
-        us = rng.random(min(per * m, total - a))
-        if next_keep >= a + us.size:  # no row in this chunk
+        us = rng.random((chains, min(per * m, total - a)))
+        if next_keep >= a + us.shape[1]:  # no row in this chunk
             sweeps(xp, us, rat, recl, order, slot, None)
             continue
-        hist[0] = xp[slot]
+        hist[:, 0] = xp.take(slot, axis=1)
         sweeps(xp, us, rat, recl, order, slot, hist)
-        stops = np.arange(next_keep - a, us.size, thin)
-        _rows_from_history(store[row:row + stops.size], hist, stops,
+        stops = np.arange(next_keep - a, us.shape[1], thin)
+        _rows_from_history(store[:, row:row + stops.size], hist, stops,
                            place[keep], m)
         row += stops.size
         next_keep += stops.size * thin
     counts = np.full(m, total // m)
     counts[order[:total % m]] += 1
-    return xp[1:-1].copy(), counts
+    return xp[:, 1:-1].copy(), counts
 
 
 def _rows_from_history(out, hist, stops, keep_place, m):
-    """out[r] = the kept values after update stops[r] of a chunk, counted
-    from 0 at the chunk's start: a site whose place in that update's sweep
-    q is at most the update's own takes hist[q + 1], the values after
-    sweep q; the others still hold hist[q]. About 2**16 values at a time.
+    """out[:, r] = the kept values after update stops[r] of a chunk,
+    counted from 0 at the chunk's start: a site whose place in that
+    update's sweep q is at most the update's own takes hist[:, q + 1],
+    the values after sweep q; the others still hold hist[:, q]. About
+    2**16 values at a time.
     """
-    per = max(1, (1 << 16) // max(1, keep_place.size))
+    per = max(1, (1 << 16) // max(1, out.shape[0] * keep_place.size))
     for r in range(0, stops.size, per):
         q, p = np.divmod(stops[r:r + per], m)
         newer = keep_place <= p[:, None]
-        out[r:r + per] = np.where(newer, hist[q + 1], hist[q])
+        out[:, r:r + per] = np.where(newer, hist[:, q + 1], hist[:, q])
 
 
 def _scalar_sweeps(xp, us, rat, recl, order, slot, hist):
-    """Apply the updates us to the padded state xp one site at a time,
-    in sweep order; with hist, hist[q + 1] gets xp[slot] after sweep q
-    (the last sweep may be partial)."""
-    c = xp.tolist()
+    """Apply the updates us[j] to the padded state xp[j] of each chain j
+    one site at a time, in sweep order; with hist, hist[j, q + 1] gets
+    xp[j, slot] after sweep q (the last sweep may be partial)."""
     m = order.size
     sites = list(zip(order.tolist(), recl[order].tolist(),
                      rat[order].tolist()))
     idx = slot.tolist()
-    us = us.tolist()
-    for q, a in enumerate(range(0, len(us), m)):
-        for (i, rl, rr), u in zip(sites, us[a:a + m]):
-            left = 1.0 - rl * c[i]
-            right = rr * (1.0 - c[i + 2])
-            hi = left if left < right else right
-            if hi < 0.0:
-                hi = 0.0
-            c[i + 1] = u * hi
-        if hist is not None:
-            hist[q + 1] = [c[j] for j in idx]
-    xp[:] = c
+    for j, (c, uj) in enumerate(zip(xp.tolist(), us.tolist())):
+        for q, a in enumerate(range(0, len(uj), m)):
+            for (i, rl, rr), u in zip(sites, uj[a:a + m]):
+                left = 1.0 - rl * c[i]
+                right = rr * (1.0 - c[i + 2])
+                hi = left if left < right else right
+                if hi < 0.0:
+                    hi = 0.0
+                c[i + 1] = u * hi
+            if hist is not None:
+                hist[j, q + 1] = [c[s] for s in idx]
+        xp[j] = c
 
 
 def _vector_sweeps(xp, us, rat, recl, order, slot, hist):
-    """_scalar_sweeps a half-sweep at a time. Each even site reads only
-    odd neighbours and vice versa, so the sites of one parity are
-    conditionally independent and one numpy expression updates them all,
-    with the scalar loop's float operations at each site."""
+    """_scalar_sweeps a half-sweep at a time over all chains. Each even
+    site reads only odd neighbours and vice versa, so the sites of one
+    parity are conditionally independent and one numpy expression
+    updates them all, with the scalar loop's float operations at each
+    site."""
     m = order.size
     halves = _halves(xp, m, recl, rat)
     ne = halves[0][3].size
-    for q, a in enumerate(range(0, us.size, m)):
-        u = us[a:a + m]
+    for q, a in enumerate(range(0, us.shape[1], m)):
+        u = us[:, a:a + m]
         for (left_nb, target, right_nb, rl, rr), v in zip(
-                halves, (u[:ne], u[ne:])):
-            k = v.size
+                halves, (u[:, :ne], u[:, ne:])):
+            k = v.shape[1]
             if k < rl.size:  # the partial last sweep
                 left_nb, target, right_nb, rl, rr = (
-                    left_nb[:k], target[:k], right_nb[:k], rl[:k], rr[:k])
+                    left_nb[:, :k], target[:, :k], right_nb[:, :k],
+                    rl[:k], rr[:k])
             np.multiply(_upper(left_nb, right_nb, rl, rr), v, out=target)
         if hist is not None:
-            hist[q + 1] = xp[slot]
+            hist[:, q + 1] = xp.take(slot, axis=1)
 
 
 def _run_block(dist, chains, total, config, rng, step):
@@ -437,12 +467,38 @@ def _run_block(dist, chains, total, config, rng, step):
             return
 
 
-def collect_window(config: SamplerConfig, coords, initial=None) -> np.ndarray:
-    """Retained values of selected coordinates from one Gibbs run.
+def _window_chains(rows: int) -> int:
+    """Chains behind a k = 1 window of rows rows: _WINDOW_CHAINS, or one
+    a row when there are fewer rows, so that no chain is empty."""
+    return max(1, min(_WINDOW_CHAINS, rows))
 
-    One row per retained state: config.steps // config.thin rows.
+
+def collect_window(config: SamplerConfig, coords, initial=None) -> np.ndarray:
+    """Retained values of selected coordinates: config.steps //
+    config.thin rows.
+
+    At k = 1 with no initial, R = _window_chains(rows) independent chains
+    run in one numpy scan, each from its own exact draw, so every row is
+    stationary. The rows come chain by chain, in the runs that
+    np.array_split(rows, R) cuts: chain j gives rows // R rows, one more
+    when j < rows % R. burnin and thin count one chain's site updates.
+    Else the rows are those of run_gibbs(config, initial, coords).
     """
-    return run_gibbs(config, initial, coords).samples
+    if config.k != 1 or initial is not None:
+        return run_gibbs(config, initial, coords).samples
+    dist = config.dist
+    _check_scan_weight(config.k, config.w)
+    keep = _kept(coords, dist.n - 1)
+    rows = config.steps // config.thin
+    chains = _window_chains(rows)
+    longest = -(-rows // chains)
+    store = np.empty((chains, longest, keep.size))
+    if rows:
+        _run_scan(dist, _exact_start(dist, config.seed, (chains,)),
+                  config.burnin + longest * config.thin, config,
+                  substream(config.seed), store, keep)
+    return np.concatenate([store[j, :rows // chains + (j < rows % chains)]
+                           for j in range(chains)])
 
 
 def oracle_samples(dist: StationaryDist, count: int,
@@ -459,7 +515,10 @@ def oracle_samples(dist: StationaryDist, count: int,
     got = 0
     while got < count:
         c = rng.random((batch, m)) * caps
-        acc = c[np.all(c <= _bounds(dist, c), axis=1)]
+        # np.all(axis=1) reduces along rows of m flags, about 7x slower
+        # than and-ing the rows of the transposed copy
+        ok = np.ascontiguousarray((c <= _bounds(dist, c)).T)
+        acc = c[np.logical_and.reduce(ok)]
         take = min(count - got, acc.shape[0])
         out[got:got + take] = acc[:take]
         got += take

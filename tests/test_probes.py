@@ -13,13 +13,15 @@ from bdcutoff.dist import make_distribution
 from bdcutoff.errors import ParameterError
 from bdcutoff.lab.config import ExperimentConfig
 from bdcutoff.lab.probes import (PROBES, SIN_REFERENCE_MEDIAN,
-                                 _ks_statistic, batch_means_ess,
+                                 _coverage_misses, _ks_statistic,
+                                 batch_means_ess,
                                  coupon_miss_reference, half_interval_rows,
                                  interior_reference_cdf, probe_contraction,
                                  probe_levy_sum, probe_marginal,
                                  probe_markov, probe_tail,
                                  sin_reference_cdf, small_value_rows,
                                  uniform_domination_rows)
+from bdcutoff import sampler
 from bdcutoff.sampler import oracle_samples, substream
 
 
@@ -156,6 +158,39 @@ def test_probe_ess_reflects_autocorrelation():
         assert 0.0 < summary["ess"] < 0.5 * summary["samples"]
 
 
+def test_probe_se_matches_seed_to_seed_spread():
+    # n = 200, coordinate 0: the reported se of f(20) against the spread
+    # of f(20) itself over 96 seeds. The sample SD of s seeds is off by
+    # about 1/sqrt(2(s - 1)): 15% at 24 seeds, where blocks of 24 seeds
+    # gave ratios of 0.76-1.21 (0.985 over 240), and 7% at 96, so that
+    # the 20% band is about 3 of its errors wide
+    f, se = [], []
+    for seed in range(96):
+        row = probe_tail(ExperimentConfig(
+            n_list=(200,), coord=0, seed=seed)).rows[-1]
+        assert row["x"] == 20.0
+        f.append(row["f"])
+        se.append(row["se"])
+    ratio = float(np.mean(se)) / float(np.std(f, ddof=1))
+    assert 0.8 <= ratio <= 1.2, ratio
+
+
+@pytest.mark.parametrize("samples", [1, sampler._WINDOW_CHAINS - 1])
+def test_probes_run_with_fewer_rows_than_chains(samples):
+    # one chain a row, none empty; se is nan below two chains
+    cfg = ExperimentConfig(n_list=(64,), probe_samples=samples, seed=307)
+    for probe in (probe_marginal, probe_tail, probe_markov):
+        res = probe(cfg)
+        assert res.summary["samples"] == samples
+        assert res.summary["chains"] == samples
+    for probe in (probe_marginal, probe_tail):
+        ses = [r["se"] for r in probe(cfg).rows]
+        assert all(math.isnan(v) for v in ses) == (samples == 1)
+        assert all(v >= 0.0 for v in ses if not math.isnan(v))
+    # a nan se flags no cap or monotonicity violation
+    assert probe_tail(cfg).summary["bound_violations"] == 0
+
+
 def test_tail_grid_validation():
     with pytest.raises(ParameterError):
         probe_tail(ExperimentConfig(n_list=(64,), tail_grid=()))
@@ -223,6 +258,25 @@ def test_contraction_scaling_and_coverage():
         assert 0.3 <= row["normalized"] <= 5.0
         assert abs(row["coupon_fraction"] - row["coupon_expected"]) < 0.11
     assert res.flags == ()
+
+
+def test_coverage_misses_count_uncovered_runs():
+    # 4 coordinates, blocks of 2 (starts 0..2): a run misses when some
+    # coordinate is in no block s..s+1
+    starts = np.array([[0, 2], [1, 1], [0, 0], [2, 0]])
+    assert _coverage_misses(starts, 2, 4) == 2
+    assert _coverage_misses(np.array([[0, 1, 2], [2, 0, 0]]), 1, 3) == 1
+
+
+def test_contraction_coverage_from_picks_at_k2():
+    # k = 2 on 31 coordinates: the coupon miss fraction against its limit
+    # 1 - exp(-e) = 0.934 at c = 1 (finite n sits a little below it)
+    res = probe_contraction(ExperimentConfig(
+        n_list=(32,), k=2, reps=2, coupon_runs=4000, seed=78))
+    row = res.rows[0]
+    assert row["coupon_T"] == 39
+    assert abs(row["coupon_fraction"] - row["coupon_expected"]) < 0.03
+    assert row["coupon_se"] < 0.005
 
 
 UNI8 = make_distribution("uniform", 8)

@@ -229,6 +229,8 @@ def test_sampler_config_validation():
         SamplerConfig(dist=UNI3, thin=0)
     with pytest.raises(ParameterError):
         run_gibbs(SamplerConfig(dist=UNI3), initial=np.zeros(5))
+    with pytest.raises(ParameterError, match="finite"):
+        run_gibbs(SamplerConfig(dist=UNI3), initial=[np.nan, 0.0])
 
 
 def test_default_states_are_feasible():
@@ -352,6 +354,115 @@ def test_replay_window_and_start_match_scalar_loop(monkeypatch):
             cfg, [0, 99, 198], initial=start)[1])
 
 
+class _Recorder:
+    """A generator that keeps what it draws."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, []
+
+    def random(self, shape):
+        out = self.rng.random(shape)
+        self.draws.append(out)
+        return out
+
+
+class _Replay:
+    """Stands in for a generator: hands out given uniforms in order."""
+
+    def __init__(self, us):
+        self.us, self.at = us, 0
+
+    def random(self, shape):
+        size = int(np.prod(shape))
+        self.at += size
+        return self.us[self.at - size:self.at].reshape(shape)
+
+
+@pytest.mark.parametrize("family,m", [("uniform", 2), ("geometric", 31),
+                                      ("uniform", 199)])
+def test_window_chains_replay_single_chain_scans(monkeypatch, family, m):
+    # chain j of a k = 1 window is the single-chain scan from its exact
+    # start on row j of each chunk the window draws; rows % R != 0, so
+    # the first chains give one row more
+    dist = _sized(family, m)
+    chains = sampler._WINDOW_CHAINS
+    cfg = SamplerConfig(dist, burnin=37, steps=(5 * chains + 3) * 7, thin=7,
+                        seed=m)
+    rows = cfg.steps // cfg.thin
+    sub = sorted({0, m // 2, m - 1})
+    starts = sampler._exact_start(dist, cfg.seed, (chains,))
+    stream = sampler.substream
+    scan = []
+
+    def spy(*key):
+        rng = stream(*key)
+        if key == (cfg.seed,):  # the scan's stream, not an exact start's
+            scan.append(_Recorder(rng))
+            return scan[-1]
+        return rng
+
+    for threshold in (1 << 62, 1):  # scalar, then numpy sweeps
+        monkeypatch.setattr(sampler, "_VECTOR_MIN_SITES", threshold)
+        scan.clear()
+        monkeypatch.setattr(sampler, "substream", spy)
+        window = collect_window(cfg, sub)
+        assert window.shape == (rows, len(sub))
+        uniforms = np.concatenate(scan[0].draws, axis=1)
+        assert uniforms.shape[0] == chains
+        at = 0
+        for j in range(chains):
+            got = rows // chains + (j < rows % chains)
+            monkeypatch.setattr(sampler, "substream",
+                                lambda *key: _Replay(uniforms[j]))
+            one = run_gibbs(SamplerConfig(
+                dist, burnin=cfg.burnin, steps=got * cfg.thin, thin=cfg.thin,
+                seed=cfg.seed), initial=starts[j], coords=sub)
+            assert _same_bits(window[at:at + got], one.samples)
+            at += got
+        assert at == rows
+    monkeypatch.setattr(sampler, "substream", stream)
+
+
+@pytest.mark.parametrize("name", ["uniform-3", "uniform-6", "uniform-12",
+                                  "if-9"])
+def test_window_chain_rows_match_rejection_oracle(name):
+    # one row per chain, a sweep after its exact start: 100 windows of R
+    # independent rows against as many oracle draws, a two-sample KS
+    # test per coordinate and per diagonal entry at 0.01 / (features)
+    dist = EXACT_CASES[name]
+    m = dist.n - 1
+    chains = sampler._WINDOW_CHAINS
+    draws = np.concatenate([collect_window(SamplerConfig(
+        dist, steps=chains * m, thin=m, seed=811 * s + m), None)
+        for s in range(100)])
+    ref = oracle_samples(dist, len(draws), substream(62, m))
+    fd, fr = _features(dist, draws), _features(dist, ref)
+    for j in range(fd.shape[1]):
+        p = stats.ks_2samp(fd[:, j], fr[:, j]).pvalue
+        assert p > 0.01 / fd.shape[1], (name, j, p)
+
+
+def test_window_chain_counts():
+    # no empty chain below R rows; burnin and thin count one chain's
+    # updates, so each chain keeps every thin-th state after its burnin
+    chains = sampler._WINDOW_CHAINS
+    assert [sampler._window_chains(r) for r in (0, 1, chains - 1, chains,
+                                               10 * chains)] == \
+        [1, 1, chains - 1, chains, chains]
+    dist = make_distribution("uniform", 40)
+    for rows in (0, 1, chains - 1, chains + 1):
+        cfg = SamplerConfig(dist, burnin=5, steps=rows * 3 + 2, thin=3,
+                            seed=rows)
+        vals = collect_window(cfg, [0, 38])
+        assert vals.shape == (rows, 2)
+        for row in vals:
+            assert 0.0 <= row[0] <= 1.0 and 0.0 <= row[1] <= 1.0
+    with pytest.raises(ParameterError, match="coords"):
+        collect_window(SamplerConfig(dist, steps=4), [39])
+    with pytest.raises(ParameterError, match="w must be 1"):
+        collect_window(SamplerConfig(dist, w=2.0, steps=4), [0])
+
+
 def test_start_sites_match_picker():
     edge = np.nextafter(1.0, 0.0)
     us = np.concatenate(([0.0, edge], substream(2).random(2000)))
@@ -458,6 +569,20 @@ def test_exact_start_is_keyed_by_seed():
     trace = run_gibbs(SamplerConfig(dist, burnin=300, seed=5))
     assert _same_bits(trace.final, run_gibbs(
         SamplerConfig(dist, burnin=300, seed=5), initial=a).final)
+
+
+def test_exact_start_chain_axis():
+    # one chain on a leading axis draws the bits of the plain draw; R
+    # chains give R distinct feasible draws
+    dist = make_distribution("geometric", 30, a=1.5)
+    for seed in range(5):
+        assert _same_bits(sampler._exact_start(dist, seed, (1,))[0],
+                          sampler._exact_start(dist, seed))
+    draws = sampler._exact_start(dist, 3, (8,))
+    assert draws.shape == (8, 29)
+    assert len({row.tobytes() for row in draws}) == 8
+    for row in draws:
+        assert check_feasibility(dist, row) is None
 
 
 def test_exact_start_depth_ceiling(monkeypatch):
