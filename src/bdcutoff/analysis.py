@@ -20,9 +20,12 @@ EXACT_TAU_LIMIT = 512       # above this the hitting proxy stands in for tau
 DEFAULT_HORIZON = 10_000_000
 # exact tau's stepping buffer, in float64 entries: 512 KB stays in cache
 # (uniform 256 steps 13% faster than with 2 MB), and the allocator leaves
-# less of it resident between calls
+# less of it resident between calls; also the cap on one spectral product
 _BLOCK_ENTRIES = 1 << 16
 _MIN_BLOCK = 32             # steps in its first block
+# spectral tau's first product: steps either side of the estimated crossing
+_WINDOW = 25
+_SCAN = 63                  # points per product once a crossing is bracketed
 
 
 def _first_cut(kernel: BDKernel):
@@ -285,14 +288,25 @@ def _spectral_crossing_times(kernel: BDKernel, starts, levels, horizon: int):
     where that equality is not assured, and the caller steps instead.
 
     With the unit eigenpair dropped, the law at t from s less pi is
-    sqrt(pi_y/pi_s) * sum_k V_sk V_yk lam_k**t, so TV at any t is one
-    small matrix product; TV from a fixed start never increases, so each
-    level's time is found by doubling t and bisecting on [1, horizon].
+    sqrt(pi_y/pi_s) * sum_k V_sk V_yk lam_k**t, so TV at a batch of t is
+    one matrix product, split so that each product holds at most
+    _BLOCK_ENTRIES entries or a single t. The first batch holds
+    t = horizon and, for each level, a window of up to _WINDOW steps
+    either side of the slowest-mode estimate log(2 level / C) /
+    log|lam*|, where lam* is the eigenvalue of largest modulus and
+    C = max_s sum_y |V_s* V_y*| sqrt(pi_y/pi_s); the windows shrink so
+    that the batch fits one product. While the first evaluated t below
+    a level does not follow an evaluated t one step earlier, the gap
+    before it is searched, a product at a time: on powers of two where
+    it spans a doubling, else on up to _SCAN evenly spaced points.
+
     The kernel must be reversible and stochastic, with every neighbour
     transition positive and log pi spread over at most 20 nats, where
     spectral TV stays within about 1e-11 of stepped TV. Every level must
     be crossed by the horizon, and TV must clear it by 1e-9 at the
-    crossing and at the step before.
+    crossing and at the step before. Stepped TV from a fixed start never
+    increases, so a crossing so certified is the stepped one, whatever
+    order the times were searched in.
     """
     n = kernel.n
     c, sub, diag = kernel.c, kernel.sub, kernel.diag
@@ -307,45 +321,63 @@ def _spectral_crossing_times(kernel: BDKernel, starts, levels, horizon: int):
             or np.abs(sub * kernel.dist.ratios - c).max() > 1e-12 * c.max()
             or logm.max() - logm.min() > 20.0):
         return None
-    # bisection and inverse iteration (stebz), which spectral_gap has
-    # loaded: 3x slower than stemr at 32 states (0.2 ms), 0.9 MB less
-    # resident
+    # the default MRRR driver (stemr): 0.12 ms at 32 states against 0.4 ms
+    # for bisection and inverse iteration (stebz), and 2.4 MB more
+    # resident at 512 states against 4.3 MB (0.4 MB each at 32)
     from scipy.linalg import eigh_tridiagonal
-    lam, vec = eigh_tridiagonal(diag, np.sqrt(c * sub),
-                                lapack_driver="stebz")
+    lam, vec = eigh_tridiagonal(diag, np.sqrt(c * sub))
     if abs(lam[-1] - 1.0) > 1e-8:
         return None
     lam, vec = lam[:-1], vec[:, :-1]
     starts = list(starts)
     left = vec[starts]
     scale = np.exp(0.5 * (logm - logm[starts, None]))
-    tvs = {}
+    per = max(1, _BLOCK_ENTRIES // (len(starts) * n))
 
-    def worst(t: int) -> float:
-        # t stays a Python int: a raw kernel can have negative eigenvalues
-        if t not in tvs:
-            dev = (left * lam ** t) @ vec.T * scale
-            tvs[t] = 0.5 * float(np.abs(dev).sum(axis=1).max())
-        return tvs[t]
+    def worst(ts: np.ndarray) -> np.ndarray:
+        # integer powers keep the sign of a raw kernel's negative eigenvalues
+        out = []
+        for i in range(0, ts.size, per):
+            t = ts[i:i + per, None]
+            dev = (left * (lam ** t)[:, None]).reshape(-1, n - 1) @ vec.T
+            dev = np.abs(dev.reshape(t.size, len(starts), n) * scale)
+            out.append(0.5 * dev.sum(axis=2).max(axis=1))
+        return np.concatenate(out)
 
+    slow = int(np.abs(lam).argmax())
+    weight = (np.abs(left[:, slow]) * (scale @ np.abs(vec[:, slow]))).max()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        est = np.ceil(np.log(2.0 * np.asarray(levels) / weight)
+                      / np.log(abs(lam[slow])))
+    est = np.nan_to_num(est, nan=1.0).clip(1, horizon).astype(np.int64)
+    # each window is the 2w + 2 steps e - w - 1 .. e + w (none if w < 0)
+    w = min(_WINDOW, (per - 1) // (2 * len(levels)) - 1)
+    ts = np.unique(np.r_[[horizon], np.concatenate(
+        [np.arange(max(1, e - w - 1), min(horizon, e + w) + 1)
+         for e in est.tolist()])])
+    tvs = worst(ts)
+    if not tvs[-1] < min(levels) - 1e-9:
+        return None
     times = []
-    lo, hi = 0, 1      # worst(lo) >= level (TV at 0 counts as 1)
     for level in levels:
-        if not worst(horizon) < level - 1e-9:
-            return None
-        while worst(hi) >= level:
-            lo, hi = hi, min(2 * hi, horizon)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if worst(mid) < level:
-                hi = mid
+        while True:
+            i = int(np.argmax(tvs < level))
+            lo, hi = (int(ts[i - 1]) if i else 0), int(ts[i])
+            if hi - lo == 1:
+                break
+            if hi > 2 * lo:
+                new = 1 << np.arange(lo.bit_length(), hi.bit_length())
+                new = new[new < hi][:per]
             else:
-                lo = mid
-        if not (worst(hi) <= level - 1e-9
-                and (hi == 1 or worst(hi - 1) >= level + 1e-9)):
+                k = min(_SCAN, per) + 1
+                new = np.unique(lo + (hi - lo) * np.arange(1, k) // k)
+                new = new[new > lo]
+            ts = np.r_[ts[:i], new, ts[i:]]
+            tvs = np.r_[tvs[:i], worst(new), tvs[i:]]
+        if not (tvs[i] <= level - 1e-9
+                and (hi == 1 or tvs[i - 1] >= level + 1e-9)):
             return None
         times.append(hi)
-        lo = hi - 1
     return times
 
 

@@ -218,9 +218,14 @@ def run_gibbs(config: SamplerConfig, initial=None, coords=None) -> GibbsTrace:
     if not np.all(np.isfinite(initial)):
         raise ParameterError("initial state must be finite")
     keep = _kept(coords, m)
+    total = config.burnin + config.steps
+    if total == 0:  # a bare draw, as every sampled kernel is: no scan
+        return GibbsTrace(samples=np.empty((0, keep.size)),
+                          update_counts=np.zeros(m - config.k + 1, np.int64),
+                          block_updates=0, block_tries=0,
+                          final=initial.copy())
 
     rng = substream(config.seed)
-    total = config.burnin + config.steps
     store = np.empty((config.steps // config.thin, keep.size))
 
     if config.k == 1:

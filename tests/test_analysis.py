@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -518,6 +519,50 @@ def test_spectral_tau_on_ensemble_exact_kernels():
         assert outcome(mixing_profile, kern, [0.25],
                        horizon=100_000) == outcome(
             stepwise_profile, kern, [0.25], horizon=100_000), job
+
+
+def forbid_stepping(monkeypatch):
+    def no_stepping(*args):
+        raise AssertionError("stepped where the spectral route applies")
+
+    monkeypatch.setattr(analysis, "_crossing_times", no_stepping)
+
+
+def test_spectral_tau_fallback_search_matches_stepwise(monkeypatch):
+    """With no window around the slowest-mode estimate, every level is
+    found by the doubling grid and the bracket scan alone, at the usual
+    scan width and at one point per product (bisection)."""
+    forbid_stepping(monkeypatch)
+    # a negative half-width leaves t = horizon alone in the first product
+    monkeypatch.setattr(analysis, "_WINDOW", -1)
+    scans = (analysis._SCAN, 1)
+    for family, n in (("uniform", 32), ("uniform", 64), ("geometric", 32),
+                      ("binomial", 32)):
+        kern = oracle_kernel(family, n)
+        for levels in ([0.25], [0.1, 0.25, 0.9]):
+            want = stepwise_profile(kern, levels, horizon=200_000)
+            for scan in scans:
+                monkeypatch.setattr(analysis, "_SCAN", scan)
+                assert mixing_profile(kern, levels,
+                                      horizon=200_000) == want, scan
+
+
+def test_spectral_exhaustive_profile_stays_small(monkeypatch):
+    """Every start of a 256-state kernel: each product is capped at
+    _BLOCK_ENTRIES entries, so batching the times does not multiply the
+    memory (about 80 MB for the first batch in one product)."""
+    forbid_stepping(monkeypatch)
+    kern = oracle_kernel("uniform", 256)
+    levels = [0.9, 0.25, 0.1]
+    want = mixing_profile(kern, levels)  # loads scipy.linalg untraced
+    tracemalloc.start()
+    try:
+        got = mixing_profile(kern, levels, exhaustive=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 6 * 2**20, peak
 
 
 # standardized distance

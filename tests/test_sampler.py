@@ -771,3 +771,49 @@ REJECTION_DIGESTS = {
 
 def test_rejection_chains_match_golden_digests():
     assert _rejection_digests() == REJECTION_DIGESTS
+
+
+# a run with no updates, as every sampled kernel's exact draw is
+
+def _trace_fields(t):
+    out = []
+    for a in (t.samples, t.update_counts, t.final):
+        out += [a.dtype.str, a.shape, a]
+    return out + [t.block_updates, t.block_tries]
+
+
+# sha256 of every field, with each array's dtype and shape, of run_gibbs
+# with burnin + steps == 0 when it still set up the scan
+NO_UPDATE_DIGESTS = {
+    "uniform32-exact":
+        "a80031850b96b1ea2c7959f314fb1c569ceb6ca12bf282ea575b52c29a05345f",
+    "if8-exact-coords":
+        "ff86edc4bc88384738671c9cf78537acf960a3e86a06f4261c404007e8b6bd97",
+    "uniform32-initial":
+        "928ffcd77ba44678edb2504d0865b56b5c3708db8b0c460fe49f13e24f94695a",
+    "geometric10-k2":
+        "29bcf5f5648204e9b42af5629feba65590fb0d6d8eeed2586ff60545d6112711",
+    "geometric10-k3-coords":
+        "e7d9de7c65564dd7d171949c99f8fbd5d2dbf1088a787a0bbf9f3cfd243404d0",
+}
+
+
+def test_run_without_updates_matches_golden_digests():
+    uni = make_distribution("uniform", 32)
+    geo = make_distribution("geometric", 10, a=2.0)
+    initial = np.linspace(0.1, 0.2, 31)
+    traces = {
+        "uniform32-exact": run_gibbs(SamplerConfig(uni, seed=17)),
+        "if8-exact-coords": run_gibbs(
+            SamplerConfig(make_distribution("if", 8, a=2.0, eps=0.25),
+                          thin=3, seed=5), coords=[0, 5]),
+        "uniform32-initial": run_gibbs(SamplerConfig(uni, seed=17),
+                                       initial=initial),
+        "geometric10-k2": run_gibbs(SamplerConfig(geo, k=2, w=2.0, seed=3)),
+        "geometric10-k3-coords": run_gibbs(SamplerConfig(geo, k=3, seed=3),
+                                           coords=[8]),
+    }
+    assert {name: _digest(*_trace_fields(t))
+            for name, t in traces.items()} == NO_UPDATE_DIGESTS
+    # the final state is the caller's start, but not the caller's array
+    assert not np.shares_memory(traces["uniform32-initial"].final, initial)
