@@ -122,7 +122,8 @@ def run_ensemble(cfg: ExperimentConfig) -> list[EnsembleRecord]:
         # never uses
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(pool.map(_replicate_task, tasks, chunksize=1))
+            chunk = max(1, len(tasks) // (4 * cfg.workers))
+            records = list(pool.map(_replicate_task, tasks, chunksize=chunk))
     else:
         records = [_replicate_task(t) for t in tasks]
     records.sort(key=lambda r: (r.n, r.rep_id))

@@ -8,17 +8,20 @@ evidence rather than an identity. The exceptions are exact tau, whose
 reference is the definition itself, one start and one step at a time,
 which the library's blocked evaluator must match bit for bit, and the
 k = 1 Gibbs chain, whose reference runs the scan one update at a time,
-which both of the library's sweep evaluators must match bit for bit.
+which both of the library's sweep evaluators must match bit for bit,
+and the block rejection loop, whose reference checks each proposal
+against each chain in full, which the library's loop must match bit
+for bit.
 """
 
 import math
 
 import numpy as np
 
-from bdcutoff.errors import DomainError, NotMixedError
+from bdcutoff.errors import DomainError, NotMixedError, StallError
 from bdcutoff.kernel import kernel_from_superdiagonal
-from bdcutoff.sampler import (SamplerConfig, default_initial_state,
-                              run_gibbs, substream)
+from bdcutoff.sampler import (SamplerConfig, _start_picker,
+                              default_initial_state, run_gibbs, substream)
 
 
 def equilibration_budget(n: int) -> int:
@@ -70,6 +73,60 @@ def site_chain_reference(config, coords=None, initial=None):
             rows.append([c[s] for s in keep])
     samples = np.array(rows, dtype=float).reshape(len(rows), len(keep))
     return np.array(c), samples, np.array(counts)
+
+
+def _block_ok(c, s, prop, k, rec, m) -> bool:
+    """Feasibility of a proposed block for chain c, neighbours frozen:
+    proposals respect the per-site caps, so only the chained diagonal
+    constraints and the right boundary need testing."""
+    prev = c[s - 1] if s else 0.0
+    for t in range(k):
+        j = s + t
+        if j and prop[t] > 1.0 - rec[j - 1] * prev:
+            return False
+        prev = prop[t]
+    j = s + k
+    if j <= m - 1 and c[j] > 1.0 - rec[j - 1] * prev:
+        return False
+    return True
+
+
+def _uniform_stream(rng, size=1000):
+    """rng's uniforms one at a time, drawn size at a time; split Philox
+    draws equal one long draw, so the chunking is free."""
+    while True:
+        yield from rng.random(size).tolist()
+
+
+def block_chain_reference(dist, chains, total, config, rng, step):
+    """sampler._run_block with each proposal checked in full against
+    each chain still waiting, one uniform drawn at a time; it takes the
+    same arguments, so a test can put it in the library's place."""
+    m = dist.n - 1
+    k = config.k
+    caps = [float(v) for v in dist.caps]
+    rec = [1.0 / float(v) for v in dist.ratios]
+    pick = _start_picker(m - k + 1, config.w)
+    draw = _uniform_stream(rng).__next__
+    for done in range(1, total + 1):
+        s = pick(draw())
+        box = caps[s:s + k]
+        waiting = chains
+        tries = 0
+        while waiting:
+            tries += 1
+            if tries > config.max_rejection_tries:
+                raise StallError(s, tries - 1)
+            prop = [draw() * b for b in box]
+            rest = []
+            for c in waiting:
+                if _block_ok(c, s, prop, k, rec, m):
+                    c[s:s + k] = prop
+                else:
+                    rest.append(c)
+            waiting = rest
+        if step(done, s, tries):
+            return
 
 
 def solve_hitting(kern, target: int) -> np.ndarray:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import site_chain_reference
+from conftest import block_chain_reference, site_chain_reference
 
 from bdcutoff import sampler
 from bdcutoff.dist import make_distribution
@@ -676,6 +676,57 @@ def test_coupled_coalescence_scales_like_coupon_collection():
             times.append(trace.coalesced_at)
         normalized = float(np.mean(times)) / (n * math.log(n))
         assert 0.3 <= normalized <= 5.0, (n, normalized)
+
+
+# the block rejection loop against the per-chain reference
+
+def _outcome(run):
+    """run()'s result, or the text of the StallError it raises."""
+    try:
+        return run()
+    except StallError as err:
+        return str(err)
+
+
+def _block_runs(dist, k, w, seed):
+    """Callables for each block loop caller, the coupled pair's merge
+    time and every run_gibbs field at k >= 2, and then each of them at
+    1, 2 and 3 proposals per update, where most stall."""
+    horizon = int(80 * dist.n * math.log(dist.n))
+
+    def pair(**kw):
+        return run_coupled_pair(SamplerConfig(dist, k=k, w=w, steps=horizon,
+                                              seed=seed, **kw)).coalesced_at
+
+    def gibbs(**kw):
+        t = run_gibbs(SamplerConfig(dist, k=k, w=w, burnin=500, steps=1500,
+                                    thin=3, seed=seed + 1, **kw))
+        return (t.final.tobytes(), t.samples.tobytes(),
+                t.update_counts.tolist(), t.block_updates, t.block_tries)
+
+    callers = [pair, gibbs][:1 + (k >= 2)]
+    stalls = [lambda n=n, f=f: f(max_rejection_tries=n)
+              for n in (1, 2, 3) for f in callers]
+    return callers, stalls
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("family", ["uniform", "geometric", "binomial", "if"])
+def test_block_loop_matches_per_chain_reference(monkeypatch, family, k):
+    # the loop tests each proposal within the block once for all chains;
+    # the reference tests it in full for each chain, so every accept and
+    # reject, every stall and every output bit must agree
+    dist = _sized(family, 14)
+    for w in (0.5, 1.0, 3.0):
+        runs, stalls = _block_runs(dist, k, w, 1000 * k + int(10 * w))
+        got = [_outcome(run) for run in runs + stalls]
+        monkeypatch.setattr(sampler, "_run_block", block_chain_reference)
+        want = [_outcome(run) for run in runs + stalls]
+        monkeypatch.undo()
+        assert got == want
+        assert isinstance(got[0], int)  # the pair merged
+        # each caller stalls at one proposal per update
+        assert all(isinstance(g, str) for g in got[-len(stalls):][:len(runs)])
 
 
 def test_stream_fingerprint_stability():
