@@ -1,10 +1,10 @@
 """Command line front end.
 
 Subcommands: sample, analyze, ensemble, probe {marginal|tail|markov|
-levy|contraction}, compare-metropolis. Flags mirror ExperimentConfig;
-a flat key=value config file (--config) supplies defaults and explicit
-flags override it. Exit codes: 0 success, 1 usage or configuration
-error, 2 runtime failure.
+levy|contraction}, compare-metropolis. Each takes only the flags it
+reads; a flat key=value config file (--config) supplies defaults for the
+same ExperimentConfig fields, and explicit flags override it. Exit
+codes: 0 success, 1 usage or configuration error, 2 runtime failure.
 """
 
 import argparse
@@ -41,62 +41,100 @@ def _float_list(text: str) -> tuple:
             f"not a comma list of reals: {text!r}")
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    """Shared flag set; every default is None so the config file can
-    fill anything the command line left unset."""
-    p = argparse.ArgumentParser(add_help=False)
-    g = p.add_argument_group("distribution")
-    g.add_argument("--family", choices=FAMILIES)
-    g.add_argument("--n", dest="n_list", type=_int_list, metavar="N[,N...]",
-                   help="state counts (comma separated)")
-    g.add_argument("--a", type=float, help="geometric / interior-flat ratio")
-    g.add_argument("--eps", type=float, help="interior-flat width exponent")
-    g.add_argument("--mass", type=_float_list, metavar="P[,P...]",
-                   help="explicit stationary mass")
-    g = p.add_argument_group("sampler")
-    g.add_argument("--k", type=int, help="block width")
-    g.add_argument("--w", type=float,
-                   help="boundary block-start weight; at --k 1 only "
-                        "probe contraction reads it")
-    g.add_argument("--steps", type=int,
-                   help="updates to run after equilibration")
-    g.add_argument("--thin", type=int, help="updates per retained state")
-    g.add_argument("--reps", type=int, help="replicates per state count")
-    g.add_argument("--seed", type=int, help="master seed (64-bit)")
-    g.add_argument("--equilibration", type=int,
-                   help="updates before the first kept state (default "
-                        "0 at --k 1, which starts exact; else 20 n ln n)")
-    g.add_argument("--max-rejection-tries", type=int,
-                   help="block-proposal stall threshold")
-    g = p.add_argument_group("analysis")
-    g.add_argument("--delta", type=float, help="hitting-proxy quantile")
-    g.add_argument("--exact-tau", action="store_const", const=True,
-                   help="compute exact mixing times (small n)")
-    g.add_argument("--horizon", type=int, help="mixing-time step cap")
-    g.add_argument("--exhaustive-starts", action="store_const", const=True,
-                   help="worst-case TV over every start state")
-    g.add_argument("--raw-kernel", action="store_const", const=True,
-                   help="analyze the sampled kernel without the half-lazy map")
-    g.add_argument("--alpha", type=float,
-                   help="comparison cut-selection level in (0, 1]")
-    g = p.add_argument_group("probes")
-    g.add_argument("--coord", type=int, help="probed coordinate index")
-    g.add_argument("--probe-samples", type=int, help="retained probe samples")
-    g.add_argument("--probe-thin", type=int,
-                   help="probe retention spacing (default (n-1)//4k; "
-                        "markov (n-1)//k)")
-    g.add_argument("--window", type=int, help="sum-probe window length")
-    g.add_argument("--coupon-c", type=float, help="coverage-check offset c")
-    g.add_argument("--coupon-runs", type=int, help="coverage-check run count")
-    g = p.add_argument_group("output")
-    g.add_argument("--out", help="output file (stdout when omitted)")
-    g.add_argument("--format", choices=FORMATS, help="table format")
-    g.add_argument("--workers", type=int, help="parallel worker processes")
-    g.add_argument("--timings", action="store_const", const=True,
-                   help="record wall-clock runtime_ms (voids byte-identity)")
-    g.add_argument("--config", dest="config_path", metavar="PATH",
-                   help="flat key=value defaults file; flags override it")
-    return p
+# every flag, by --help group; every default is None so the config file
+# can fill anything the command line left unset
+_FLAGS = {
+    "distribution": {
+        "--family": dict(choices=FAMILIES),
+        "--n": dict(dest="n_list", type=_int_list, metavar="N[,N...]",
+                    help="state counts (comma separated)"),
+        "--a": dict(type=float, help="geometric / interior-flat ratio"),
+        "--eps": dict(type=float, help="interior-flat width exponent"),
+        "--mass": dict(type=_float_list, metavar="P[,P...]",
+                       help="explicit stationary mass")},
+    "sampler": {
+        "--k": dict(type=int, help="block width"),
+        "--w": dict(type=float,
+                    help="boundary block-start weight; at --k 1 only "
+                         "probe contraction reads it"),
+        "--steps": dict(type=int, help="updates to run after equilibration"),
+        "--thin": dict(type=int, help="updates per retained state"),
+        "--reps": dict(type=int, help="replicates per state count"),
+        "--seed": dict(type=int, help="master seed (64-bit)"),
+        "--equilibration": dict(
+            type=int, help="updates before the first kept state (default "
+                           "0 at --k 1, which starts exact; else 20 n ln n)"),
+        "--max-rejection-tries": dict(type=int,
+                                      help="block-proposal stall threshold")},
+    "analysis": {
+        "--delta": dict(type=float, help="hitting-proxy quantile"),
+        "--exact-tau": dict(action="store_const", const=True,
+                            help="compute exact mixing times (small n)"),
+        "--horizon": dict(type=int, help="mixing-time step cap"),
+        "--exhaustive-starts": dict(
+            action="store_const", const=True,
+            help="worst-case TV over every start state"),
+        "--raw-kernel": dict(
+            action="store_const", const=True,
+            help="analyze the sampled kernel without the half-lazy map"),
+        "--alpha": dict(type=float,
+                        help="comparison cut-selection level in (0, 1]")},
+    "probes": {
+        "--coord": dict(type=int, help="probed coordinate index"),
+        "--probe-samples": dict(type=int, help="retained probe samples"),
+        "--probe-thin": dict(type=int,
+                             help="probe retention spacing (default "
+                                  "(n-1)//4k; markov (n-1)//k)"),
+        "--window": dict(type=int, help="sum-probe window length"),
+        "--coupon-c": dict(type=float, help="coverage-check offset c"),
+        "--coupon-runs": dict(type=int, help="coverage-check run count")},
+    "output": {
+        "--out": dict(help="output file (stdout when omitted)"),
+        "--format": dict(choices=FORMATS, help="table format"),
+        "--workers": dict(type=int, help="parallel worker processes"),
+        "--timings": dict(action="store_const", const=True,
+                          help="record wall-clock runtime_ms (voids "
+                               "byte-identity)"),
+        "--config": dict(dest="config_path", metavar="PATH",
+                         help="flat key=value defaults file; flags "
+                              "override it")},
+}
+_SHARED = ("--family --n --a --eps --mass --k --w --max-rejection-tries "
+           "--seed --out --config")
+_ANALYSIS = "--delta --exact-tau --horizon --exhaustive-starts --raw-kernel"
+_WINDOW = ("--equilibration --format --workers --coord --probe-samples "
+           "--probe-thin")
+# the flags each command reads besides _SHARED
+_READS = {
+    "sample": "--equilibration --steps --thin --reps --format",
+    "analyze": "--equilibration " + _ANALYSIS,
+    "ensemble": f"--equilibration --reps {_ANALYSIS} --format --workers "
+                "--timings",
+    "compare-metropolis": "--equilibration --reps --alpha --format --workers",
+    # no probe reads --workers; bench/run.py run_calls appends it to every call
+    "probe marginal": _WINDOW,
+    "probe tail": _WINDOW,
+    "probe markov": _WINDOW,
+    "probe levy": "--equilibration --reps --window --format --workers",
+    "probe contraction": "--reps --coupon-c --coupon-runs --format --workers",
+}
+# commands that run at one state count; the rest take a list
+_ONE_SIZE = ("analyze", "compare-metropolis", "probe marginal", "probe tail",
+             "probe markov", "probe levy")
+
+
+def _add_command(sub, name: str, run, **prose) -> None:
+    """A parser for name with only the flags it reads; the config keys
+    it reads are their dests, and tail_grid on probe tail."""
+    parser = sub.add_parser(name.rpartition(" ")[2], **prose)
+    reads = f"{_SHARED} {_READS[name]}".split()
+    keys = {"tail_grid"} if name == "probe tail" else set()
+    for title, flags in _FLAGS.items():
+        group = parser.add_argument_group(title)
+        keys.update(group.add_argument(flag, **spec).dest
+                    for flag, spec in flags.items() if flag in reads)
+    parser.set_defaults(command=name, run=run,
+                        config_keys=keys & _CONFIG_FIELDS.keys())
 
 
 @functools.cache
@@ -105,38 +143,41 @@ def build_parser() -> argparse.ArgumentParser:
     later call in the process; parsing leaves it unchanged. Building it
     costs about as much as a small ensemble run, which matters to
     callers that run cli_main many times in one process."""
-    common = _common_flags()
     top = argparse.ArgumentParser(
         prog="bdcutoff",
         description="Sample random birth-death kernels with a prescribed "
                     "stationary distribution and measure their mixing.")
-    sub = top.add_subparsers(dest="command", required=True, metavar="command")
-    sub.add_parser(
-        "sample", parents=[common],
-        help="emit equilibrated superdiagonal states",
-        description="Equilibrate and emit sampled states in long form "
-                    "(n, family, rep_id, seed_sub, sample_idx, coord, "
-                    "value). With --steps the post-equilibration trace is "
-                    "retained every --thin updates; otherwise one final "
-                    "state per replicate.")
-    sub.add_parser(
-        "analyze", parents=[common],
+    sub = top.add_subparsers(required=True, metavar="command")
+    _add_command(
+        sub, "sample", _cmd_sample,
+        help="emit sampled superdiagonal states",
+        description="Draw each replicate's state (exact at --k 1) and emit "
+                    "it in long form (n, family, rep_id, seed_sub, "
+                    "sample_idx, coord, value). With --steps the later "
+                    "trace is retained every --thin updates; otherwise one "
+                    "final state per replicate.")
+    _add_command(
+        sub, "analyze", _cmd_analyze,
         help="sample one kernel and print its mixing report",
-        description="One replicate: equilibrate, build the kernel, run the "
-                    "full analysis, print a JSON report.")
-    sub.add_parser(
-        "ensemble", parents=[common],
+        description="One replicate: draw a state (exact at --k 1), build "
+                    "the kernel, run the full analysis, print a JSON "
+                    "report.")
+    _add_command(
+        sub, "ensemble", _cmd_ensemble,
         help="run replicates across state counts into a table",
         description="One record per (n, replicate): gap, regime bounds, "
                     "mixing time or proxy, cutoff product.")
-    pr = sub.add_parser(
-        "probe", parents=[common],
-        help="distributional checks of the sampled ensemble",
-        description="Summary JSON on stdout; per-row statistics to --out.")
-    pr.add_argument("probe_name", choices=sorted(PROBES),
-                    metavar="{" + "|".join(sorted(PROBES)) + "}")
-    sub.add_parser(
-        "compare-metropolis", parents=[common],
+    probe_help = "Summary JSON on stdout; per-row statistics to --out."
+    probes = sub.add_parser(
+        "probe", help="distributional checks of the sampled ensemble",
+        description=probe_help).add_subparsers(
+            required=True, metavar="{" + "|".join(sorted(PROBES)) + "}")
+    for name in sorted(PROBES):
+        _add_command(probes, f"probe {name}",
+                     functools.partial(_cmd_probe, PROBES[name]),
+                     description=probe_help)
+    _add_command(
+        sub, "compare-metropolis", _cmd_compare,
         help="mixing products of sampled kernels against Metropolis",
         description="Samples an ensemble, evaluates each kernel's proxy "
                     "mixing product, and reports ratios to the Metropolis "
@@ -170,8 +211,9 @@ def _parse_config_value(name: str, raw: str):
     return raw
 
 
-def load_config_file(path: str) -> dict:
-    """Flat key=value text; '#' comments; keys may use '-' or '_'."""
+def load_config_file(path: str, keys=_CONFIG_FIELDS) -> dict:
+    """Flat key=value text; '#' comments; keys may use '-' or '_' and
+    must be among keys."""
     out = {}
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
@@ -185,7 +227,7 @@ def load_config_file(path: str) -> dict:
         name = key.strip().replace("-", "_")
         if name == "n":
             name = "n_list"
-        if name not in _CONFIG_FIELDS:
+        if name not in keys:
             raise ParameterError(f"{path}:{lineno}: unknown key {key.strip()!r}")
         out[name] = _parse_config_value(name, raw)
     return out
@@ -193,13 +235,17 @@ def load_config_file(path: str) -> dict:
 
 def make_config(args: argparse.Namespace) -> ExperimentConfig:
     merged = {}
-    if getattr(args, "config_path", None):
-        merged.update(load_config_file(args.config_path))
+    if args.config_path:
+        merged.update(load_config_file(args.config_path, args.config_keys))
     for name in _CONFIG_FIELDS:
         value = getattr(args, name, None)
         if value is not None:
             merged[name] = value
-    return ExperimentConfig(**merged)
+    cfg = ExperimentConfig(**merged)
+    if args.command in _ONE_SIZE and len(cfg.n_list) > 1:
+        raise ParameterError(f"{args.command} runs at one state count, got "
+                             f"n {','.join(map(str, cfg.n_list))}")
+    return cfg
 
 
 def _emit_json(payload, out: str | None) -> None:
@@ -262,8 +308,8 @@ def _cmd_ensemble(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_probe(cfg: ExperimentConfig, probe_name: str) -> int:
-    result = PROBES[probe_name](cfg)
+def _cmd_probe(probe, cfg: ExperimentConfig) -> int:
+    result = probe(cfg)
     _emit_json({"probe": result.probe, "summary": result.summary,
                 "flags": list(result.flags)}, None)
     if cfg.out:
@@ -275,21 +321,12 @@ def _cmd_compare(cfg: ExperimentConfig) -> int:
     if cfg.reps < 1:
         raise ParameterError(
             f"compare-metropolis needs --reps >= 1, got {cfg.reps}")
-    # the comparison is defined on the proxy product of the half-lazy kernel
-    for name, flag in (("delta", "--delta"), ("raw_kernel", "--raw-kernel"),
-                       ("exact_tau", "--exact-tau")):
-        if getattr(cfg, name) != getattr(ExperimentConfig, name):
-            raise ParameterError(
-                f"compare-metropolis does not take {flag}: it always uses "
-                f"the hitting-time proxy of the half-lazy kernel at delta "
-                f"{ExperimentConfig.delta}")
-    n = cfg.n_list[0]
-    records = run_ensemble(dataclasses.replace(cfg, n_list=(n,)))
+    records = run_ensemble(cfg)
     for r in records:
         if r.error:
             print(f"bdcutoff: {r.error}", file=sys.stderr)
             return 2
-    dist = cfg.make_dist(n)
+    dist = cfg.make_dist(cfg.n_list[0])
     report = comparison_diagnostic(
         dist, [r.cutoff_product for r in records], alpha=cfg.alpha)
     _emit_json({
@@ -322,18 +359,7 @@ def cli_main(argv) -> int:
         print(f"bdcutoff: {exc}", file=sys.stderr)
         return 1
     try:
-        if args.command == "sample":
-            return _cmd_sample(cfg)
-        if args.command == "analyze":
-            return _cmd_analyze(cfg)
-        if args.command == "ensemble":
-            return _cmd_ensemble(cfg)
-        if args.command == "probe":
-            return _cmd_probe(cfg, args.probe_name)
-        if args.command == "compare-metropolis":
-            return _cmd_compare(cfg)
-        print(f"bdcutoff: unknown command {args.command!r}", file=sys.stderr)
-        return 1
+        return args.run(cfg)
     except ParameterError as exc:
         print(f"bdcutoff: {exc}", file=sys.stderr)
         return 1

@@ -376,6 +376,8 @@ def probe_levy_sum(cfg: ExperimentConfig) -> ProbeResult:
     coordinates, which keeps _EDGE = 20 coordinates clear of each end;
     below 2 that falls back to m // 2, and the boundary flag is raised.
     """
+    if cfg.reps < 1:
+        raise ParameterError(f"levy needs reps >= 1, got {cfg.reps}")
     dist = cfg.make_dist(cfg.n_list[0])
     m = dist.n - 1
     if cfg.window is not None:
@@ -394,7 +396,7 @@ def probe_levy_sum(cfg: ExperimentConfig) -> ProbeResult:
     if lo < _EDGE:
         flags.append(f"window start {lo} is within {_EDGE} of a boundary")
 
-    reps = max(1, cfg.reps)
+    reps = cfg.reps
     budget = cfg.equilibration_budget(dist.n)
     s_half = np.empty(reps)
     s_full = np.empty(reps)
@@ -455,10 +457,11 @@ def probe_contraction(cfg: ExperimentConfig) -> ProbeResult:
     weighted by w) whatever its state, so the picks are drawn straight
     from one stream per n, run by run, and no chain runs.
     """
+    if cfg.reps < 1:
+        raise ParameterError(f"contraction needs reps >= 1, got {cfg.reps}")
     results = []
     flags = []
     expected = coupon_miss_reference(cfg.coupon_c)
-    reps = max(1, cfg.reps)
     # check every size before any run: past the pair horizon is unbounded
     plans = []
     for n in sorted(cfg.n_list):
@@ -475,7 +478,7 @@ def probe_contraction(cfg: ExperimentConfig) -> ProbeResult:
         m = dist.n - 1
         times = []
         censored = 0
-        for r in range(reps):
+        for r in range(cfg.reps):
             seed = int(stream_fingerprint(cfg.seed, 11, dist.n, r))
             trace = run_coupled_pair(cfg.sampler_config(
                 dist, seed, steps=horizon, burnin=0))
@@ -501,7 +504,7 @@ def probe_contraction(cfg: ExperimentConfig) -> ProbeResult:
 
         scale = dist.n * math.log(dist.n)
         results.append({
-            "n": dist.n, "reps": reps, "coalesced": got,
+            "n": dist.n, "reps": cfg.reps, "coalesced": got,
             "censored": censored,
             "mean": float(np.mean(times)) if got else float("nan"),
             "se": float(np.std(times) / math.sqrt(got)) if got

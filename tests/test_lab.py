@@ -1,6 +1,8 @@
 """Experiment config, ensemble runner, table persistence, CLI."""
 
+import argparse
 import ast
+import dataclasses
 import importlib
 import json
 import math
@@ -422,14 +424,19 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
                     # the k = 1 scan has no block starts to weight
                     ["ensemble", "--n", "8", "--w", "2"],
                     ["sample", "--n", "8", "--w", "0.5"]):
-        rc, out, err = run_cli(capsys, command + ["--reps", "2"])
+        reps = ["--reps", "2"] if {"ensemble", "sample",
+                                   "contraction"} & set(command) else []
+        rc, out, err = run_cli(capsys, command + reps)
         assert rc == 1 and out == "", command
         assert err.startswith("bdcutoff: ") and "Error" not in err
-    # a comparison needs a kernel; an empty ensemble table is still valid
-    rc, out, err = run_cli(capsys, ["compare-metropolis", "--n", "16",
-                                    "--reps", "0"])
-    assert rc == 1 and out == ""
-    assert err.startswith("bdcutoff: ") and "Error" not in err
+    # a comparison needs a kernel, and the levy and contraction probes a
+    # replicate; an empty ensemble table is still valid
+    for command in (["compare-metropolis", "--n", "16"],
+                    ["probe", "levy", "--n", "64"],
+                    ["probe", "contraction", "--n", "16"]):
+        rc, out, err = run_cli(capsys, command + ["--reps", "0"])
+        assert rc == 1 and out == "", command
+        assert err.startswith("bdcutoff: ") and "Error" not in err
     rc, out, _ = run_cli(capsys, ["ensemble", "--n", "8", "--reps", "0"])
     assert rc == 0 and out.startswith(SCHEMA_TAG)
     # with no replicates the distribution settings are still checked
@@ -532,6 +539,111 @@ def test_cli_compare_rejects_analysis_flags(capsys):
         rc, out, err = run_cli(capsys, base + flag)
         assert rc == 1 and out == ""
         assert flag[0] in err and "ParameterError" not in err
+
+
+_ANALYSIS = "--delta --exact-tau --horizon --exhaustive-starts --raw-kernel"
+_WINDOW = "--equilibration --format --workers --coord --probe-samples " \
+          "--probe-thin"
+# every command also takes the distribution, chain and output flags
+ACCEPTED = {
+    "sample": "--equilibration --steps --thin --reps --format",
+    "analyze": "--equilibration " + _ANALYSIS,
+    "ensemble": f"--equilibration --reps {_ANALYSIS} --format --workers "
+                "--timings",
+    "compare-metropolis": "--equilibration --reps --alpha --format --workers",
+    "probe marginal": _WINDOW,
+    "probe tail": _WINDOW,
+    "probe markov": _WINDOW,
+    "probe levy": "--equilibration --reps --window --format --workers",
+    "probe contraction": "--reps --coupon-c --coupon-runs --format --workers",
+}
+SHARED = ("--family --n --a --eps --mass --k --w --max-rejection-tries "
+          "--seed --out --config")
+
+
+def _command_parsers(parser, prefix=""):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _command_parsers(sub, f"{prefix}{name} ")
+            return
+    yield prefix.strip(), parser
+
+
+def test_each_command_accepts_only_the_flags_it_reads():
+    got = {name: sorted(flag for action in parser._actions
+                        for flag in action.option_strings
+                        if flag not in ("-h", "--help"))
+           for name, parser in _command_parsers(build_parser())}
+    assert got == {name: sorted(f"{SHARED} {flags}".split())
+                   for name, flags in ACCEPTED.items()}
+    assert sum(map(len, got.values())) == 153
+
+
+def test_unread_flags_exit_one(capsys):
+    analyze, ensemble = ["analyze", "--n", "8"], ["ensemble", "--n", "8"]
+    for command, flag in (
+            (analyze, ["--coupon-c", "1"]), (analyze, ["--window", "8"]),
+            (analyze, ["--coord", "3"]), (analyze, ["--steps", "4"]),
+            (analyze, ["--thin", "2"]), (analyze, ["--workers", "2"]),
+            (analyze, ["--format", "csv"]),
+            (ensemble, ["--coupon-runs", "5"]), (ensemble, ["--coord", "3"]),
+            (ensemble, ["--window", "8"]), (ensemble, ["--steps", "4"]),
+            (ensemble, ["--thin", "2"]),
+            (["probe", "marginal", "--n", "16"], ["--reps", "2"]),
+            (["probe", "marginal"],
+             ["--reps", "7", "--exact-tau", "--alpha", "0.3", "--timings"]),
+            (["probe", "contraction", "--n", "16"], ["--equilibration", "5"]),
+            (["sample", "--n", "8"], ["--workers", "2"])):
+        rc, out, err = run_cli(capsys, command + flag)
+        assert rc == 1 and out == "", flag
+        assert "unrecognized arguments: " + " ".join(flag) in err
+
+
+def test_config_keys_follow_the_flag_sets(tmp_path, capsys):
+    for name, parser in _command_parsers(build_parser()):
+        dests = {action.dest for action in parser._actions}
+        extra = {"tail_grid"} if name == "probe tail" else set()
+        assert parser.get_default("config_keys") == (
+            dests & {f.name for f in dataclasses.fields(ExperimentConfig)}
+            | extra), name
+    window = tmp_path / "window.cfg"
+    window.write_text("n = 8\nwindow = 8\n")
+    rc, out, err = run_cli(capsys, ["ensemble", "--config", str(window)])
+    assert rc == 1 and out == ""
+    assert err == f"bdcutoff: {window}:2: unknown key 'window'\n"
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("tail_grid = 5,10\n")
+    for command in (["probe", "marginal"], ["probe", "markov"],
+                    ["ensemble"], ["analyze"]):
+        rc, out, err = run_cli(capsys, command + ["--n", "16", "--config",
+                                                  str(grid)])
+        assert rc == 1 and out == "" and "tail_grid" in err, command
+    path = tmp_path / "tail.csv"
+    rc, _, _ = run_cli(capsys, ["probe", "tail", "--n", "64", "--config",
+                                str(grid), "--probe-samples", "500",
+                                "--out", str(path)])
+    assert rc == 0
+    assert [float(r["x"]) for r in read_csv_rows(str(path))] == [5.0, 10.0]
+
+
+def test_single_size_commands_reject_a_list(tmp_path, capsys):
+    sizes = tmp_path / "sizes.cfg"
+    sizes.write_text("n = 16,32\n")
+    for command in (["analyze"], ["compare-metropolis", "--reps", "2"],
+                    ["probe", "marginal"], ["probe", "tail"],
+                    ["probe", "markov"], ["probe", "levy"]):
+        name = " ".join(c for c in command[:2] if not c.startswith("-"))
+        for n in (["--n", "16,32"], ["--config", str(sizes)]):
+            rc, out, err = run_cli(capsys, command + n)
+            assert rc == 1 and out == "", command
+            assert err == (f"bdcutoff: {name} runs at one state count, "
+                           "got n 16,32\n")
+    # the commands that loop over sizes keep taking a list
+    for command in (["sample", "--reps", "1"], ["ensemble", "--reps", "0"],
+                    ["probe", "contraction", "--reps", "1",
+                     "--coupon-runs", "5"]):
+        assert run_cli(capsys, command + ["--n", "16,32"])[0] == 0, command
 
 
 def test_cli_module_runs_without_runtime_warning():
