@@ -136,11 +136,15 @@ def spectral_gap(kernel: BDKernel) -> float:
     """
     # scipy.linalg costs about 0.3 s and 20 MB to import; sample and the
     # probes never get here
-    from scipy.linalg import eigh_tridiagonal
+    from scipy.linalg.lapack import dstebz
     n = kernel.n
     e = np.sqrt(kernel.c * kernel.sub)
-    vals = eigh_tridiagonal(kernel.diag, e, eigvals_only=True,
-                            select="i", select_range=(n - 2, n - 1))
+    # eigh_tridiagonal's bisection call for values n - 1 and n (1-based)
+    count, vals, _, _, info = dstebz(
+        np.asarray_chkfinite(kernel.diag), np.asarray_chkfinite(e),
+        2, 0.0, 1.0, n - 1, n, 0.0, "E")
+    if info or count != 2:
+        raise SpectrumError(f"dstebz returned info {info}, {count} values")
     lam2, lam1 = float(vals[0]), float(vals[1])
     if abs(lam1 - 1.0) > 1e-8:
         raise SpectrumError(
@@ -342,19 +346,21 @@ def _spectral_crossing_times(kernel: BDKernel, starts, levels, horizon: int):
             dev = (left * (lam ** t)[:, None]).reshape(-1, n - 1) @ vec.T
             dev = np.abs(dev.reshape(t.size, len(starts), n) * scale)
             out.append(0.5 * dev.sum(axis=2).max(axis=1))
-        return np.concatenate(out)
+        return out[0] if len(out) == 1 else np.concatenate(out)
 
     slow = int(np.abs(lam).argmax())
     weight = (np.abs(left[:, slow]) * (scale @ np.abs(vec[:, slow]))).max()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        est = np.ceil(np.log(2.0 * np.asarray(levels) / weight)
-                      / np.log(abs(lam[slow])))
-    est = np.nan_to_num(est, nan=1.0).clip(1, horizon).astype(np.int64)
+    den = math.log(abs(lam[slow])) if lam[slow] else -math.inf
     # each window is the 2w + 2 steps e - w - 1 .. e + w (none if w < 0)
     w = min(_WINDOW, (per - 1) // (2 * len(levels)) - 1)
-    ts = np.unique(np.r_[[horizon], np.concatenate(
-        [np.arange(max(1, e - w - 1), min(horizon, e + w) + 1)
-         for e in est.tolist()])])
+    ts = {horizon}
+    for level in levels:
+        # num / den by IEEE rules, nan taken as 1, clamped to [1, horizon]
+        num = math.log(2.0 * level / float(weight)) if weight else math.inf
+        q = num / den if den else num * math.inf
+        e = 1 if q != q else math.ceil(min(max(q, 1.0), horizon))
+        ts.update(range(max(1, e - w - 1), min(horizon, e + w) + 1))
+    ts = np.array(sorted(ts))
     tvs = worst(ts)
     if not tvs[-1] < min(levels) - 1e-9:
         return None
@@ -372,8 +378,8 @@ def _spectral_crossing_times(kernel: BDKernel, starts, levels, horizon: int):
                 k = min(_SCAN, per) + 1
                 new = np.unique(lo + (hi - lo) * np.arange(1, k) // k)
                 new = new[new > lo]
-            ts = np.r_[ts[:i], new, ts[i:]]
-            tvs = np.r_[tvs[:i], worst(new), tvs[i:]]
+            ts = np.concatenate((ts[:i], new, ts[i:]))
+            tvs = np.concatenate((tvs[:i], worst(new), tvs[i:]))
         if not (tvs[i] <= level - 1e-9
                 and (hi == 1 or tvs[i - 1] >= level + 1e-9)):
             return None

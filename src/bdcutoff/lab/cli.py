@@ -121,6 +121,8 @@ _READS = {
 # commands that run at one state count; the rest take a list
 _ONE_SIZE = ("analyze", "compare-metropolis", "probe marginal", "probe tail",
              "probe markov", "probe levy")
+# their --n: still parsed as a list, which make_config then refuses
+_ONE_N = dict(_FLAGS["distribution"]["--n"], metavar="N", help="state count")
 
 
 def _add_command(sub, name: str, run, **prose) -> None:
@@ -131,9 +133,12 @@ def _add_command(sub, name: str, run, **prose) -> None:
     keys = {"tail_grid"} if name == "probe tail" else set()
     for title, flags in _FLAGS.items():
         group = parser.add_argument_group(title)
-        keys.update(group.add_argument(flag, **spec).dest
-                    for flag, spec in flags.items() if flag in reads)
-    parser.set_defaults(command=name, run=run,
+        for flag, spec in flags.items():
+            if flag in reads:
+                if flag == "--n" and name in _ONE_SIZE:
+                    spec = _ONE_N
+                keys.add(group.add_argument(flag, **spec).dest)
+    parser.set_defaults(command=name, run=run, parser=parser,
                         config_keys=keys & _CONFIG_FIELDS.keys())
 
 
@@ -348,9 +353,10 @@ def _cmd_compare(cfg: ExperimentConfig) -> int:
 
 
 def cli_main(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args, extra = build_parser().parse_known_args(list(argv))
+        if extra:  # in the usage of the command that did not read them
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

@@ -47,20 +47,22 @@ def replicate_seed(seed: int, n: int, rep_id: int) -> int:
 
 
 def _failed_record(cfg: ExperimentConfig, n: int, rep_id: int,
-                   seed_sub: int, exc: Exception) -> EnsembleRecord:
+                   exc: Exception) -> EnsembleRecord:
     return EnsembleRecord(
-        n=n, family=cfg.family, rep_id=rep_id, seed_sub=seed_sub,
+        n=n, family=cfg.family, rep_id=rep_id,
+        seed_sub=replicate_seed(cfg.seed, n, rep_id),
         gap=NAN, B_plus=NAN, B_minus=NAN, tau_or_proxy=NAN,
         proxy_flag=True, cutoff_product=NAN, max_recip_superdiag=NAN,
         runtime_ms=0.0, error=f"{type(exc).__name__}: {exc}")
 
 
-def sampled_kernel(cfg: ExperimentConfig, n: int,
-                   rep_id: int) -> tuple[int, BDKernel]:
+def sampled_kernel(cfg: ExperimentConfig, n: int, rep_id: int,
+                   dist=None) -> tuple[int, BDKernel]:
     """The sampled kernel of replicate rep_id at size n (an exact draw
-    at k = 1), with the derived seed that reproduces it."""
+    at k = 1), with the derived seed that reproduces it. dist, when
+    given, is cfg.make_dist(n), built once for a run's replicates."""
     seed_sub = replicate_seed(cfg.seed, n, rep_id)
-    dist = cfg.make_dist(n)
+    dist = cfg.make_dist(n) if dist is None else dist
     trace = run_gibbs(cfg.sampler_config(dist, seed_sub))
     return seed_sub, kernel_from_superdiagonal(dist, trace.final)
 
@@ -74,17 +76,18 @@ def analyze_kernel(cfg: ExperimentConfig, kernel: BDKernel) -> AnalysisReport:
         exhaustive=cfg.exhaustive_starts)
 
 
-def run_replicate(cfg: ExperimentConfig, n: int, rep_id: int) -> EnsembleRecord:
-    """Sample one kernel at size n and analyze it."""
-    seed_sub = replicate_seed(cfg.seed, n, rep_id)
+def run_replicate(cfg: ExperimentConfig, n: int, rep_id: int,
+                  dist) -> EnsembleRecord:
+    """Sample one kernel at size n from dist, cfg.make_dist(n), and
+    analyze it."""
     started = time.perf_counter()
     try:
-        _, kern = sampled_kernel(cfg, n, rep_id)
+        seed_sub, kern = sampled_kernel(cfg, n, rep_id, dist)
         report = analyze_kernel(cfg, kern)
     except ParameterError:
         raise  # a bad setting fails every replicate alike: not a row
     except Exception as exc:
-        return _failed_record(cfg, n, rep_id, seed_sub, exc)
+        return _failed_record(cfg, n, rep_id, exc)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     tau_or_proxy = float(report.tau) if report.tau is not None \
         else float(report.tau_proxy)
@@ -102,7 +105,7 @@ def run_replicate(cfg: ExperimentConfig, n: int, rep_id: int) -> EnsembleRecord:
 
 def _replicate_task(task) -> EnsembleRecord:
     cfg, n, rep_id = task
-    return run_replicate(cfg, n, rep_id)
+    return run_replicate(cfg, n, rep_id, cfg.make_dist(n))
 
 
 def run_ensemble(cfg: ExperimentConfig) -> list[EnsembleRecord]:
@@ -113,8 +116,9 @@ def run_ensemble(cfg: ExperimentConfig) -> list[EnsembleRecord]:
     output is sorted by (n, rep_id) regardless of completion order.
     """
     _check_scan_weight(cfg.k, cfg.w)
-    for n in cfg.n_list:
-        cfg.make_dist(n)  # a bad family setting fails even with no reps
+    # one distribution per size, for the serial replicates; a bad family
+    # setting fails here even with no reps
+    dists = {n: cfg.make_dist(n) for n in cfg.n_list}
     tasks = [(cfg, n, rep) for n in sorted(cfg.n_list)
              for rep in range(cfg.reps)]
     if cfg.workers > 1 and len(tasks) > 1:
@@ -125,7 +129,7 @@ def run_ensemble(cfg: ExperimentConfig) -> list[EnsembleRecord]:
             chunk = max(1, len(tasks) // (4 * cfg.workers))
             records = list(pool.map(_replicate_task, tasks, chunksize=chunk))
     else:
-        records = [_replicate_task(t) for t in tasks]
+        records = [run_replicate(cfg, n, rep, dists[n]) for _, n, rep in tasks]
     records.sort(key=lambda r: (r.n, r.rep_id))
     return records
 

@@ -87,13 +87,13 @@ def atomic_write_text(path: str, text: str) -> None:
 
 def render_csv(fieldnames, rows) -> str:
     """CSV text with the schema comment; rows are dicts."""
+    fieldnames = list(fieldnames)
     buf = io.StringIO()
     buf.write(SCHEMA_TAG + "\n")
-    writer = csv.DictWriter(buf, fieldnames=list(fieldnames),
-                            lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: format_value(row[k]) for k in fieldnames})
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fieldnames)
+    writer.writerows([format_value(row[k]) for k in fieldnames]
+                     for row in rows)
     return buf.getvalue()
 
 

@@ -37,8 +37,8 @@ from .kernel import _bounds
 # 200 000 updates (2 vCPUs) numpy took 1.1-1.2 of the loop's time at 63
 # and 71 coordinates, 0.9 at 79 and 0.5 at 199
 _VECTOR_MIN_SITES = 76
-# uniforms per chunk of the k = 1 scan (whole sweeps, at least one), and
-# the largest chunk of the block rejection loop (_run_block)
+# uniforms per chunk of the k = 1 scan and of the exact start (whole
+# sweeps, at least one), and the largest chunk of _run_block's loop
 _BATCH = 1 << 14
 _CFTP_KEY = 0x43465450  # "CFTP", the exact start's substream tag
 _MAX_CFTP_SWEEPS = 1 << 16  # its deepest start; 4095 states needed <= 24
@@ -252,7 +252,8 @@ def _exact_start(dist, seed, lead=()):
     (uniform on [0, hi]), so the pair from the order's extremes meets
     where p is below both bounds. The start is m.bit_length() sweeps back
     and doubles per retry; block j of sweeps (block 0 ends at time 0)
-    redraws substream(seed, _CFTP_KEY, j) on every pass.
+    redraws substream(seed, _CFTP_KEY, j) on every pass, in chunks of
+    whole sweeps that hold, in order, the (u1, u2) rows of each half-sweep.
 
     lead = (R,) gives R independent draws as an (R, m) array: R pairs on
     one schedule, which retries until every pair has met. That is still
@@ -261,25 +262,35 @@ def _exact_start(dist, seed, lead=()):
     m, caps, rat = dist.n - 1, dist.caps, dist.ratios
     pair = np.zeros((2, *lead, m + 2))  # [0 | top | 0] over [0 | bottom | 0]
     halves = _halves(pair, m, np.r_[0.0, 1.0 / rat[:-1]], rat, caps)
+    size = 2 * math.prod(lead) * m  # uniforms per sweep
+    cut = size // m * ((m + 1) // 2)  # those of its even half
+    per = max(1, _BATCH // size)  # sweeps per chunk
     blocks = [m.bit_length()]  # sweeps per block, block 0 first
     while sum(blocks) <= _MAX_CFTP_SWEEPS:
         pair[:] = 0.0
         pair[0, ..., 1:-1:2], pair[1, ..., 2:-1:2] = caps[0::2], caps[1::2]
         for j in reversed(range(len(blocks))):
             rng = substream(seed, _CFTP_KEY, j)
-            for half in halves * blocks[j]:  # even, odd, even, ...
-                _pair_half_sweep(half, rng)
+            for a in range(0, blocks[j], per):
+                us = rng.random((min(per, blocks[j] - a), size))
+                draws = []
+                for half, u in zip(halves, (us[:, :cut], us[:, cut:])):
+                    u = u.reshape(len(us), 2, *half[1].shape[1:])
+                    draws.append((u[:, 0] * half[-1], u[:, 1]))
+                for q in range(len(us)):
+                    for half, (p, u2) in zip(halves, draws):
+                        _pair_half_sweep(half, p[q], u2[q])
         if pair[0].tobytes() == pair[1].tobytes():
             return pair[0, ..., 1:-1].copy()
         blocks.append(sum(blocks))
     raise NotCoalescedError(f"no meeting from {_MAX_CFTP_SWEEPS} sweeps back")
 
 
-def _pair_half_sweep(half, rng):
-    """Both bounding chains' half-sweep on two shared uniforms per site."""
-    left_nb, target, right_nb, rl, rr, cap = half
-    u1, u2 = rng.random((2, *target.shape[1:]))
-    hi, p = _upper(left_nb, right_nb, rl, rr), u1 * cap
+def _pair_half_sweep(half, p, u2):
+    """Both bounding chains' half-sweep; each site shares p = u1 * cap and
+    u2 between the two."""
+    left_nb, target, right_nb, rl, rr, _ = half
+    hi = _upper(left_nb, right_nb, rl, rr)
     target[...] = np.where(p <= hi, p, u2 * hi)
 
 

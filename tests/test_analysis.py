@@ -161,6 +161,14 @@ def test_gap_matches_dense_eigensolver():
         assert spectral_gap(k) == pytest.approx(dense_gap(k), abs=1e-9)
 
 
+def test_gap_rejects_non_finite_kernels():
+    dist = make_distribution("uniform", 4)
+    for bad in (np.nan, np.inf):
+        kern = kernel_from_superdiagonal(dist, [0.2, bad, 0.2], check=False)
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            spectral_gap(kern)
+
+
 # mixing times
 
 def test_mixing_time_two_state_full_mixing():

@@ -598,6 +598,9 @@ def test_unread_flags_exit_one(capsys):
         rc, out, err = run_cli(capsys, command + flag)
         assert rc == 1 and out == "", flag
         assert "unrecognized arguments: " + " ".join(flag) in err
+        # the usage shown is that of the command, not of bdcutoff itself
+        name = " ".join(c for c in command[:2] if not c.startswith("-"))
+        assert err.startswith(f"usage: bdcutoff {name} ["), flag
 
 
 def test_config_keys_follow_the_flag_sets(tmp_path, capsys):
@@ -644,6 +647,23 @@ def test_single_size_commands_reject_a_list(tmp_path, capsys):
                     ["probe", "contraction", "--reps", "1",
                      "--coupon-runs", "5"]):
         assert run_cli(capsys, command + ["--n", "16,32"])[0] == 0, command
+
+
+def test_n_help_says_one_count_where_one_is_taken(capsys):
+    for command, metavar, text in (
+            ("analyze", "--n N ", "state count\n"),
+            ("ensemble", "--n N[,N...] ", "state counts (comma separated)\n")):
+        rc, out, _ = run_cli(capsys, [command, "--help"])
+        assert rc == 0
+        line = next(ln for ln in out.splitlines(True)
+                    if ln.lstrip().startswith("--n "))
+        assert line.lstrip().startswith(metavar) and line.endswith(text)
+    one = {"analyze", "compare-metropolis", "probe marginal", "probe tail",
+           "probe markov", "probe levy"}
+    for name, parser in _command_parsers(build_parser()):
+        (spec,) = (a for a in parser._actions if "--n" in a.option_strings)
+        assert spec.help == ("state count" if name in one else
+                             "state counts (comma separated)"), name
 
 
 def test_cli_module_runs_without_runtime_warning():

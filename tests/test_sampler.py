@@ -13,6 +13,7 @@ from bdcutoff import sampler
 from bdcutoff.dist import make_distribution
 from bdcutoff.errors import NotCoalescedError, ParameterError, StallError
 from bdcutoff.kernel import _bounds, check_feasibility
+from bdcutoff.lab.cli import cli_main
 from bdcutoff.sampler import (CoupledTrace, SamplerConfig, collect_window,
                               default_initial_state, greedy_max_state,
                               oracle_samples, run_coupled_pair, run_gibbs,
@@ -483,8 +484,8 @@ def _spy_half_sweeps(monkeypatch):
     seen = []
     run = sampler._pair_half_sweep
 
-    def spy(half, rng):
-        run(half, rng)
+    def spy(half, p, u2):
+        run(half, p, u2)
         seen.append(half[1].copy())
 
     monkeypatch.setattr(sampler, "_pair_half_sweep", spy)
@@ -822,6 +823,29 @@ REJECTION_DIGESTS = {
 
 def test_rejection_chains_match_golden_digests():
     assert _rejection_digests() == REJECTION_DIGESTS
+
+
+# sha256 of the stdout of whole CLI calls, seed 0: the exact-tau ensemble
+# (exact starts at 2 and 3 states, whose odd half-sweeps have no site and
+# one, then the gap, spectral or stepped tau and the CSV), the proxy
+# ensemble, and one exact-tau analyze report
+CLI_DIGESTS = {
+    "ensemble --exact-tau --horizon 100000 --n 2,3,32 --reps 6":
+        "08dcc7499f986ea8bfb79a7727eec0f9fdfabcf0181ad547b36b2e2545438627",
+    "ensemble --family if --a 2 --eps 0.25 --n 64,600 --reps 2":
+        "6cbf22ac1a1e6ca03268b2723bd307655b1121652a6c35e25c833ecf6d15be27",
+    "analyze --exact-tau --n 64":
+        "243bd791a7fcdedc8c675e8edd9f3df856f04a7fca51d03593c0874113877bc1",
+}
+
+
+def test_cli_outputs_match_golden_digests(capsys):
+    got = {}
+    for call in CLI_DIGESTS:
+        assert cli_main(call.split()) == 0, call
+        got[call] = hashlib.sha256(
+            capsys.readouterr().out.encode()).hexdigest()
+    assert got == CLI_DIGESTS
 
 
 # a run with no updates, as every sampled kernel's exact draw is
