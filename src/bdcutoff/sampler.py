@@ -35,7 +35,10 @@ from .kernel import _bounds
 # k = 1 runs on at least this many coordinates update a half-sweep at a
 # time with numpy (_vector_sweeps), shorter ones one site at a time: over
 # 200 000 updates (2 vCPUs) numpy took 1.1-1.2 of the loop's time at 63
-# and 71 coordinates, 0.9 at 79 and 0.5 at 199
+# and 71 coordinates, 0.9 at 79 and 0.5 at 199. A single exact start's
+# bounding pair takes the same route; over 300 draws the loop took 0.75
+# of numpy's time at 31 coordinates, 0.87 at 47, 1.0 at 63 and 1.1-1.2
+# at 71 and 79
 _VECTOR_MIN_SITES = 76
 # uniforms per chunk of the k = 1 scan and of the exact start (whole
 # sweeps, at least one), and the largest chunk of _run_block's loop
@@ -262,6 +265,10 @@ def _exact_start(dist, seed, lead=()):
     m, caps, rat = dist.n - 1, dist.caps, dist.ratios
     pair = np.zeros((2, *lead, m + 2))  # [0 | top | 0] over [0 | bottom | 0]
     halves = _halves(pair, m, np.r_[0.0, 1.0 / rat[:-1]], rat, caps)
+    # one pair on fewer than _VECTOR_MIN_SITES sites runs site by site
+    sites = None if lead or m >= _VECTOR_MIN_SITES else [
+        list(zip(range(s, m, 2), *(a.tolist() for a in half[3:])))
+        for s, half in enumerate(halves)]
     size = 2 * math.prod(lead) * m  # uniforms per sweep
     cut = size // m * ((m + 1) // 2)  # those of its even half
     per = max(1, _BATCH // size)  # sweeps per chunk
@@ -273,6 +280,9 @@ def _exact_start(dist, seed, lead=()):
             rng = substream(seed, _CFTP_KEY, j)
             for a in range(0, blocks[j], per):
                 us = rng.random((min(per, blocks[j] - a), size))
+                if sites is not None:
+                    _scalar_pair_sweeps(pair, sites, us)
+                    continue
                 draws = []
                 for half, u in zip(halves, (us[:, :cut], us[:, cut:])):
                     u = u.reshape(len(us), 2, *half[1].shape[1:])
@@ -292,6 +302,34 @@ def _pair_half_sweep(half, p, u2):
     left_nb, target, right_nb, rl, rr, _ = half
     hi = _upper(left_nb, right_nb, rl, rr)
     target[...] = np.where(p <= hi, p, u2 * hi)
+
+
+def _scalar_pair_sweeps(pair, sites, us):
+    """The sweeps us of one bounding pair (2, m + 2), site by site, with
+    _pair_half_sweep's float operations; sites holds, for the even and
+    then the odd half, each site's (i, 1/r[i-1], r[i], cap). A row of us
+    is u1 even, u2 even, u1 odd, u2 odd."""
+    t, b = pair.tolist()
+    ne, no = len(sites[0]), len(sites[1])
+    for u in us.tolist():
+        for half, u1s, u2s in ((sites[0], u[:ne], u[ne:2 * ne]),
+                               (sites[1], u[2 * ne:2 * ne + no],
+                                u[2 * ne + no:])):
+            for (i, rl, rr, cap), u1, u2 in zip(half, u1s, u2s):
+                p = u1 * cap
+                left = 1.0 - rl * t[i]
+                right = rr * (1.0 - t[i + 2])
+                hi = left if left < right else right
+                if hi < 0.0:
+                    hi = 0.0
+                t[i + 1] = p if p <= hi else u2 * hi
+                left = 1.0 - rl * b[i]
+                right = rr * (1.0 - b[i + 2])
+                hi = left if left < right else right
+                if hi < 0.0:
+                    hi = 0.0
+                b[i + 1] = p if p <= hi else u2 * hi
+    pair[0], pair[1] = t, b
 
 
 def _halves(xp, m, *per_site):

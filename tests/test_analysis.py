@@ -183,6 +183,15 @@ def test_mixing_time_identity_never_mixes():
     assert err.value.horizon == 500
 
 
+def test_mixing_profile_rejects_nan_kernels():
+    # a nan passes every gate of the spectral route, and its eigensolve
+    # refuses it rather than stepping to the horizon
+    kern = kernel_from_superdiagonal(make_distribution("uniform", 4),
+                                     [0.2, np.nan, 0.2], check=False)
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        mixing_profile(kern, [0.25], horizon=1000)
+
+
 def test_mixing_time_rejects_growing_tv():
     # diagonal inflated past stochasticity: row sums 1.1, so mass grows
     # and TV rises from 0.05 at t=1 to 0.105 at t=2

@@ -493,6 +493,9 @@ def _spy_half_sweeps(monkeypatch):
 
 
 def test_bounding_pair_stays_ordered_and_meets(monkeypatch):
+    # a single pair below _VECTOR_MIN_SITES runs site by site; the spy
+    # needs the numpy half-sweeps
+    monkeypatch.setattr(sampler, "_VECTOR_MIN_SITES", 0)
     seen = _spy_half_sweeps(monkeypatch)
     keys = []
     stream = sampler.substream
@@ -584,6 +587,48 @@ def test_exact_start_chain_axis():
     assert len({row.tobytes() for row in draws}) == 8
     for row in draws:
         assert check_feasibility(dist, row) is None
+
+
+def _draw_or_error(dist, seed):
+    try:
+        return sampler._exact_start(dist, seed)
+    except NotCoalescedError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("family", ["uniform", "geometric", "binomial", "if"])
+def test_exact_start_scalar_pair_matches_numpy_pair(monkeypatch, family):
+    # a single draw on fewer than _VECTOR_MIN_SITES coordinates runs its
+    # pair site by site: the same bits as the numpy half-sweeps, on
+    # first-pass draws, on draws that retry, and on the same seeds with
+    # room for one pass only, where a draw that retries raises
+    stream, ceiling = sampler.substream, sampler._MAX_CFTP_SWEEPS
+    retried = raised = 0
+    for m in (1, 2, 31, 75):
+        if family == "if" and m == 1:  # if: m is even
+            continue
+        dist = _sized(family, m)
+        first = (dist.n - 1).bit_length()
+        for seed in range(30):
+            keys = []
+            monkeypatch.setattr(sampler, "substream",
+                                lambda *key: keys.append(key) or stream(*key))
+            scalar, vector = _both_paths(
+                monkeypatch, lambda: sampler._exact_start(dist, seed))
+            monkeypatch.setattr(sampler, "substream", stream)
+            assert scalar.shape == (dist.n - 1,)
+            assert _same_bits(scalar, vector), (m, seed)
+            retried += len(keys) > 2  # one key per path on a first pass
+            monkeypatch.setattr(sampler, "_MAX_CFTP_SWEEPS", first)
+            scalar, vector = _both_paths(
+                monkeypatch, lambda: _draw_or_error(dist, seed))
+            monkeypatch.setattr(sampler, "_MAX_CFTP_SWEEPS", ceiling)
+            if isinstance(scalar, str):
+                assert scalar == vector
+                raised += 1
+            else:
+                assert _same_bits(scalar, vector), (m, seed)
+    assert 0 < raised == retried
 
 
 def test_exact_start_depth_ceiling(monkeypatch):
@@ -825,10 +870,11 @@ def test_rejection_chains_match_golden_digests():
     assert _rejection_digests() == REJECTION_DIGESTS
 
 
-# sha256 of the stdout of whole CLI calls, seed 0: the exact-tau ensemble
-# (exact starts at 2 and 3 states, whose odd half-sweeps have no site and
-# one, then the gap, spectral or stepped tau and the CSV), the proxy
-# ensemble, and one exact-tau analyze report
+# sha256 of the stdout of whole CLI calls, seed 0 unless given: the
+# exact-tau ensemble (exact starts at 2 and 3 states, whose odd
+# half-sweeps have no site and one, then the gap, spectral or stepped tau
+# and the CSV), the proxy ensemble, one exact-tau analyze report, and
+# exact starts on 75 coordinates (site by site) and 76 (numpy)
 CLI_DIGESTS = {
     "ensemble --exact-tau --horizon 100000 --n 2,3,32 --reps 6":
         "08dcc7499f986ea8bfb79a7727eec0f9fdfabcf0181ad547b36b2e2545438627",
@@ -836,6 +882,8 @@ CLI_DIGESTS = {
         "6cbf22ac1a1e6ca03268b2723bd307655b1121652a6c35e25c833ecf6d15be27",
     "analyze --exact-tau --n 64":
         "243bd791a7fcdedc8c675e8edd9f3df856f04a7fca51d03593c0874113877bc1",
+    "ensemble --exact-tau --horizon 100000 --n 76,77 --reps 4 --seed 6":
+        "5f53295c58d101220ba41b8a22d2a96e6a4fa1b3e6ea22eac3718fe7d3c9fd6e",
 }
 
 
