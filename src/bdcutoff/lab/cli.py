@@ -179,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
             required=True, metavar="{" + "|".join(sorted(PROBES)) + "}")
     for name in sorted(PROBES):
         _add_command(probes, f"probe {name}",
-                     functools.partial(_cmd_probe, PROBES[name]),
+                     functools.partial(_cmd_probe, name),
                      description=probe_help)
     _add_command(
         sub, "compare-metropolis", _cmd_compare,
@@ -313,8 +313,10 @@ def _cmd_ensemble(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_probe(probe, cfg: ExperimentConfig) -> int:
-    result = probe(cfg)
+def _cmd_probe(name: str, cfg: ExperimentConfig) -> int:
+    # looked up per call, not when the cached parser was built, so that a
+    # later rebinding of PROBES[name] (a wrapper, a test double) is seen
+    result = PROBES[name](cfg)
     _emit_json({"probe": result.probe, "summary": result.summary,
                 "flags": list(result.flags)}, None)
     if cfg.out:

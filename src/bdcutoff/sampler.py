@@ -24,6 +24,7 @@ which tests a proposal within its block once for all its chains.
 """
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,10 @@ from .kernel import _bounds
 # and 71 coordinates, 0.9 at 79 and 0.5 at 199. A single exact start's
 # bounding pair takes the same route; over 300 draws the loop took 0.75
 # of numpy's time at 31 coordinates, 0.87 at 47, 1.0 at 63 and 1.1-1.2
-# at 71 and 79
+# at 71 and 79. Three later rounds of 300 alternating draws read
+# 0.93-0.98 at 55, 1.01-1.08 at 63, 1.04-1.12 at 67, 1.11-1.17 at 71 and
+# 1.11-1.20 at 75: numpy's lead below 76 is not a steady 10%, so the
+# pair keeps this edge
 _VECTOR_MIN_SITES = 76
 # uniforms per chunk of the k = 1 scan and of the exact start (whole
 # sweeps, at least one), and the largest chunk of _run_block's loop
@@ -50,6 +54,10 @@ _MAX_CFTP_SWEEPS = 1 << 16  # its deepest start; 4095 states needed <= 24
 # 21 at 16 and 19 at 64, and as long as 16 on a 10 000-row one, where
 # 64 took a third longer (one exact start costs about 0.25 ms there)
 _WINDOW_CHAINS = 32
+# each law's block plans (_block_plan), by (k, w); keyed by the
+# StationaryDist itself, hashed by identity, so a law's plans die with it
+# and two laws of one size never share one
+_PLANS = weakref.WeakKeyDictionary()
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -259,19 +267,26 @@ def _exact_start(dist, seed, lead=()):
     whole sweeps that hold, in order, the (u1, u2) rows of each half-sweep.
 
     lead = (R,) gives R independent draws as an (R, m) array: R pairs on
-    one schedule, which retries until every pair has met. That is still
-    exact, as a pair that met from some depth gives the same time-0 state
-    from every deeper start."""
+    one schedule. After each pass every pair that has met (bit for bit)
+    keeps its time-0 row, and only the others run the next, deeper pass,
+    each still reading its own rows of the full draw. That is still
+    exact, and the same bits as running every pair again, as a pair that
+    met from some depth gives the same time-0 state from every deeper
+    start."""
     m, caps, rat = dist.n - 1, dist.caps, dist.ratios
+    recl = np.r_[0.0, 1.0 / rat[:-1]]
     pair = np.zeros((2, *lead, m + 2))  # [0 | top | 0] over [0 | bottom | 0]
-    halves = _halves(pair, m, np.r_[0.0, 1.0 / rat[:-1]], rat, caps)
+    halves = _halves(pair, m, recl, rat, caps)
     # one pair on fewer than _VECTOR_MIN_SITES sites runs site by site
     sites = None if lead or m >= _VECTOR_MIN_SITES else [
         list(zip(range(s, m, 2), *(a.tolist() for a in half[3:])))
         for s, half in enumerate(halves)]
-    size = 2 * math.prod(lead) * m  # uniforms per sweep
+    chains = math.prod(lead)
+    size = 2 * chains * m  # uniforms per sweep
     cut = size // m * ((m + 1) // 2)  # those of its even half
     per = max(1, _BATCH // size)  # sweeps per chunk
+    out = np.empty((chains, m))  # the rows of pairs that have met
+    todo = np.arange(chains)  # the chains whose pair has not met
     blocks = [m.bit_length()]  # sweeps per block, block 0 first
     while sum(blocks) <= _MAX_CFTP_SWEEPS:
         pair[:] = 0.0
@@ -285,13 +300,26 @@ def _exact_start(dist, seed, lead=()):
                     continue
                 draws = []
                 for half, u in zip(halves, (us[:, :cut], us[:, cut:])):
-                    u = u.reshape(len(us), 2, *half[1].shape[1:])
+                    u = u.reshape(len(us), 2, *lead, half[-1].size)
+                    if todo.size < chains:
+                        u = u[:, :, todo]
                     draws.append((u[:, 0] * half[-1], u[:, 1]))
                 for q in range(len(us)):
                     for half, (p, u2) in zip(halves, draws):
                         _pair_half_sweep(half, p[q], u2[q])
-        if pair[0].tobytes() == pair[1].tobytes():
-            return pair[0, ..., 1:-1].copy()
+        if pair[0].tobytes() == pair[1].tobytes():  # every pair met
+            if todo.size == chains:
+                return pair[0, ..., 1:-1].copy()
+            out[todo] = pair[0, :, 1:-1]
+            return out
+        if lead:  # a pair that met keeps its row; the rest go on alone
+            met = (pair[0].view(np.int64)
+                   == pair[1].view(np.int64)).all(axis=1)
+            if met.any():
+                out[todo[met]] = pair[0, met, 1:-1]
+                todo = todo[~met]
+                pair = np.zeros((2, todo.size, m + 2))
+                halves = _halves(pair, m, recl, rat, caps)
         blocks.append(sum(blocks))
     raise NotCoalescedError(f"no meeting from {_MAX_CFTP_SWEEPS} sweeps back")
 
@@ -458,6 +486,32 @@ def _vector_sweeps(xp, us, rat, recl, order, slot, hist):
             hist[:, q + 1] = xp.take(slot, axis=1)
 
 
+class _BlockPlan:
+    """The block loop's setup on one law for one (k, w): the caps and
+    1/r as lists, the start picker, each block start's (caps, 1/r within,
+    1/r left, 1/r right), filled on first use, and run_coupled_pair's
+    default far start, made on first use."""
+
+    __slots__ = ("caps", "rec", "pick", "blocks", "antipode")
+
+    def __init__(self, dist, k, w):
+        self.caps = [float(v) for v in dist.caps]
+        self.rec = [1.0 / float(v) for v in dist.ratios]
+        self.pick = _start_picker(dist.n - k, w)
+        self.blocks = {}
+        self.antipode = None
+
+
+def _block_plan(dist, k, w) -> _BlockPlan:
+    """dist's plan for (k, w), built on the first call and shared by
+    every later _run_block and run_coupled_pair call on that law."""
+    plans = _PLANS.setdefault(dist, {})
+    plan = plans.get((k, w))
+    if plan is None:
+        plan = plans[k, w] = _BlockPlan(dist, k, w)
+    return plan
+
+
 def _run_block(dist, chains, total, config, rng, step):
     """The rejection sweep for blocks of config.k sites, on one chain or
     on several that share every block start and every proposal.
@@ -465,24 +519,24 @@ def _run_block(dist, chains, total, config, rng, step):
     Each chain adopts the first proposal feasible for it, so each one is
     marginally the plain block Gibbs chain. A proposal's tests within
     the block run once, then each waiting chain tests its two ends, with
-    the float operations of a full check. After update done (1-based),
-    at block start s with tries proposals drawn, step(done, s, tries)
-    does the caller's bookkeeping; a true return ends the run.
+    the float operations of a full check. The picker and the per-start
+    lists come from dist's plan (_block_plan), so calls on one law build
+    them once. After update done (1-based), at block start s with tries
+    proposals drawn, step(done, s, tries) does the caller's bookkeeping;
+    a true return ends the run.
     """
     m = dist.n - 1
     k = config.k
-    caps = [float(v) for v in dist.caps]
-    rec = [1.0 / float(v) for v in dist.ratios]
-    pick = _start_picker(m - k + 1, config.w)
+    plan = _block_plan(dist, k, config.w)
+    caps, rec, pick, plans = plan.caps, plan.rec, plan.pick, plan.blocks
     max_tries = config.max_rejection_tries
-    plans = {}  # block start -> (caps, 1/r within, 1/r left, 1/r right)
     # uniforms read by index, in chunks that double from 256 to _BATCH
     us, i, size = rng.random(256).tolist(), 0, 512
     for done in range(1, total + 1):
         s = pick(us[i])
         i += 1
         e = s + k
-        if s not in plans:
+        if s not in plans:  # (caps, 1/r within, 1/r left, 1/r right)
             plans[s] = (caps[s:e], rec[s:e - 1], rec[s - 1], rec[e - 1])
         box, within, rl, rr = plans[s]
         # (chain, left bound, right neighbour); past an end no proposal
@@ -586,22 +640,29 @@ def run_coupled_pair(config: SamplerConfig, initial_pair=None) -> CoupledTrace:
     chain is the plain Gibbs chain, and whenever the first shared
     proposal suits both, the block coalesces exactly.
 
-    The default antipodal pair backs the maximal state off its vertex
-    by 1/16: at the vertex a neighbor's conditional slab has width
-    exactly 0 and no proposal can ever be accepted. Scaling a feasible
-    state by s in [0, 1] stays feasible, and the backoff keeps every
-    slab at least cap/16 wide. Explicit boundary pairs are allowed and
-    may stall by construction. The pair runs until it merges or for
-    config.burnin + config.steps updates; config.thin plays no part.
+    The default antipodal pair, zero against 0.9375 * greedy_max_state,
+    backs the maximal state off its vertex by 1/16: at the vertex a
+    neighbor's conditional slab has width exactly 0 and no proposal can
+    ever be accepted. Scaling a feasible state by s in [0, 1] stays
+    feasible, and the backoff keeps every slab at least cap/16 wide. That
+    far state is made once and kept in the law's block plan (_block_plan),
+    which the pair's block loop shares, so later pairs on the law build
+    neither. Explicit boundary pairs are allowed and may stall by
+    construction. The pair runs until it merges or for config.burnin +
+    config.steps updates; config.thin plays no part.
     """
     dist = config.dist
     m = dist.n - 1
     if initial_pair is None:
-        initial_pair = (np.zeros(m), 0.9375 * greedy_max_state(dist))
-    x = [float(v) for v in np.asarray(initial_pair[0], dtype=float)]
-    y = [float(v) for v in np.asarray(initial_pair[1], dtype=float)]
-    if len(x) != m or len(y) != m:
-        raise ParameterError(f"initial states must have length {m}")
+        plan = _block_plan(dist, config.k, config.w)
+        if plan.antipode is None:
+            plan.antipode = (0.9375 * greedy_max_state(dist)).tolist()
+        x, y = [0.0] * m, list(plan.antipode)
+    else:
+        x = [float(v) for v in np.asarray(initial_pair[0], dtype=float)]
+        y = [float(v) for v in np.asarray(initial_pair[1], dtype=float)]
+        if len(x) != m or len(y) != m:
+            raise ParameterError(f"initial states must have length {m}")
 
     total = config.burnin + config.steps
     coalesced_at = 0 if x == y else None

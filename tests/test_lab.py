@@ -491,6 +491,24 @@ def test_cached_parser_matches_fresh_process(tmp_path, capsys, monkeypatch):
     assert build_parser.cache_info().misses == 1
 
 
+def test_probe_rebound_after_parser_build_is_called(capsys, monkeypatch):
+    # the cached parser binds each probe by name, so a probe rebound in
+    # the registry after the first build (as a span tracer does) runs
+    from bdcutoff.lab import probes
+    build_parser()
+    seen = []
+
+    def stand_in(cfg):
+        seen.append(cfg.n_list)
+        return probes.ProbeResult(probe="stand-in", summary={}, rows=[],
+                                  flags=())
+
+    monkeypatch.setitem(probes.PROBES, "marginal", stand_in)
+    rc, out, _ = run_cli(capsys, ["probe", "marginal", "--n", "16"])
+    assert rc == 0 and seen == [(16,)]
+    assert json.loads(out)["probe"] == "stand-in"
+
+
 def test_horizon_below_one_is_a_usage_error(capsys):
     for horizon in (0, -5):
         with pytest.raises(ParameterError, match="horizon"):

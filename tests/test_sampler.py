@@ -1,7 +1,9 @@
 """Gibbs sampler: conditionals, block updates, oracle, coupled pairs."""
 
+import gc
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -650,6 +652,57 @@ def test_exact_start_depth_ceiling(monkeypatch):
         run_gibbs(SamplerConfig(dist, seed=1))
 
 
+# sha256 of the dtype, shape and bits of 32-chain window draws: at 200
+# uniform states every window needs a second pass, on the if law with
+# 199 states seed 1 needs one for a single chain
+WINDOW_DIGESTS = {
+    ("uniform", 0):
+        "a33583d6cb970be23ce861f1a37247e53017fc302f30fc99e3e588f224eb6c17",
+    ("uniform", 1):
+        "4e23244a8f8dcc3fb2e273fec4b3437aa11e1508d9ee27f5363478e29ebcc4ac",
+    ("if", 1):
+        "80ff523dbf5d7706dd8176e536afe994ba46602f36c8c6c69ea5bc1323e810be",
+}
+
+
+def _window_law(family):
+    return (make_distribution("uniform", 200) if family == "uniform"
+            else make_distribution("if", 100, a=2.0, eps=0.25))
+
+
+def test_window_retries_run_only_unmet_chains(monkeypatch):
+    # after a pass, the pairs that met keep their rows and the deeper
+    # pass runs a pair array holding only the others; the rows are the
+    # ones every chain gets when all of them run again
+    half_sweep = sampler._pair_half_sweep
+    for (family, seed), want in WINDOW_DIGESTS.items():
+        dist = _window_law(family)
+        pairs = []  # each pass's [0 | top | 0] over [0 | bottom | 0]
+
+        def spy(half, p, u2):
+            if not pairs or pairs[-1] is not half[1].base:
+                pairs.append(half[1].base)
+            half_sweep(half, p, u2)
+
+        monkeypatch.setattr(sampler, "_pair_half_sweep", spy)
+        draws = sampler._exact_start(dist, seed, (32,))
+        monkeypatch.undo()
+        assert _digest(draws.dtype.str, draws.shape, draws) == want
+        assert len(pairs) == 2 and pairs[0].shape[1] == 32
+        top, bottom = pairs[0].view(np.uint64)
+        unmet = np.flatnonzero((top != bottom).any(axis=1))
+        assert pairs[1].shape[1] == unmet.size
+        met = np.setdiff1d(np.arange(32), unmet)
+        assert _same_bits(draws[met], top[met, 1:-1].view(float))
+        # with room for the first pass only, the window raises
+        monkeypatch.setattr(sampler, "_MAX_CFTP_SWEEPS",
+                            (dist.n - 1).bit_length())
+        with pytest.raises(NotCoalescedError) as err:
+            sampler._exact_start(dist, seed, (32,))
+        monkeypatch.undo()
+        assert str(err.value) == "no meeting from 8 sweeps back"
+
+
 # rejection oracle
 
 def test_oracle_two_states_is_uniform_on_cap():
@@ -722,6 +775,53 @@ def test_coupled_coalescence_scales_like_coupon_collection():
             times.append(trace.coalesced_at)
         normalized = float(np.mean(times)) / (n * math.log(n))
         assert 0.3 <= normalized <= 5.0, (n, normalized)
+
+
+def _pair_and_chain(dist, k, w, seed):
+    """A coupled pair's merge time, then at k >= 2 a block chain's
+    final state, samples and proposal count."""
+    out = [run_coupled_pair(SamplerConfig(dist, k=k, w=w, steps=20000,
+                                          seed=seed)).coalesced_at]
+    if k >= 2:
+        t = run_gibbs(SamplerConfig(dist, k=k, w=w, burnin=200, steps=600,
+                                    thin=3, seed=seed))
+        out += [t.final.tobytes(), t.samples.tobytes(), t.block_tries]
+    return out
+
+
+def test_block_plans_do_not_leak_between_laws(monkeypatch):
+    # four laws of 24 states, run in an interleaved order with k and w
+    # changing between calls, give what each run gives on an empty plan
+    # cache
+    laws = [make_distribution("uniform", 24),
+            make_distribution("geometric", 24, a=1.1),
+            make_distribution("binomial", 24), _sized("explicit", 23)]
+    runs = [(d, k, w, 500 + 10 * i + k) for i, d in enumerate(laws)
+            for k in (1, 2, 3) for w in (0.5, 1.0)]
+    alone = []
+    for run in runs:
+        monkeypatch.setattr(sampler, "_PLANS", weakref.WeakKeyDictionary())
+        alone.append(_pair_and_chain(*run))
+    monkeypatch.setattr(sampler, "_PLANS", weakref.WeakKeyDictionary())
+    for i in substream(9).permutation(len(runs)).tolist() * 2:
+        assert _pair_and_chain(*runs[i]) == alone[i], runs[i][1:]
+    # one plan per (law, k, w), and none outlives its law
+    assert {d: set(sampler._PLANS[d]) for d in laws} == {
+        d: {(k, w) for k in (1, 2, 3) for w in (0.5, 1.0)} for d in laws}
+    gone, kept = weakref.ref(laws[0]), laws[1:]
+    del laws, runs, run
+    gc.collect()
+    assert gone() is None and list(sampler._PLANS) == kept
+
+
+def test_contraction_builds_one_plan_per_size(monkeypatch):
+    # every rep of a size shares the size's plan and far start
+    built, greedy = [], sampler.greedy_max_state
+    monkeypatch.setattr(sampler, "greedy_max_state",
+                        lambda dist: built.append(dist.n) or greedy(dist))
+    assert cli_main("probe contraction --k 2 --n 16,32 --reps 4 "
+                    "--coupon-runs 10 --seed 1".split()) == 0
+    assert built == [16, 32]
 
 
 # the block rejection loop against the per-chain reference
@@ -894,6 +994,32 @@ def test_cli_outputs_match_golden_digests(capsys):
         got[call] = hashlib.sha256(
             capsys.readouterr().out.encode()).hexdigest()
     assert got == CLI_DIGESTS
+
+
+# sha256 of the stdout and the --out CSV, each followed by a NUL byte, of
+# the benchmark's two probe calls (a k = 1 window at 200 uniform states,
+# whose exact start always retries; k = 2 coupled pairs) and a k = 1
+# window on the if law with 199 states, where most pairs meet at once
+PROBE_DIGESTS = {
+    "probe marginal --n 200 --probe-samples 10000 --seed 3":
+        "bd592c6291e0a5053a39afeb0bbb856a308cb2d2c49a7f48495a20e9cfd1726f",
+    "probe contraction --k 2 --n 16,32 --reps 16 --coupon-runs 80 --seed 3":
+        "6e614a8c4e57171c54f8e3dc52622c9a032c727d2961ed8c3374f43c5ec514f8",
+    "probe marginal --family if --a 2 --eps 0.25 --n 100 "
+    "--probe-samples 4000 --seed 3":
+        "01ae1ceb4621185b6096a1219d55b73083af951f398b6e8bee748d9d58e4d066",
+}
+
+
+def test_probe_outputs_match_golden_digests(tmp_path, capsys):
+    out = tmp_path / "probe.csv"
+    got = {}
+    for call in PROBE_DIGESTS:
+        assert cli_main(call.split() + ["--out", str(out)]) == 0, call
+        got[call] = hashlib.sha256(
+            capsys.readouterr().out.encode() + b"\0"
+            + out.read_bytes() + b"\0").hexdigest()
+    assert got == PROBE_DIGESTS
 
 
 # a run with no updates, as every sampled kernel's exact draw is
