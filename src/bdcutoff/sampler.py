@@ -307,16 +307,16 @@ def _exact_start(dist, seed, lead=()):
                 for q in range(len(us)):
                     for half, (p, u2) in zip(halves, draws):
                         _pair_half_sweep(half, p[q], u2[q])
-        if pair[0].tobytes() == pair[1].tobytes():  # every pair met
-            if todo.size == chains:
-                return pair[0, ..., 1:-1].copy()
-            out[todo] = pair[0, :, 1:-1]
-            return out
-        if lead:  # a pair that met keeps its row; the rest go on alone
+        if not lead:
+            if pair[0].tobytes() == pair[1].tobytes():
+                return pair[0, 1:-1].copy()
+        else:  # a pair that met keeps its row; the rest go on alone
             met = (pair[0].view(np.int64)
                    == pair[1].view(np.int64)).all(axis=1)
+            out[todo[met]] = pair[0, met, 1:-1]
+            if met.all():
+                return out
             if met.any():
-                out[todo[met]] = pair[0, met, 1:-1]
                 todo = todo[~met]
                 pair = np.zeros((2, todo.size, m + 2))
                 halves = _halves(pair, m, recl, rat, caps)
