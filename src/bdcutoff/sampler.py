@@ -17,10 +17,10 @@ reweighted by w) and rejection-samples the block from the product of
 per-site boxes [0, min(1, ratio)].
 
 A brute-force rejection sampler over the whole polytope doubles as a
-ground-truth oracle for small state counts. Two chains that share every
-block start and proposal give a coalescence-time diagnostic; the k >= 2
-chain and this coupled pair run the same rejection loop (_run_block),
-which tests a proposal within its block once for all its chains.
+ground-truth oracle for small state counts. A coupled pair (a coalescence-time
+diagnostic) and the k >= 2 chain share one rejection loop, _run_block: it
+tests a proposal's block once for all chains, the first two sites in
+straight-line code, and builds the values that chains accept once.
 """
 
 import math
@@ -488,9 +488,9 @@ def _vector_sweeps(xp, us, rat, recl, order, slot, hist):
 
 class _BlockPlan:
     """The block loop's setup on one law for one (k, w): the caps and
-    1/r as lists, the start picker, each block start's (caps, 1/r within,
-    1/r left, 1/r right), filled on first use, and run_coupled_pair's
-    default far start, made on first use."""
+    1/r as lists, the start picker, and, each made on first use, each
+    start s's (caps, 1/r within, left and right 1/r, cap[s], cap[s + 1]
+    (cap[s] at k = 1), 1/r[s]) and run_coupled_pair's default far start."""
 
     __slots__ = ("caps", "rec", "pick", "blocks", "antipode")
 
@@ -517,13 +517,13 @@ def _run_block(dist, chains, total, config, rng, step):
     on several that share every block start and every proposal.
 
     Each chain adopts the first proposal feasible for it, so each one is
-    marginally the plain block Gibbs chain. A proposal's tests within
-    the block run once, then each waiting chain tests its two ends, with
-    the float operations of a full check. The picker and the per-start
-    lists come from dist's plan (_block_plan), so calls on one law build
-    them once. After update done (1-based), at block start s with tries
-    proposals drawn, step(done, s, tries) does the caller's bookkeeping;
-    a true return ends the run.
+    marginally the plain block Gibbs chain. A proposal's tests within the
+    block run once (straight-line code for the first two sites), then
+    each waiting chain tests its two ends with a full check's float
+    operations; chains that accept share one list of values. The setup
+    is the law's plan (_block_plan). After update done (1-based), at
+    block start s with tries proposals drawn, step(done, s, tries) does
+    the caller's bookkeeping; a true return ends the run.
     """
     m = dist.n - 1
     k = config.k
@@ -531,14 +531,15 @@ def _run_block(dist, chains, total, config, rng, step):
     caps, rec, pick, plans = plan.caps, plan.rec, plan.pick, plan.blocks
     max_tries = config.max_rejection_tries
     # uniforms read by index, in chunks that double from 256 to _BATCH
-    us, i, size = rng.random(256).tolist(), 0, 512
+    us, i, size, refill = rng.random(256).tolist(), 0, 512, 256 - k
     for done in range(1, total + 1):
         s = pick(us[i])
         i += 1
         e = s + k
-        if s not in plans:  # (caps, 1/r within, 1/r left, 1/r right)
-            plans[s] = (caps[s:e], rec[s:e - 1], rec[s - 1], rec[e - 1])
-        box, within, rl, rr = plans[s]
+        if s not in plans:
+            plans[s] = (caps[s:e], rec[s:e - 1], rec[s - 1], rec[e - 1],
+                        caps[s], caps[s + (k > 1)], rec[s])
+        box, within, rl, rr, cap0, cap1, rec0 = plans[s]
         # (chain, left bound, right neighbour); past an end no proposal
         # exceeds inf, and -inf exceeds no bound
         waiting = [(c, 1.0 - rl * c[s - 1] if s else math.inf,
@@ -548,13 +549,17 @@ def _run_block(dist, chains, total, config, rng, step):
             tries += 1
             if tries > max_tries:
                 raise StallError(s, tries - 1)
-            if i + k >= len(us):  # this proposal and the next start
+            if i >= refill:  # this proposal and the next start
                 us, i = us[i:] + rng.random(size).tolist(), 0
-                size = min(2 * size, _BATCH)
+                refill, size = len(us) - k, min(2 * size, _BATCH)
             a = i
             i += k
-            first = prev = us[a] * box[0]
-            t = 1  # for t in range(1, k) made the loop 13% slower at k = 2
+            first = prev = us[a] * cap0
+            if k > 1:
+                prev = us[a + 1] * cap1
+                if prev > 1.0 - rec0 * first:
+                    continue
+            t = 2
             while t < k:
                 p = us[a + t] * box[t]
                 if p > 1.0 - within[t - 1] * prev:
@@ -563,12 +568,17 @@ def _run_block(dist, chains, total, config, rng, step):
                 t += 1
             else:
                 right = 1.0 - rr * prev
+                values = None
                 rest = []
                 for w in waiting:
                     if first > w[1] or w[2] > right:
                         rest.append(w)
                     else:
-                        w[0][s:e] = [u * b for u, b in zip(us[a:i], box)]
+                        if values is None:
+                            values = ([first] if k == 1 else
+                                      [first, prev] if k == 2 else
+                                      [u * b for u, b in zip(us[a:i], box)])
+                        w[0][s:e] = values
                 waiting = rest
         if step(done, s, tries):
             return

@@ -875,6 +875,26 @@ def test_block_loop_matches_per_chain_reference(monkeypatch, family, k):
         assert all(isinstance(g, str) for g in got[-len(stalls):][:len(runs)])
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("family", ["uniform", "geometric", "binomial", "if",
+                                    "explicit"])
+def test_block_loop_matches_reference_at_edge_starts(monkeypatch, family, k):
+    # m = k leaves one block start with both ends open (the picker's
+    # single-start case); m = k + 1 leaves two, each an endpoint
+    for m in (k, k + 1):
+        if family == "if" and m % 2:
+            continue
+        dist = _sized(family, m)
+        assert dist.n - 1 == m
+        for w in (0.5, 3.0):
+            runs, stalls = _block_runs(dist, k, w, 100 * m + int(10 * w))
+            got = [_outcome(run) for run in runs + stalls]
+            monkeypatch.setattr(sampler, "_run_block", block_chain_reference)
+            want = [_outcome(run) for run in runs + stalls]
+            monkeypatch.undo()
+            assert got == want, (m, w)
+
+
 def test_stream_fingerprint_stability():
     assert substream(7, 1).random() == substream(7, 1).random()
     assert substream(7, 1).random() != substream(7, 2).random()
@@ -1011,15 +1031,34 @@ PROBE_DIGESTS = {
 }
 
 
-def test_probe_outputs_match_golden_digests(tmp_path, capsys):
-    out = tmp_path / "probe.csv"
+# the same digests of coupled pairs at the two ends of the block size:
+# k = 1, and k = 8, where 9 states leave a single block start
+EDGE_K_PROBE_DIGESTS = {
+    "probe contraction --k 1 --n 16,32 --reps 4 --coupon-runs 40 --seed 4":
+        "1c8dd2ebcfdc773d6e692bd4ba1108b926b1eefefc021c2c9a7f0ecfddd27340",
+    "probe contraction --k 8 --n 9,16 --reps 4 --coupon-runs 40 --seed 4":
+        "3019446d44753b4d934a71524d6424795b581b58af45aa5b2a33f34cc183be8a",
+}
+
+
+def _probe_digests(calls, out, capsys):
     got = {}
-    for call in PROBE_DIGESTS:
+    for call in calls:
         assert cli_main(call.split() + ["--out", str(out)]) == 0, call
         got[call] = hashlib.sha256(
             capsys.readouterr().out.encode() + b"\0"
             + out.read_bytes() + b"\0").hexdigest()
+    return got
+
+
+def test_probe_outputs_match_golden_digests(tmp_path, capsys):
+    got = _probe_digests(PROBE_DIGESTS, tmp_path / "probe.csv", capsys)
     assert got == PROBE_DIGESTS
+
+
+def test_edge_k_probe_outputs_match_golden_digests(tmp_path, capsys):
+    got = _probe_digests(EDGE_K_PROBE_DIGESTS, tmp_path / "probe.csv", capsys)
+    assert got == EDGE_K_PROBE_DIGESTS
 
 
 # a run with no updates, as every sampled kernel's exact draw is
