@@ -14,9 +14,9 @@ from .dist import FAMILIES, StationaryDist, make_distribution
 from .kernel import (BDKernel, check_feasibility, kernel_from_superdiagonal,
                      metropolis_kernel)
 from .sampler import (CoupledTrace, GibbsTrace, SamplerConfig,
-                      collect_window, default_initial_state,
-                      greedy_max_state, oracle_samples, run_coupled_pair,
-                      run_gibbs, stream_fingerprint, substream)
+                      collect_window, greedy_max_state, oracle_samples,
+                      run_coupled_pair, run_gibbs, stream_fingerprint,
+                      substream)
 from .analysis import (AnalysisReport, EXACT_TAU_LIMIT, MicloBounds, analyze,
                        expected_hitting_time, miclo_bounds, mixing_profile,
                        mixing_time, pairwise_distance_profile, spectral_gap)
@@ -33,8 +33,8 @@ __all__ = [
     "BDKernel", "check_feasibility", "kernel_from_superdiagonal",
     "metropolis_kernel",
     "CoupledTrace", "GibbsTrace", "SamplerConfig", "collect_window",
-    "default_initial_state", "greedy_max_state", "oracle_samples",
-    "run_coupled_pair", "run_gibbs", "stream_fingerprint", "substream",
+    "greedy_max_state", "oracle_samples", "run_coupled_pair", "run_gibbs",
+    "stream_fingerprint", "substream",
     "AnalysisReport", "EXACT_TAU_LIMIT", "MicloBounds", "analyze",
     "expected_hitting_time", "miclo_bounds", "mixing_profile",
     "mixing_time", "pairwise_distance_profile", "spectral_gap",

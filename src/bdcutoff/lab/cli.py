@@ -57,13 +57,11 @@ _FLAGS = {
         "--w": dict(type=float,
                     help="boundary block-start weight; at --k 1 only "
                          "probe contraction reads it"),
-        "--steps": dict(type=int, help="updates to run after equilibration"),
+        "--steps": dict(type=int,
+                        help="updates to run after the exact draw"),
         "--thin": dict(type=int, help="updates per retained state"),
         "--reps": dict(type=int, help="replicates per state count"),
         "--seed": dict(type=int, help="master seed (64-bit)"),
-        "--equilibration": dict(
-            type=int, help="updates before the first kept state (default "
-                           "0 at --k 1, which starts exact; else 20 n ln n)"),
         "--max-rejection-tries": dict(type=int,
                                       help="block-proposal stall threshold")},
     "analysis": {
@@ -99,24 +97,24 @@ _FLAGS = {
                          help="flat key=value defaults file; flags "
                               "override it")},
 }
-_SHARED = ("--family --n --a --eps --mass --k --w --max-rejection-tries "
-           "--seed --out --config")
+_SHARED = "--family --n --a --eps --mass --seed --out --config"
+# read only where a chain runs: a sampled kernel is an exact draw
+_CHAIN = "--k --w --max-rejection-tries"
 _ANALYSIS = "--delta --exact-tau --horizon --exhaustive-starts --raw-kernel"
-_WINDOW = ("--equilibration --format --workers --coord --probe-samples "
-           "--probe-thin")
+_WINDOW = f"{_CHAIN} --format --workers --coord --probe-samples --probe-thin"
 # the flags each command reads besides _SHARED
 _READS = {
-    "sample": "--equilibration --steps --thin --reps --format",
-    "analyze": "--equilibration " + _ANALYSIS,
-    "ensemble": f"--equilibration --reps {_ANALYSIS} --format --workers "
-                "--timings",
-    "compare-metropolis": "--equilibration --reps --alpha --format --workers",
+    "sample": f"{_CHAIN} --steps --thin --reps --format",
+    "analyze": _ANALYSIS,
+    "ensemble": f"--reps {_ANALYSIS} --format --workers --timings",
+    "compare-metropolis": "--reps --alpha --format --workers",
     # no probe reads --workers; bench/run.py run_calls appends it to every call
     "probe marginal": _WINDOW,
     "probe tail": _WINDOW,
     "probe markov": _WINDOW,
-    "probe levy": "--equilibration --reps --window --format --workers",
-    "probe contraction": "--reps --coupon-c --coupon-runs --format --workers",
+    "probe levy": "--reps --window --format --workers",
+    "probe contraction": f"{_CHAIN} --reps --coupon-c --coupon-runs --format "
+                         "--workers",
 }
 # commands that run at one state count; the rest take a list
 _ONE_SIZE = ("analyze", "compare-metropolis", "probe marginal", "probe tail",
@@ -127,8 +125,11 @@ _ONE_N = dict(_FLAGS["distribution"]["--n"], metavar="N", help="state count")
 
 def _add_command(sub, name: str, run, **prose) -> None:
     """A parser for name with only the flags it reads; the config keys
-    it reads are their dests, and tail_grid on probe tail."""
-    parser = sub.add_parser(name.rpartition(" ")[2], **prose)
+    it reads are their dests, and tail_grid on probe tail. A flag must be
+    spelled out, so that one a command does not read is never taken for
+    a longer one it does (--w for --workers)."""
+    parser = sub.add_parser(name.rpartition(" ")[2], allow_abbrev=False,
+                            **prose)
     reads = f"{_SHARED} {_READS[name]}".split()
     keys = {"tail_grid"} if name == "probe tail" else set()
     for title, flags in _FLAGS.items():
@@ -156,17 +157,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_command(
         sub, "sample", _cmd_sample,
         help="emit sampled superdiagonal states",
-        description="Draw each replicate's state (exact at --k 1) and emit "
-                    "it in long form (n, family, rep_id, seed_sub, "
+        description="Draw each replicate's state exactly and emit it "
+                    "in long form (n, family, rep_id, seed_sub, "
                     "sample_idx, coord, value). With --steps the later "
                     "trace is retained every --thin updates; otherwise one "
                     "final state per replicate.")
     _add_command(
         sub, "analyze", _cmd_analyze,
         help="sample one kernel and print its mixing report",
-        description="One replicate: draw a state (exact at --k 1), build "
-                    "the kernel, run the full analysis, print a JSON "
-                    "report.")
+        description="One replicate: draw a state exactly, build the "
+                    "kernel, run the full analysis, print a JSON report.")
     _add_command(
         sub, "ensemble", _cmd_ensemble,
         help="run replicates across state counts into a table",

@@ -16,10 +16,12 @@ FORMATS = ("csv", "json")
 class ExperimentConfig:
     """Flat bundle of every knob the CLI exposes.
 
-    Sampler fields mirror SamplerConfig; analysis fields control which
-    mixing statistics run per replicate; probe fields are read only by
-    the probe that needs them. equilibration=None means 0 at k = 1,
-    which starts from an exact draw, else 20*n*ln(n) block updates.
+    Sampler fields mirror SamplerConfig and are read only by the
+    commands that can run a chain (sample and the probe windows and
+    pairs); every chain and every sampled kernel starts from an exact
+    draw. Analysis fields
+    control which mixing statistics run per replicate; probe fields are
+    read only by the probe that needs them.
     """
 
     family: str = "uniform"
@@ -34,7 +36,6 @@ class ExperimentConfig:
     thin: int = 1
     seed: int = 0
     max_rejection_tries: int = 1_000_000
-    equilibration: int | None = None
     exact_tau: bool = False
     horizon: int = DEFAULT_HORIZON
     delta: float = 0.75
@@ -101,19 +102,16 @@ class ExperimentConfig:
                                  mass=self.mass)
 
     def equilibration_budget(self, n: int) -> int:
-        if self.equilibration is not None:
-            return int(self.equilibration)
-        if self.k == 1:
-            return 0
-        return max(1, int(round(20.0 * n * math.log(n))))
+        """0: every chain starts from an exact draw. Its only caller is
+        bench/checks.py::rebuild_kernel, and ROADMAP item 1 removes
+        that call."""
+        return 0
 
     def sampler_config(self, dist: StationaryDist, seed: int,
                        **overrides) -> SamplerConfig:
         """SamplerConfig for dist with this config's k, w and stall
-        threshold; burnin defaults to the equilibration budget and any
-        other SamplerConfig field can be overridden."""
+        threshold; any other SamplerConfig field can be overridden."""
         settings = {"k": self.k, "w": self.w,
                     "max_rejection_tries": self.max_rejection_tries,
-                    "burnin": self.equilibration_budget(dist.n),
                     **overrides}
         return SamplerConfig(dist=dist, seed=seed, **settings)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, fields
 from ..analysis import AnalysisReport, analyze
 from ..errors import ParameterError
 from ..kernel import BDKernel, kernel_from_superdiagonal
-from ..sampler import _check_scan_weight, run_gibbs, stream_fingerprint
+from ..sampler import SamplerConfig, run_gibbs, stream_fingerprint
 from .config import ExperimentConfig
 
 NAN = float("nan")
@@ -58,12 +58,12 @@ def _failed_record(cfg: ExperimentConfig, n: int, rep_id: int,
 
 def sampled_kernel(cfg: ExperimentConfig, n: int, rep_id: int,
                    dist=None) -> tuple[int, BDKernel]:
-    """The sampled kernel of replicate rep_id at size n (an exact draw
-    at k = 1), with the derived seed that reproduces it. dist, when
-    given, is cfg.make_dist(n), built once for a run's replicates."""
+    """The sampled kernel of replicate rep_id at size n, an exact draw,
+    with the derived seed that reproduces it. dist, when given, is
+    cfg.make_dist(n), built once for a run's replicates."""
     seed_sub = replicate_seed(cfg.seed, n, rep_id)
     dist = cfg.make_dist(n) if dist is None else dist
-    trace = run_gibbs(cfg.sampler_config(dist, seed_sub))
+    trace = run_gibbs(SamplerConfig(dist, seed=seed_sub))
     return seed_sub, kernel_from_superdiagonal(dist, trace.final)
 
 
@@ -115,7 +115,6 @@ def run_ensemble(cfg: ExperimentConfig) -> list[EnsembleRecord]:
     count: every replicate draws from its own derived stream, and the
     output is sorted by (n, rep_id) regardless of completion order.
     """
-    _check_scan_weight(cfg.k, cfg.w)
     # one distribution per size, for the serial replicates; a bad family
     # setting fails here even with no reps
     dists = {n: cfg.make_dist(n) for n in cfg.n_list}

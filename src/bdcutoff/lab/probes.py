@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ParameterError
-from ..sampler import (_check_scan_weight, _start_sites, _window_chains,
-                       collect_window, oracle_samples, run_coupled_pair,
-                       run_gibbs, stream_fingerprint, substream)
+from ..sampler import (SamplerConfig, _check_scan_weight, _start_sites,
+                       _window_chains, collect_window, oracle_samples,
+                       run_coupled_pair, run_gibbs, stream_fingerprint,
+                       substream)
 from .config import ExperimentConfig
 
 SIN_REFERENCE_MEDIAN = 1.0 / 3.0
@@ -71,18 +72,18 @@ def _coordinate_window(cfg: ExperimentConfig, tag: int, reach: int = 0,
                        per_sweep: int = 4, exact_states: int = 0):
     """Samples of coordinates coord - reach .. coord + reach, one row
     per retained state; the one sampling path of the marginal, tail and
-    markov probes. Returns (dist, coord, values, burnin, thin, chains).
+    markov probes. Returns (dist, coord, values, thin, chains).
 
     The law is built for n_list[0]. coord is cfg.coord, else the middle
     coordinate, and needs reach neighbours on each side. On m
     coordinates a coordinate refreshes about every m/k block updates,
     so unless cfg.probe_thin is set, retained states are spaced a
     per_sweep-th of that apart. The rows come from collect_window: at
-    k = 1 from chains = _window_chains(rows) chains started from exact
-    draws, chain by chain; at k >= 2 from one chain (chains = 1). Up to
+    k = 1 from chains = _window_chains(rows) chains, chain by chain; at
+    k >= 2 from one chain (chains = 1). Every chain starts from an exact
+    draw and runs no burn-in, so each summary's burnin reads 0. Up to
     exact_states states the rows are exact rejection draws instead, with
-    burnin = thin = 0 and every row its own chain. tag keys the random
-    stream.
+    thin = 0 and every row its own chain. tag keys the random stream.
     """
     dist = cfg.make_dist(cfg.n_list[0])
     m = dist.n - 1
@@ -94,14 +95,13 @@ def _coordinate_window(cfg: ExperimentConfig, tag: int, reach: int = 0,
     if dist.n <= exact_states:
         _check_scan_weight(cfg.k, cfg.w)
         draws = oracle_samples(dist, cfg.probe_samples, substream(cfg.seed, tag))
-        return dist, coord, draws[:, coords], 0, 0, cfg.probe_samples
+        return dist, coord, draws[:, coords], 0, cfg.probe_samples
     thin = cfg.probe_thin or max(1, m // (per_sweep * cfg.k))
     sampler = cfg.sampler_config(
         dist, stream_fingerprint(cfg.seed, tag),
         steps=cfg.probe_samples * thin, thin=thin)
     chains = _window_chains(cfg.probe_samples) if cfg.k == 1 else 1
-    return (dist, coord, collect_window(sampler, coords), sampler.burnin,
-            thin, chains)
+    return dist, coord, collect_window(sampler, coords), thin, chains
 
 
 def _edge_flags(coord: int, m: int) -> list:
@@ -175,7 +175,7 @@ def probe_marginal(cfg: ExperimentConfig) -> ProbeResult:
     chains, at k >= 2 batches of its one chain. ess is the batch-means
     effective sample size of the rows.
     """
-    dist, coord, vals, budget, thin, chains = _coordinate_window(cfg, 3)
+    dist, coord, vals, thin, chains = _coordinate_window(cfg, 3)
     flags = _edge_flags(coord, dist.n - 1)
     ess = batch_means_ess(vals[:, 0])
     samples = np.sort(vals[:, 0])
@@ -197,7 +197,7 @@ def probe_marginal(cfg: ExperimentConfig) -> ProbeResult:
             "abs_gap": abs(emp - r), "se": float(se), "count": count})
     summary = {
         "n": dist.n, "coord": coord, "samples": count, "chains": chains,
-        "ess": ess, "burnin": budget, "thin": thin, "ks": ks,
+        "ess": ess, "burnin": 0, "thin": thin, "ks": ks,
         "ks_interior": ks_interior,
         "empirical_median": float(np.quantile(samples, 0.5)),
         "reference_median": SIN_REFERENCE_MEDIAN}
@@ -221,7 +221,7 @@ def probe_tail(cfg: ExperimentConfig) -> ProbeResult:
     grid = sorted(float(x) for x in cfg.tail_grid)
     if not grid or grid[0] <= 0:
         raise ParameterError("tail grid must be positive")
-    dist, coord, vals, budget, thin, chains = _coordinate_window(cfg, 4)
+    dist, coord, vals, thin, chains = _coordinate_window(cfg, 4)
     flags = _edge_flags(coord, dist.n - 1)
     samples = vals[:, 0]
     count = len(samples)
@@ -248,7 +248,7 @@ def probe_tail(cfg: ExperimentConfig) -> ProbeResult:
         flags.append(f"{bound_violations} cap-bound violations over 3 SE")
     summary = {
         "n": dist.n, "coord": coord, "samples": count, "chains": chains,
-        "ess": batch_means_ess(samples), "burnin": budget, "thin": thin,
+        "ess": batch_means_ess(samples), "burnin": 0, "thin": thin,
         "f_last": rows[-1]["f"], "x_last": rows[-1]["x"],
         "limit_target": math.pi / 2.0, "limit_target_interior": 2.0,
         "monotone_violations": monotone_violations,
@@ -319,7 +319,7 @@ def probe_markov(cfg: ExperimentConfig) -> ProbeResult:
     # autocorrelation, so default to a full sweep per retained sample
     # rather than the quarter sweep the scalar probes use; up to 12
     # states the draws are exact
-    dist, coord, trio, budget, thin, chains = _coordinate_window(
+    dist, coord, trio, thin, chains = _coordinate_window(
         cfg, 5, reach=1, per_sweep=1, exact_states=12)
     count = cfg.probe_samples
     left, mid, right = trio[:, 0], trio[:, 1], trio[:, 2]
@@ -347,7 +347,7 @@ def probe_markov(cfg: ExperimentConfig) -> ProbeResult:
     summary = {
         "n": dist.n, "coord": coord, "samples": count,
         "sampler": "gibbs" if thin else "oracle", "chains": chains,
-        "burnin": budget, "thin": thin,
+        "burnin": 0, "thin": thin,
         "bins": len(rows), "max_abs_rho": max_abs,
         "control_max_abs_rho": control_max,
         "adjacent_corr": _pearson(mid, right), "excluded_bins": excluded}
@@ -397,14 +397,13 @@ def probe_levy_sum(cfg: ExperimentConfig) -> ProbeResult:
         flags.append(f"window start {lo} is within {_EDGE} of a boundary")
 
     reps = cfg.reps
-    budget = cfg.equilibration_budget(dist.n)
     s_half = np.empty(reps)
     s_full = np.empty(reps)
     sums_half = np.empty(reps)
     sums_full = np.empty(reps)
     for r in range(reps):
         seed = int(stream_fingerprint(cfg.seed, 7, r))
-        run = run_gibbs(cfg.sampler_config(dist, seed))
+        run = run_gibbs(SamplerConfig(dist, seed=seed))
         window = run.final[lo:lo + 2 * nprime]
         with np.errstate(divide="ignore"):
             w = 1.0 / window
@@ -427,7 +426,7 @@ def probe_levy_sum(cfg: ExperimentConfig) -> ProbeResult:
             "count": reps})
     summary = {
         "n": dist.n, "window": nprime, "window_start": lo, "reps": reps,
-        "burnin": budget, "ks": ks,
+        "burnin": 0, "ks": ks,
         "median_short": float(np.median(s_half)),
         "median_long": float(np.median(s_full)),
         "sum_ratio": ratio}
@@ -481,7 +480,7 @@ def probe_contraction(cfg: ExperimentConfig) -> ProbeResult:
         for r in range(cfg.reps):
             seed = int(stream_fingerprint(cfg.seed, 11, dist.n, r))
             trace = run_coupled_pair(cfg.sampler_config(
-                dist, seed, steps=horizon, burnin=0))
+                dist, seed, steps=horizon))
             if trace.coalesced_at is None:
                 censored += 1
             else:

@@ -8,13 +8,14 @@ updates the even sites in ascending order, then the odd ones. A site's
 interval reads only its two neighbours, so the sites of one parity are
 conditionally independent given the others, and on _VECTOR_MIN_SITES or
 more coordinates a half-sweep is one numpy expression, with results
-bit-identical to the site-by-site loop. The scan starts from an exact
-draw (monotone coupling from the past on the same half-sweeps), so it
-needs no burn-in. A k = 1 window (collect_window) runs independent
-chains from independent exact draws on a leading chain axis of the same
-half-sweeps. For k >= 2 each update picks a block start (endpoints
-reweighted by w) and rejection-samples the block from the product of
-per-site boxes [0, min(1, ratio)].
+bit-identical to the site-by-site loop. A chain at any k starts from an
+exact draw (monotone coupling from the past on the k = 1 half-sweeps),
+so it needs no burn-in, and a run with no updates is that draw. A k = 1
+window (collect_window) runs independent chains from independent exact
+draws on a leading chain axis of the same half-sweeps. For k >= 2 each
+update picks a block start (endpoints reweighted by w) and
+rejection-samples the block from the product of per-site boxes
+[0, min(1, ratio)].
 
 A brute-force rejection sampler over the whole polytope doubles as a
 ground-truth oracle for small state counts. A coupled pair (a coalescence-time
@@ -83,10 +84,11 @@ class SamplerConfig:
     """Settings for one Gibbs run.
 
     steps counts post-burnin block updates; every thin-th state after
-    burnin is retained. w weights the two endpoint block starts (w = 1
-    is unbiased) where starts are drawn: at k >= 2 and in the coupled
-    pair. run_gibbs at k = 1 scans every site in turn from an exact
-    draw, so it needs no burnin, and takes only w = 1.
+    burnin is retained. run_gibbs starts from an exact draw at every k,
+    so burnin = 0 is already stationary. w weights the two endpoint
+    block starts (w = 1 is unbiased) where starts are drawn: at k >= 2
+    and in the coupled pair. run_gibbs at k = 1 scans every site in
+    turn, and takes only w = 1.
     """
 
     dist: StationaryDist
@@ -128,11 +130,6 @@ class GibbsTrace:
 class CoupledTrace:
     coalesced_at: int | None  # update index of exact merge, 1-based;
                               # 0 when the pair starts equal
-
-
-def default_initial_state(dist: StationaryDist) -> np.ndarray:
-    """A strictly interior point: an eighth of the per-site caps."""
-    return 0.125 * dist.caps
 
 
 def greedy_max_state(dist: StationaryDist) -> np.ndarray:
@@ -187,16 +184,15 @@ def run_gibbs(config: SamplerConfig, initial=None, coords=None) -> GibbsTrace:
     """Run the Gibbs chain (the k = 1 scan, or the k >= 2 block chain)
     and return its trace.
 
-    initial defaults to an exact draw at k = 1, else an interior point.
-    Each retained state keeps the coordinates coords (default: all), so
+    initial defaults to an exact draw (_exact_start) at every k. Each
+    retained state keeps the coordinates coords (default: all), so
     samples has config.steps // config.thin rows of len(coords) values.
     """
     dist = config.dist
     m = dist.n - 1
     _check_scan_weight(config.k, config.w)
     if initial is None:
-        initial = (_exact_start(dist, config.seed) if config.k == 1
-                   else default_initial_state(dist))
+        initial = _exact_start(dist, config.seed)
     initial = np.asarray(initial, dtype=float)
     if initial.shape != (m,):
         raise ParameterError(f"initial state has length {initial.size}, expected {m}")
@@ -599,7 +595,8 @@ def collect_window(config: SamplerConfig, coords, initial=None) -> np.ndarray:
     stationary. The rows come chain by chain, in the runs that
     np.array_split(rows, R) cuts: chain j gives rows // R rows, one more
     when j < rows % R. burnin and thin count one chain's site updates.
-    Else the rows are those of run_gibbs(config, initial, coords).
+    Else the rows are those of run_gibbs(config, initial, coords): at
+    k >= 2 with no initial, one block chain from an exact draw.
     """
     if config.k != 1 or initial is not None:
         return run_gibbs(config, initial, coords).samples

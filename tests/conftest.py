@@ -20,8 +20,14 @@ import numpy as np
 
 from bdcutoff.errors import DomainError, NotMixedError, StallError
 from bdcutoff.kernel import kernel_from_superdiagonal
-from bdcutoff.sampler import (SamplerConfig, _start_picker,
-                              default_initial_state, run_gibbs, substream)
+from bdcutoff.sampler import (SamplerConfig, _start_picker, run_gibbs,
+                              substream)
+
+
+def interior_state(dist) -> np.ndarray:
+    """A strictly interior point, an eighth of the per-site caps: the
+    start of the reference chains here and of the pinned block runs."""
+    return 0.125 * dist.caps
 
 
 def equilibration_budget(n: int) -> int:
@@ -29,13 +35,13 @@ def equilibration_budget(n: int) -> int:
 
 
 def equilibrated_kernel(dist, seed: int, budget: int | None = None):
-    """One sampled kernel: the site chain from the default interior start
-    after a 20 n ln n burn-in."""
+    """One sampled kernel: the site chain from interior_state after a
+    20 n ln n burn-in."""
     if budget is None:
         budget = equilibration_budget(dist.n)
     trace = run_gibbs(
         SamplerConfig(dist=dist, steps=0, burnin=budget, seed=seed),
-        initial=default_initial_state(dist))
+        initial=interior_state(dist))
     return kernel_from_superdiagonal(dist, trace.final)
 
 
@@ -45,7 +51,7 @@ def site_chain_reference(config, coords=None, initial=None):
     then the odd ones, as uniform j times the site's conditional
     interval. Draws every uniform in one call, where the library draws
     them a chunk at a time (split Philox draws equal one long draw).
-    initial defaults to the default start. Returns (final, samples,
+    initial defaults to interior_state. Returns (final, samples,
     update_counts) as run_gibbs would."""
     dist = config.dist
     m = dist.n - 1
@@ -56,7 +62,7 @@ def site_chain_reference(config, coords=None, initial=None):
     total = config.burnin + config.steps
     us = substream(config.seed).random(total).tolist()
     if initial is None:
-        initial = default_initial_state(dist)
+        initial = interior_state(dist)
     c = [float(v) for v in initial]
     counts = [0] * m
     rows = []

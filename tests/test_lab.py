@@ -23,7 +23,7 @@ from bdcutoff.lab.ensemble import (RECORD_FIELDS, record_rows,
 from bdcutoff.lab.tableio import (SCHEMA_TAG, format_value, jsonable,
                                   parse_value, read_csv_rows, render_csv,
                                   render_json, render_table, write_table)
-from bdcutoff.sampler import stream_fingerprint
+from bdcutoff.sampler import _exact_start, stream_fingerprint
 
 
 # configuration
@@ -44,11 +44,11 @@ def test_config_validation():
 def test_config_defaults_and_budget():
     cfg = ExperimentConfig(n_list=[np.int64(16), 32.0])
     assert cfg.n_list == (16, 32)
-    # k = 1 starts from an exact draw; block chains burn in 20 n ln n
+    # every chain starts from an exact draw, so none burns in at any k
     assert cfg.equilibration_budget(64) == 0
-    assert ExperimentConfig(k=2).equilibration_budget(64) == round(
-        20 * 64 * math.log(64))
-    assert ExperimentConfig(equilibration=7).equilibration_budget(64) == 7
+    assert ExperimentConfig(k=2).equilibration_budget(64) == 0
+    with pytest.raises(TypeError, match="equilibration"):
+        ExperimentConfig(equilibration=7)
     assert cfg.make_dist(16).n == 16
 
 
@@ -146,13 +146,13 @@ def test_ensemble_records_respect_gap_bounds():
 
 
 def test_ensemble_keeps_failed_replicates():
-    # one-try block proposals stall immediately; the rows survive with
-    # the error recorded and NaN statistics
+    # no kernel mixes within one step; the rows survive with the error
+    # recorded and NaN statistics
     records = run_ensemble(ExperimentConfig(
-        n_list=(12,), reps=3, k=2, max_rejection_tries=1, seed=9))
+        n_list=(12,), reps=3, exact_tau=True, horizon=1, seed=9))
     assert len(records) == 3
     for r in records:
-        assert r.error.startswith("StallError")
+        assert r.error.startswith("NotMixedError")
         assert math.isnan(r.gap) and math.isnan(r.cutoff_product)
         assert r.proxy_flag
 
@@ -290,18 +290,27 @@ def test_cli_sample_retains_trace(capsys):
 
 
 def test_cli_sample_final_states_match_sampled_kernel(capsys):
-    # both start from the exact draw of seed_sub with no burn-in, so each
-    # row's state is the kernel that its seed_sub reproduces
-    rc, out, _ = run_cli(capsys, ["sample", "--n", "64", "--reps", "2",
-                                  "--seed", "21"])
-    assert rc == 0
-    rows = [line.split(",") for line in out.splitlines()[2:]]
+    # at every k both are the exact draw of seed_sub with no burn-in, so
+    # each row's state is the kernel that its seed_sub reproduces
     cfg = ExperimentConfig(n_list=(64,), reps=2, seed=21)
-    for rep in (0, 1):
-        seed_sub, kern = sampled_kernel(cfg, 64, rep)
-        got = np.array([float(r[6]) for r in rows if r[2] == str(rep)])
-        assert {r[3] for r in rows if r[2] == str(rep)} == {str(seed_sub)}
-        assert np.array_equal(got.view(np.uint64), kern.c.view(np.uint64))
+    dist = cfg.make_dist(64)
+    for k in ("1", "2", "3"):
+        rc, out, _ = run_cli(capsys, ["sample", "--n", "64", "--reps", "2",
+                                      "--seed", "21", "--k", k])
+        assert rc == 0
+        rows = [line.split(",") for line in out.splitlines()[2:]]
+        states = []
+        for rep in (0, 1):
+            seed_sub, kern = sampled_kernel(cfg, 64, rep)
+            got = np.array([float(r[6]) for r in rows if r[2] == str(rep)])
+            assert {r[3] for r in rows if r[2] == str(rep)} == {str(seed_sub)}
+            assert np.array_equal(got.view(np.uint64),
+                                  kern.c.view(np.uint64)), k
+            assert np.array_equal(
+                got.view(np.uint64),
+                _exact_start(dist, seed_sub).view(np.uint64)), k
+            states.append(got.tobytes())
+        assert states[0] != states[1], k
 
 
 def test_cli_probe_json(tmp_path, capsys):
@@ -420,9 +429,8 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
                      "--mass", "1,inf,2"],
                     ["ensemble", "--family", "if", "--n", "16"],
                     ["ensemble", "--delta", "0.3"],
-                    ["ensemble", "--k", "9", "--workers", "2"],
+                    ["sample", "--n", "8", "--k", "9"],
                     # the k = 1 scan has no block starts to weight
-                    ["ensemble", "--n", "8", "--w", "2"],
                     ["sample", "--n", "8", "--w", "0.5"]):
         reps = ["--reps", "2"] if {"ensemble", "sample",
                                    "contraction"} & set(command) else []
@@ -448,8 +456,7 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
         assert err.startswith("bdcutoff: ") and "Error" not in err
     # --w at k = 1 exits 1 where no chain runs too: no replicates, and
     # the markov probe's exact rejection draws at 12 states or fewer
-    for command in (["ensemble", "--n", "8", "--w", "2", "--reps", "0"],
-                    ["sample", "--n", "8", "--w", "2", "--reps", "0"],
+    for command in (["sample", "--n", "8", "--w", "2", "--reps", "0"],
                     ["probe", "markov", "--n", "8", "--w", "2"]):
         rc, out, err = run_cli(capsys, command)
         assert rc == 1 and out == "", command
@@ -541,14 +548,31 @@ def test_negative_seed_is_a_usage_error(capsys):
 
 
 def test_cli_runtime_failures_exit_two(capsys):
-    for command in (["analyze", "--n", "12"],
-                    ["probe", "marginal", "--n", "16"],
-                    ["compare-metropolis", "--n", "12", "--reps", "3"]):
-        rc, _, err = run_cli(capsys, command + ["--k", "2",
-                                                "--max-rejection-tries", "1",
-                                                "--seed", "1"])
-        assert rc == 2
-        assert "StallError" in err
+    for command, error in (
+            (["analyze", "--n", "12", "--exact-tau", "--horizon", "1"],
+             "NotMixedError"),
+            (["probe", "marginal", "--n", "16", "--k", "2",
+              "--max-rejection-tries", "1"], "StallError")):
+        rc, _, err = run_cli(capsys, command + ["--seed", "1"])
+        assert rc == 2, command
+        assert error in err
+
+
+def test_cli_compare_replicate_failure_exits_two(capsys, monkeypatch):
+    # a failed replicate exits 2 after every replicate has run, naming
+    # the first failure in rep order
+    from bdcutoff.lab import ensemble
+    seen = []
+
+    def failing(cfg, kernel):
+        seen.append(kernel)
+        raise RuntimeError(f"replicate {len(seen)} failed")
+
+    monkeypatch.setattr(ensemble, "analyze_kernel", failing)
+    rc, out, err = run_cli(capsys, ["compare-metropolis", "--n", "12",
+                                    "--reps", "3", "--seed", "1"])
+    assert (rc, out) == (2, "") and len(seen) == 3
+    assert err == "bdcutoff: RuntimeError: replicate 1 failed\n"
 
 
 def test_cli_compare_rejects_analysis_flags(capsys):
@@ -560,23 +584,23 @@ def test_cli_compare_rejects_analysis_flags(capsys):
 
 
 _ANALYSIS = "--delta --exact-tau --horizon --exhaustive-starts --raw-kernel"
-_WINDOW = "--equilibration --format --workers --coord --probe-samples " \
-          "--probe-thin"
-# every command also takes the distribution, chain and output flags
+_CHAIN = "--k --w --max-rejection-tries"
+_WINDOW = f"{_CHAIN} --format --workers --coord --probe-samples --probe-thin"
+# every command also takes the distribution, seed and output flags; the
+# chain flags go only to the commands that run a chain
 ACCEPTED = {
-    "sample": "--equilibration --steps --thin --reps --format",
-    "analyze": "--equilibration " + _ANALYSIS,
-    "ensemble": f"--equilibration --reps {_ANALYSIS} --format --workers "
-                "--timings",
-    "compare-metropolis": "--equilibration --reps --alpha --format --workers",
+    "sample": f"{_CHAIN} --steps --thin --reps --format",
+    "analyze": _ANALYSIS,
+    "ensemble": f"--reps {_ANALYSIS} --format --workers --timings",
+    "compare-metropolis": "--reps --alpha --format --workers",
     "probe marginal": _WINDOW,
     "probe tail": _WINDOW,
     "probe markov": _WINDOW,
-    "probe levy": "--equilibration --reps --window --format --workers",
-    "probe contraction": "--reps --coupon-c --coupon-runs --format --workers",
+    "probe levy": "--reps --window --format --workers",
+    "probe contraction": f"{_CHAIN} --reps --coupon-c --coupon-runs --format "
+                         "--workers",
 }
-SHARED = ("--family --n --a --eps --mass --k --w --max-rejection-tries "
-          "--seed --out --config")
+SHARED = "--family --n --a --eps --mass --seed --out --config"
 
 
 def _command_parsers(parser, prefix=""):
@@ -595,7 +619,7 @@ def test_each_command_accepts_only_the_flags_it_reads():
            for name, parser in _command_parsers(build_parser())}
     assert got == {name: sorted(f"{SHARED} {flags}".split())
                    for name, flags in ACCEPTED.items()}
-    assert sum(map(len, got.values())) == 153
+    assert sum(map(len, got.values())) == 133
 
 
 def test_unread_flags_exit_one(capsys):
@@ -608,6 +632,9 @@ def test_unread_flags_exit_one(capsys):
             (ensemble, ["--coupon-runs", "5"]), (ensemble, ["--coord", "3"]),
             (ensemble, ["--window", "8"]), (ensemble, ["--steps", "4"]),
             (ensemble, ["--thin", "2"]),
+            # a sampled kernel is an exact draw: no chain flag is read
+            (ensemble + ["--workers", "2"], ["--k", "9"]),
+            (ensemble, ["--w", "2"]), (analyze, ["--equilibration", "5"]),
             (["probe", "marginal", "--n", "16"], ["--reps", "2"]),
             (["probe", "marginal"],
              ["--reps", "7", "--exact-tau", "--alpha", "0.3", "--timings"]),

@@ -116,7 +116,7 @@ def test_probe_windows_share_coordinate_and_thin_rules():
                for probe in (probe_marginal, probe_tail, probe_markov)]
         assert tuple(s["thin"] for s in got) == thins
         assert {s["coord"] for s in got} == {31}
-        assert {s["burnin"] for s in got} == {cfg.equilibration_budget(64)}
+        assert {s["burnin"] for s in got} == {0}
         assert {s["samples"] for s in got} == {200}
     for bad in (dict(k=0), dict(probe_thin=0)):
         with pytest.raises(ParameterError):

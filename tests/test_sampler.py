@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import block_chain_reference, site_chain_reference
+from conftest import (block_chain_reference, interior_state,
+                      site_chain_reference)
 
 from bdcutoff import sampler
 from bdcutoff.dist import make_distribution
@@ -17,9 +18,9 @@ from bdcutoff.errors import NotCoalescedError, ParameterError, StallError
 from bdcutoff.kernel import _bounds, check_feasibility
 from bdcutoff.lab.cli import cli_main
 from bdcutoff.sampler import (CoupledTrace, SamplerConfig, collect_window,
-                              default_initial_state, greedy_max_state,
-                              oracle_samples, run_coupled_pair, run_gibbs,
-                              stream_fingerprint, substream)
+                              greedy_max_state, oracle_samples,
+                              run_coupled_pair, run_gibbs, stream_fingerprint,
+                              substream)
 
 UNI3 = make_distribution("uniform", 3)
 UNI4 = make_distribution("uniform", 4)
@@ -121,13 +122,19 @@ def _features(dist, c):
 @pytest.mark.parametrize("family,kw,k", [
     (family, kw, k)
     for family, kw in (("geometric", {"a": 2.0}), ("binomial", {}))
-    for k in (1, 2)])
+    for k in (1, 2)] + [(name, None, 2)
+                        for name in ("uniform-6", "uniform-12", "if-9")])
 def test_chain_matches_oracle_on_nonflat_mass(family, kw, k):
     # 4000 states 25 updates apart against 20 000 rejection-oracle draws,
-    # binned at the oracle's deciles, one chi-square test per feature
-    dist = make_distribution(family, 6, **kw)
-    chain = run_gibbs(SamplerConfig(dist, k=k, burnin=200, steps=4000 * 25,
-                                    thin=25, seed=38 + k)).samples
+    # binned at the oracle's deciles, one chi-square test per feature; a
+    # block chain needs no burn-in, as it starts from an exact draw
+    if kw is None:
+        dist, burnin = EXACT_CASES[family], 0
+    else:
+        dist, burnin = make_distribution(family, 6, **kw), 200
+    chain = run_gibbs(SamplerConfig(dist, k=k, burnin=burnin,
+                                    steps=4000 * 25, thin=25,
+                                    seed=38 + k)).samples
     ref = oracle_samples(dist, 20_000, substream(38, k))
     fc, fr = _features(dist, chain), _features(dist, ref)
     for j in range(fc.shape[1]):
@@ -240,7 +247,7 @@ def test_default_states_are_feasible():
     for family, kw in (("uniform", {}), ("geometric", {"a": 3.0}),
                        ("binomial", {}), ("if", {"eps": 0.3, "a": 2.0})):
         dist = make_distribution(family, 15, **kw)
-        assert check_feasibility(dist, default_initial_state(dist)) is None
+        assert check_feasibility(dist, interior_state(dist)) is None
         assert check_feasibility(dist, greedy_max_state(dist)) is None
 
 
@@ -321,7 +328,7 @@ def test_replay_is_bit_identical_to_scalar_loop(monkeypatch, family, m):
 def test_site_chain_matches_per_update_reference(monkeypatch, family, m):
     dist = _sized(family, m)
     sub = sorted({0, m // 2, m - 1})
-    start = default_initial_state(dist)  # the reference's start
+    start = interior_state(dist)  # the reference's start
     for cfg in _scan_configs(dist, 10 * m):
         final, samples, counts = site_chain_reference(cfg)
         assert samples.shape == (cfg.steps // cfg.thin, m)
@@ -753,7 +760,7 @@ def test_oracle_samples_are_feasible():
 
 def test_coupled_identical_start_coalesces_immediately():
     dist = make_distribution("uniform", 6)
-    init = default_initial_state(dist)
+    init = interior_state(dist)
     trace = run_coupled_pair(
         SamplerConfig(dist=dist, steps=50, seed=8),
         initial_pair=(init, init.copy()))
@@ -922,12 +929,14 @@ def _rejection_digests():
              "geometric": make_distribution("geometric", 40, a=1.1),
              "binomial": make_distribution("binomial", 40),
              "if": make_distribution("if", 20, a=2.0, eps=0.25)}
+    # the block runs start from interior_state, where they were recorded
     out = {}
     for i, name in enumerate(small):
         for k in (2, 3):
             t = run_gibbs(SamplerConfig(small[name], k=k, w=2.0, burnin=3000,
                                         steps=7000, thin=7,
-                                        seed=100 + 10 * i + k))
+                                        seed=100 + 10 * i + k),
+                          initial=interior_state(small[name]))
             out[f"gibbs-{name}-{k}"] = _digest(
                 t.final, t.samples, t.update_counts.astype(np.int64),
                 t.block_updates, t.block_tries)
@@ -936,10 +945,12 @@ def _rejection_digests():
                                                steps=20000, thin=3,
                                                seed=200 + 10 * i + k))
             out[f"coupled-{name}-{k}"] = _digest(t.coalesced_at)
-    t = run_gibbs(SamplerConfig(UNI3, k=2, steps=500, thin=5, seed=300))
+    t = run_gibbs(SamplerConfig(UNI3, k=2, steps=500, thin=5, seed=300),
+                  initial=interior_state(UNI3))
     out["gibbs-uniform3-2"] = _digest(t.final, t.samples, t.block_tries)
     v = collect_window(SamplerConfig(small["binomial"], k=2, burnin=100,
-                                     steps=4000, thin=4, seed=301), [0, 5, 10])
+                                     steps=4000, thin=4, seed=301), [0, 5, 10],
+                       initial=interior_state(small["binomial"]))
     out["collect-binomial-2"] = _digest(v)
     return out
 
@@ -1097,9 +1108,11 @@ def test_run_without_updates_matches_golden_digests():
                           thin=3, seed=5), coords=[0, 5]),
         "uniform32-initial": run_gibbs(SamplerConfig(uni, seed=17),
                                        initial=initial),
-        "geometric10-k2": run_gibbs(SamplerConfig(geo, k=2, w=2.0, seed=3)),
+        # the block runs with interior_state, where they were recorded
+        "geometric10-k2": run_gibbs(SamplerConfig(geo, k=2, w=2.0, seed=3),
+                                    initial=interior_state(geo)),
         "geometric10-k3-coords": run_gibbs(SamplerConfig(geo, k=3, seed=3),
-                                           coords=[8]),
+                                           interior_state(geo), coords=[8]),
     }
     assert {name: _digest(*_trace_fields(t))
             for name, t in traces.items()} == NO_UPDATE_DIGESTS
