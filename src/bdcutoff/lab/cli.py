@@ -17,7 +17,7 @@ from ..compare import comparison_diagnostic
 from ..dist import FAMILIES
 from ..errors import ParameterError
 from ..sampler import _check_scan_weight, run_gibbs
-from .config import FORMATS, ExperimentConfig
+from .config import FORMATS, ExperimentConfig, _refuse_unread
 from .ensemble import (RECORD_FIELDS, analyze_kernel, record_rows,
                        replicate_seed, run_ensemble, sampled_kernel)
 from .probes import PROBES
@@ -269,6 +269,9 @@ def _emit_table(fieldnames, rows, cfg: ExperimentConfig) -> None:
 
 
 def _cmd_sample(cfg: ExperimentConfig) -> int:
+    if not cfg.steps:
+        _refuse_unread(cfg, "k w thin max_rejection_tries",
+                       "sample without --steps runs no chain")
     _check_scan_weight(cfg.k, cfg.w)
     rows = []
     for n in sorted(cfg.n_list):

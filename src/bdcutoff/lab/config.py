@@ -2,7 +2,7 @@
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from ..analysis import DEFAULT_HORIZON
 from ..dist import FAMILIES, StationaryDist, make_distribution
@@ -19,7 +19,8 @@ class ExperimentConfig:
     Sampler fields mirror SamplerConfig and are read only by the
     commands that can run a chain (sample and the probe windows and
     pairs); every chain and every sampled kernel starts from an exact
-    draw. Analysis fields
+    draw, and where such a command runs no chain (_refuse_unread) a
+    chain setting off its default is an error. Analysis fields
     control which mixing statistics run per replicate; probe fields are
     read only by the probe that needs them.
     """
@@ -115,3 +116,18 @@ class ExperimentConfig:
                     "max_rejection_tries": self.max_rejection_tries,
                     **overrides}
         return SamplerConfig(dist=dist, seed=seed, **settings)
+
+
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+
+
+def _refuse_unread(cfg: ExperimentConfig, names: str, why: str) -> None:
+    """Raise ParameterError naming each field of names (as its flag)
+    that cfg sets off its default, from a flag or from --config: why
+    says what runs instead of a chain, so the setting would go unread."""
+    unread = [f"--{name.replace('_', '-')} {getattr(cfg, name)}"
+              for name in names.split()
+              if getattr(cfg, name) != _DEFAULTS[name]]
+    if unread:
+        raise ParameterError(f"{why}, so {', '.join(unread)} would go "
+                             "unread")

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ParameterError
-from ..sampler import (SamplerConfig, _check_scan_weight, _start_sites,
-                       _window_chains, collect_window, oracle_samples,
-                       run_coupled_pair, run_gibbs, stream_fingerprint,
-                       substream)
-from .config import ExperimentConfig
+from ..sampler import (SamplerConfig, _start_sites, _window_chains,
+                       collect_window, oracle_samples, run_coupled_pair,
+                       run_gibbs, stream_fingerprint, substream)
+from .config import ExperimentConfig, _refuse_unread
 
 SIN_REFERENCE_MEDIAN = 1.0 / 3.0
 
@@ -93,7 +92,9 @@ def _coordinate_window(cfg: ExperimentConfig, tag: int, reach: int = 0,
             f"coordinate {coord} outside [{reach}, {m - 1 - reach}]")
     coords = list(range(coord - reach, coord + reach + 1))
     if dist.n <= exact_states:
-        _check_scan_weight(cfg.k, cfg.w)
+        _refuse_unread(cfg, "k w max_rejection_tries probe_thin",
+                       f"up to {exact_states} states the probe draws "
+                       "exactly by rejection and runs no chain")
         draws = oracle_samples(dist, cfg.probe_samples, substream(cfg.seed, tag))
         return dist, coord, draws[:, coords], 0, cfg.probe_samples
     thin = cfg.probe_thin or max(1, m // (per_sweep * cfg.k))

@@ -6,9 +6,8 @@ of the polytope. For k = 1 the section is an interval and the draw is a
 single scaled uniform, and the chain is a systematic scan: each sweep
 updates the even sites in ascending order, then the odd ones. A site's
 interval reads only its two neighbours, so the sites of one parity are
-conditionally independent given the others, and on _VECTOR_MIN_SITES or
-more coordinates a half-sweep is one numpy expression, with results
-bit-identical to the site-by-site loop. A chain at any k starts from an
+conditionally independent given the others, and a half-sweep is one
+numpy expression over every chain. A chain at any k starts from an
 exact draw (monotone coupling from the past on the k = 1 half-sweeps),
 so it needs no burn-in, and a run with no updates is that draw. A k = 1
 window (collect_window) runs independent chains from independent exact
@@ -34,16 +33,13 @@ from .dist import StationaryDist
 from .errors import NotCoalescedError, ParameterError, StallError
 from .kernel import _bounds
 
-# k = 1 runs on at least this many coordinates update a half-sweep at a
-# time with numpy (_vector_sweeps), shorter ones one site at a time: over
-# 200 000 updates (2 vCPUs) numpy took 1.1-1.2 of the loop's time at 63
-# and 71 coordinates, 0.9 at 79 and 0.5 at 199. A single exact start's
-# bounding pair takes the same route; over 300 draws the loop took 0.75
-# of numpy's time at 31 coordinates, 0.87 at 47, 1.0 at 63 and 1.1-1.2
-# at 71 and 79. Three later rounds of 300 alternating draws read
-# 0.93-0.98 at 55, 1.01-1.08 at 63, 1.04-1.12 at 67, 1.11-1.17 at 71 and
-# 1.11-1.20 at 75: numpy's lead below 76 is not a steady 10%, so the
-# pair keeps this edge
+# a single exact start's bounding pair on at least this many coordinates
+# runs numpy half-sweeps, on fewer site by site (_scalar_pair_sweeps):
+# over 300 draws the loop took 0.75 of numpy's time at 31 coordinates,
+# 0.87 at 47, 1.0 at 63 and 1.1-1.2 at 71 and 79. Three later rounds of
+# 300 alternating draws read 0.93-0.98 at 55, 1.01-1.08 at 63, 1.04-1.12
+# at 67, 1.11-1.17 at 71 and 1.11-1.20 at 75: numpy's lead below 76 is
+# not a steady 10%, so the pair keeps this edge
 _VECTOR_MIN_SITES = 76
 # uniforms per chunk of the k = 1 scan and of the exact start (whole
 # sweeps, at least one), and the largest chunk of _run_block's loop
@@ -398,9 +394,8 @@ def _run_scan(dist, x, total, config, rng, store, keep):
     # [0 | x | 0]: site i sits at i + 1, between its two neighbours
     xp = np.zeros((chains, m + 2))
     xp[:, 1:-1] = x
+    halves = _halves(xp, m, recl, rat)
     slot = keep + 1
-    sweeps = (_scalar_sweeps if chains * m < _VECTOR_MIN_SITES
-              else _vector_sweeps)
     per = max(1, _BATCH // (chains * m))
     hist = np.empty((chains, per + 1, keep.size))
     thin = config.thin
@@ -409,10 +404,10 @@ def _run_scan(dist, x, total, config, rng, store, keep):
     for a in range(0, total, per * m):
         us = rng.random((chains, min(per * m, total - a)))
         if next_keep >= a + us.shape[1]:  # no row in this chunk
-            sweeps(xp, us, rat, recl, order, slot, None)
+            _vector_sweeps(xp, halves, us, slot, None)
             continue
         hist[:, 0] = xp.take(slot, axis=1)
-        sweeps(xp, us, rat, recl, order, slot, hist)
+        _vector_sweeps(xp, halves, us, slot, hist)
         stops = np.arange(next_keep - a, us.shape[1], thin)
         _rows_from_history(store[:, row:row + stops.size], hist, stops,
                            place[keep], m)
@@ -437,36 +432,15 @@ def _rows_from_history(out, hist, stops, keep_place, m):
         out[:, r:r + per] = np.where(newer, hist[:, q + 1], hist[:, q])
 
 
-def _scalar_sweeps(xp, us, rat, recl, order, slot, hist):
+def _vector_sweeps(xp, halves, us, slot, hist):
     """Apply the updates us[j] to the padded state xp[j] of each chain j
-    one site at a time, in sweep order; with hist, hist[j, q + 1] gets
-    xp[j, slot] after sweep q (the last sweep may be partial)."""
-    m = order.size
-    sites = list(zip(order.tolist(), recl[order].tolist(),
-                     rat[order].tolist()))
-    idx = slot.tolist()
-    for j, (c, uj) in enumerate(zip(xp.tolist(), us.tolist())):
-        for q, a in enumerate(range(0, len(uj), m)):
-            for (i, rl, rr), u in zip(sites, uj[a:a + m]):
-                left = 1.0 - rl * c[i]
-                right = rr * (1.0 - c[i + 2])
-                hi = left if left < right else right
-                if hi < 0.0:
-                    hi = 0.0
-                c[i + 1] = u * hi
-            if hist is not None:
-                hist[j, q + 1] = [c[s] for s in idx]
-        xp[j] = c
-
-
-def _vector_sweeps(xp, us, rat, recl, order, slot, hist):
-    """_scalar_sweeps a half-sweep at a time over all chains. Each even
+    in sweep order, a half-sweep at a time over all chains (halves is
+    _halves of xp with 1/r[i-1] and r); with hist, hist[j, q + 1] gets
+    xp[j, slot] after sweep q (the last sweep may be partial). Each even
     site reads only odd neighbours and vice versa, so the sites of one
     parity are conditionally independent and one numpy expression
-    updates them all, with the scalar loop's float operations at each
-    site."""
-    m = order.size
-    halves = _halves(xp, m, recl, rat)
+    updates them all."""
+    m = xp.shape[1] - 2
     ne = halves[0][3].size
     for q, a in enumerate(range(0, us.shape[1], m)):
         u = us[:, a:a + m]

@@ -8,10 +8,9 @@ evidence rather than an identity. The exceptions are exact tau, whose
 reference is the definition itself, one start and one step at a time,
 which the library's blocked evaluator must match bit for bit, and the
 k = 1 Gibbs chain, whose reference runs the scan one update at a time,
-which both of the library's sweep evaluators must match bit for bit,
-and the block rejection loop, whose reference checks each proposal
-against each chain in full, which the library's loop must match bit
-for bit.
+which the library's numpy half-sweeps must match bit for bit, and the
+block rejection loop, whose reference checks each proposal against each
+chain in full, which the library's loop must match bit for bit.
 """
 
 import math

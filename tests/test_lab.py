@@ -290,27 +290,30 @@ def test_cli_sample_retains_trace(capsys):
 
 
 def test_cli_sample_final_states_match_sampled_kernel(capsys):
-    # at every k both are the exact draw of seed_sub with no burn-in, so
-    # each row's state is the kernel that its seed_sub reproduces
+    # both are the exact draw of seed_sub with no burn-in, so each row's
+    # state is the kernel that its seed_sub reproduces
     cfg = ExperimentConfig(n_list=(64,), reps=2, seed=21)
     dist = cfg.make_dist(64)
-    for k in ("1", "2", "3"):
-        rc, out, _ = run_cli(capsys, ["sample", "--n", "64", "--reps", "2",
-                                      "--seed", "21", "--k", k])
-        assert rc == 0
-        rows = [line.split(",") for line in out.splitlines()[2:]]
-        states = []
-        for rep in (0, 1):
-            seed_sub, kern = sampled_kernel(cfg, 64, rep)
-            got = np.array([float(r[6]) for r in rows if r[2] == str(rep)])
-            assert {r[3] for r in rows if r[2] == str(rep)} == {str(seed_sub)}
-            assert np.array_equal(got.view(np.uint64),
-                                  kern.c.view(np.uint64)), k
-            assert np.array_equal(
-                got.view(np.uint64),
-                _exact_start(dist, seed_sub).view(np.uint64)), k
-            states.append(got.tobytes())
-        assert states[0] != states[1], k
+    call = ["sample", "--n", "64", "--reps", "2", "--seed", "21"]
+    rc, out, _ = run_cli(capsys, call + ["--k", "1"])
+    assert rc == 0
+    rows = [line.split(",") for line in out.splitlines()[2:]]
+    states = []
+    for rep in (0, 1):
+        seed_sub, kern = sampled_kernel(cfg, 64, rep)
+        got = np.array([float(r[6]) for r in rows if r[2] == str(rep)])
+        assert {r[3] for r in rows if r[2] == str(rep)} == {str(seed_sub)}
+        assert np.array_equal(got.view(np.uint64), kern.c.view(np.uint64))
+        assert np.array_equal(got.view(np.uint64),
+                              _exact_start(dist, seed_sub).view(np.uint64))
+        states.append(got.tobytes())
+    assert states[0] != states[1]
+    # the draw runs no chain, so a block size is never read
+    for k in ("2", "3"):
+        rc, out, err = run_cli(capsys, call + ["--k", k])
+        assert (rc, out) == (1, "")
+        assert err == (f"bdcutoff: sample without --steps runs no chain, "
+                       f"so --k {k} would go unread\n")
 
 
 def test_cli_probe_json(tmp_path, capsys):
@@ -454,13 +457,36 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
         rc, out, err = run_cli(capsys, command + ["--reps", "0"])
         assert rc == 1 and out == "", command
         assert err.startswith("bdcutoff: ") and "Error" not in err
-    # --w at k = 1 exits 1 where no chain runs too: no replicates, and
-    # the markov probe's exact rejection draws at 12 states or fewer
-    for command in (["sample", "--n", "8", "--w", "2", "--reps", "0"],
-                    ["probe", "markov", "--n", "8", "--w", "2"]):
+    # a chain setting exits 1 where no chain runs, from a flag or from
+    # --config: sample without --steps, and the markov probe's exact
+    # rejection draws at 12 states or fewer
+    chain = tmp_path / "chain.cfg"
+    chain.write_text("k = 2\nmax-rejection-tries = 1\n")
+    sample, markov = ["sample", "--n", "8"], ["probe", "markov", "--n", "8"]
+    for command, named in (
+            (sample + ["--w", "2", "--reps", "0"], "--w 2.0"),
+            (sample + ["--k", "2", "--w", "3", "--max-rejection-tries", "1",
+                       "--reps", "1"],
+             "--k 2, --w 3.0, --max-rejection-tries 1"),
+            (sample + ["--thin", "5", "--reps", "1"], "--thin 5"),
+            (sample + ["--config", str(chain)],
+             "--k 2, --max-rejection-tries 1"),
+            (markov + ["--w", "2"], "--w 2.0"),
+            (markov + ["--k", "2", "--max-rejection-tries", "1",
+                       "--probe-samples", "100"],
+             "--k 2, --max-rejection-tries 1"),
+            (markov + ["--probe-thin", "5", "--probe-samples", "100"],
+             "--probe-thin 5"),
+            (markov + ["--config", str(chain)],
+             "--k 2, --max-rejection-tries 1")):
         rc, out, err = run_cli(capsys, command)
         assert rc == 1 and out == "", command
-        assert "w must be 1" in err
+        assert err.startswith("bdcutoff: ") and "runs no chain" in err
+        assert err.endswith(f", so {named} would go unread\n"), command
+    # with --steps the chain runs and reads them
+    rc, out, _ = run_cli(capsys, sample + ["--k", "2", "--steps", "4",
+                                           "--thin", "2", "--reps", "1"])
+    assert rc == 0 and len(out.splitlines()) == 2 + 2 * 7
 
 
 def test_cached_parser_matches_fresh_process(tmp_path, capsys, monkeypatch):

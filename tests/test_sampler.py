@@ -195,7 +195,7 @@ def test_run_gibbs_coords_select_columns():
     assert run_gibbs(cfg, coords=[]).samples.shape == (200, 0)
 
 
-@pytest.mark.parametrize("m", [2, 128])  # scalar and numpy sweeps
+@pytest.mark.parametrize("m", [2, 128])  # exact starts site by site, numpy
 def test_run_gibbs_rejects_bad_coords(m):
     cfg = SamplerConfig(make_distribution("uniform", m + 1), steps=10)
     for bad in ([m], [-1], [0, m], [[0, 1]]):
@@ -258,17 +258,7 @@ def test_collect_window_shape():
     assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
 
 
-# the k = 1 scan: scalar and numpy sweeps against the per-update reference
-
-def _both_paths(monkeypatch, run):
-    """run() on the scalar sweeps, then on the numpy half-sweeps,
-    whatever the coordinate count."""
-    out = []
-    for threshold in (1 << 62, 1):
-        monkeypatch.setattr(sampler, "_VECTOR_MIN_SITES", threshold)
-        out.append(run())
-    return out
-
+# the k = 1 scan against the per-update reference
 
 def _same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
@@ -297,70 +287,61 @@ def _scan_configs(dist, seed):
                           thin=2 * m + 3, seed=seed + 1)]
 
 
+def _scan_matches_reference(dist, seed, initial=None):
+    """run_gibbs on the _scan_configs of dist against site_chain_reference
+    from initial, or from run_gibbs's default start, the exact draw:
+    every state, three kept coordinates, the update counts and tries."""
+    m = dist.n - 1
+    sub = sorted({0, m // 2, m - 1})
+    for cfg in _scan_configs(dist, seed):
+        start = (sampler._exact_start(dist, cfg.seed) if initial is None
+                 else initial)
+        final, samples, counts = site_chain_reference(cfg, initial=start)
+        assert samples.shape == (cfg.steps // cfg.thin, m)
+        got = run_gibbs(cfg, initial)
+        assert _same_bits(got.final, final)
+        assert _same_bits(got.samples, samples)
+        assert np.array_equal(got.update_counts, counts)
+        assert got.update_counts.dtype == counts.dtype
+        assert got.block_tries == cfg.burnin + cfg.steps
+        picked = run_gibbs(cfg, initial, coords=sub).samples
+        assert _same_bits(picked, samples[:, sub])
+
+
 @pytest.mark.parametrize("family,m", [
     (family, m)
     for family in ("uniform", "geometric", "binomial", "if", "explicit")
     for m in (1, 2, 3, 47, 49, 127, 129, 255)
     if not (family == "if" and m == 1)])  # if: m is even
-def test_replay_is_bit_identical_to_scalar_loop(monkeypatch, family, m):
-    # the numpy half-sweeps replay the scalar loop's chain
-    dist = _sized(family, m)
-    size = dist.n - 1  # m, or m - 1 for if at odd m
-    sub = sorted({0, size // 2, size - 1})
-    for cfg in _scan_configs(dist, m):
-        scalar, vector = _both_paths(monkeypatch, lambda: run_gibbs(cfg))
-        assert _same_bits(scalar.final, vector.final)
-        assert _same_bits(scalar.samples, vector.samples)
-        for picked in _both_paths(
-                monkeypatch, lambda: run_gibbs(cfg, coords=sub).samples):
-            assert _same_bits(picked, scalar.samples[:, sub])
-        assert scalar.samples.shape == (cfg.steps // cfg.thin, size)
-        assert np.array_equal(scalar.update_counts, vector.update_counts)
-        assert scalar.update_counts.dtype == vector.update_counts.dtype
-        total = cfg.burnin + cfg.steps
-        assert scalar.block_tries == vector.block_tries == total
+def test_replay_is_bit_identical_to_scalar_loop(family, m):
+    # the numpy half-sweeps from the exact start replay the reference's
+    # scalar loop, one update at a time, from the same start
+    _scan_matches_reference(_sized(family, m), m)
 
 
 @pytest.mark.parametrize("family", ["uniform", "geometric"])
-@pytest.mark.parametrize("m", [
-    1, 2, 3, 31, 47, sampler._VECTOR_MIN_SITES - 1,
-    sampler._VECTOR_MIN_SITES + 1, 199, 255])
-def test_site_chain_matches_per_update_reference(monkeypatch, family, m):
+@pytest.mark.parametrize("m", [1, 2, 3, 31, 47, 75, 77, 199, 255])
+def test_site_chain_matches_per_update_reference(family, m):
+    # from the reference's own start, an interior point
     dist = _sized(family, m)
-    sub = sorted({0, m // 2, m - 1})
-    start = interior_state(dist)  # the reference's start
-    for cfg in _scan_configs(dist, 10 * m):
-        final, samples, counts = site_chain_reference(cfg)
-        assert samples.shape == (cfg.steps // cfg.thin, m)
-        for got in _both_paths(monkeypatch,
-                               lambda: run_gibbs(cfg, initial=start)):
-            assert _same_bits(got.final, final)
-            assert _same_bits(got.samples, samples)
-            assert np.array_equal(got.update_counts, counts)
-        for picked in _both_paths(
-                monkeypatch,
-                lambda: run_gibbs(cfg, start, coords=sub).samples):
-            assert _same_bits(picked, samples[:, sub])
+    _scan_matches_reference(dist, 10 * m, interior_state(dist))
 
 
 def test_sweep_threshold_splits_benchmark_sizes():
-    # a chain on the 31 coordinates of n = 32 stays on the scalar
-    # sweeps; 199 and more (probe marginal) go to numpy
+    # a single exact start on the 31 coordinates of n = 32 runs its
+    # bounding pair site by site; 199 and more (probe marginal) use numpy
     assert 31 < sampler._VECTOR_MIN_SITES <= 199
 
 
-def test_replay_window_and_start_match_scalar_loop(monkeypatch):
+def test_replay_window_and_start_match_scalar_loop():
     dist = make_distribution("uniform", 200)
     cfg = SamplerConfig(dist, burnin=5000, steps=49 * 2000, thin=49, seed=8)
     # a vertex, and a start off the polytope (odd sites at 1.5) whose
     # first half-sweep meets empty intervals: hi < 0, clipped to 0
     for start in (greedy_max_state(dist), 1.5 * (np.arange(199) % 2)):
-        scalar, vector = _both_paths(
-            monkeypatch,
-            lambda: collect_window(cfg, [0, 99, 198], initial=start))
-        assert scalar.shape == (2000, 3)
-        assert _same_bits(scalar, vector)
-        assert _same_bits(scalar, site_chain_reference(
+        got = collect_window(cfg, [0, 99, 198], initial=start)
+        assert got.shape == (2000, 3)
+        assert _same_bits(got, site_chain_reference(
             cfg, [0, 99, 198], initial=start)[1])
 
 
@@ -411,25 +392,22 @@ def test_window_chains_replay_single_chain_scans(monkeypatch, family, m):
             return scan[-1]
         return rng
 
-    for threshold in (1 << 62, 1):  # scalar, then numpy sweeps
-        monkeypatch.setattr(sampler, "_VECTOR_MIN_SITES", threshold)
-        scan.clear()
-        monkeypatch.setattr(sampler, "substream", spy)
-        window = collect_window(cfg, sub)
-        assert window.shape == (rows, len(sub))
-        uniforms = np.concatenate(scan[0].draws, axis=1)
-        assert uniforms.shape[0] == chains
-        at = 0
-        for j in range(chains):
-            got = rows // chains + (j < rows % chains)
-            monkeypatch.setattr(sampler, "substream",
-                                lambda *key: _Replay(uniforms[j]))
-            one = run_gibbs(SamplerConfig(
-                dist, burnin=cfg.burnin, steps=got * cfg.thin, thin=cfg.thin,
-                seed=cfg.seed), initial=starts[j], coords=sub)
-            assert _same_bits(window[at:at + got], one.samples)
-            at += got
-        assert at == rows
+    monkeypatch.setattr(sampler, "substream", spy)
+    window = collect_window(cfg, sub)
+    assert window.shape == (rows, len(sub))
+    uniforms = np.concatenate(scan[0].draws, axis=1)
+    assert uniforms.shape[0] == chains
+    at = 0
+    for j in range(chains):
+        got = rows // chains + (j < rows % chains)
+        monkeypatch.setattr(sampler, "substream",
+                            lambda *key: _Replay(uniforms[j]))
+        one = run_gibbs(SamplerConfig(
+            dist, burnin=cfg.burnin, steps=got * cfg.thin, thin=cfg.thin,
+            seed=cfg.seed), initial=starts[j], coords=sub)
+        assert _same_bits(window[at:at + got], one.samples)
+        at += got
+    assert at == rows
     monkeypatch.setattr(sampler, "substream", stream)
 
 
@@ -596,6 +574,16 @@ def test_exact_start_chain_axis():
     assert len({row.tobytes() for row in draws}) == 8
     for row in draws:
         assert check_feasibility(dist, row) is None
+
+
+def _both_paths(monkeypatch, run):
+    """run() with a single exact start's bounding pair site by site, then
+    with it on the numpy half-sweeps, whatever the coordinate count."""
+    out = []
+    for threshold in (1 << 62, 1):
+        monkeypatch.setattr(sampler, "_VECTOR_MIN_SITES", threshold)
+        out.append(run())
+    return out
 
 
 def _draw_or_error(dist, seed):
@@ -1004,8 +992,9 @@ def test_rejection_chains_match_golden_digests():
 # sha256 of the stdout of whole CLI calls, seed 0 unless given: the
 # exact-tau ensemble (exact starts at 2 and 3 states, whose odd
 # half-sweeps have no site and one, then the gap, spectral or stepped tau
-# and the CSV), the proxy ensemble, one exact-tau analyze report, and
-# exact starts on 75 coordinates (site by site) and 76 (numpy)
+# and the CSV), the proxy ensemble, one exact-tau analyze report, exact
+# starts on 75 coordinates (site by site) and 76 (numpy), and k = 1
+# traces on 2 and 10 coordinates, whose scans are a few sites wide
 CLI_DIGESTS = {
     "ensemble --exact-tau --horizon 100000 --n 2,3,32 --reps 6":
         "08dcc7499f986ea8bfb79a7727eec0f9fdfabcf0181ad547b36b2e2545438627",
@@ -1015,6 +1004,11 @@ CLI_DIGESTS = {
         "243bd791a7fcdedc8c675e8edd9f3df856f04a7fca51d03593c0874113877bc1",
     "ensemble --exact-tau --horizon 100000 --n 76,77 --reps 4 --seed 6":
         "5f53295c58d101220ba41b8a22d2a96e6a4fa1b3e6ea22eac3718fe7d3c9fd6e",
+    "sample --n 3 --steps 5000 --thin 7 --reps 2 --seed 4":
+        "315a980e7b0be6508cdc30c4e267e9e4b20f6cbedc4833c47125d4033bdc8553",
+    "sample --family if --a 2 --eps 0.25 --n 6 --steps 3001 --thin 13 "
+    "--reps 2 --seed 4":
+        "6bbf3ab1594615fc0fb5d71b6efd581cf0c121cd886764f18fe4e42296d8cc13",
 }
 
 
@@ -1029,8 +1023,9 @@ def test_cli_outputs_match_golden_digests(capsys):
 
 # sha256 of the stdout and the --out CSV, each followed by a NUL byte, of
 # the benchmark's two probe calls (a k = 1 window at 200 uniform states,
-# whose exact start always retries; k = 2 coupled pairs) and a k = 1
-# window on the if law with 199 states, where most pairs meet at once
+# whose exact start always retries; k = 2 coupled pairs), a k = 1
+# window on the if law with 199 states, where most pairs meet at once,
+# and one on 3 states: 20 chains of 2 coordinates
 PROBE_DIGESTS = {
     "probe marginal --n 200 --probe-samples 10000 --seed 3":
         "bd592c6291e0a5053a39afeb0bbb856a308cb2d2c49a7f48495a20e9cfd1726f",
@@ -1039,6 +1034,8 @@ PROBE_DIGESTS = {
     "probe marginal --family if --a 2 --eps 0.25 --n 100 "
     "--probe-samples 4000 --seed 3":
         "01ae1ceb4621185b6096a1219d55b73083af951f398b6e8bee748d9d58e4d066",
+    "probe marginal --n 3 --probe-samples 20 --seed 4":
+        "4f7192c33e032b96661ffa8151f65c394b28da6ac2ccb092644b89b606223aca",
 }
 
 
