@@ -272,6 +272,9 @@ def _cmd_sample(cfg: ExperimentConfig) -> int:
     if not cfg.steps:
         _refuse_unread(cfg, "k w thin max_rejection_tries",
                        "sample without --steps runs no chain")
+    elif 0 < cfg.steps < cfg.thin:
+        raise ParameterError(f"--steps {cfg.steps} is below --thin "
+                             f"{cfg.thin}, so no state would be kept")
     _check_scan_weight(cfg.k, cfg.w)
     rows = []
     for n in sorted(cfg.n_list):
@@ -280,7 +283,7 @@ def _cmd_sample(cfg: ExperimentConfig) -> int:
             seed_sub = replicate_seed(cfg.seed, n, rep)
             trace = run_gibbs(cfg.sampler_config(
                 dist, seed_sub, steps=cfg.steps, thin=cfg.thin))
-            states = trace.samples if len(trace.samples) else [trace.final]
+            states = trace.samples if cfg.steps else [trace.final]
             for idx, state in enumerate(states):
                 for coord, value in enumerate(state):
                     rows.append({"n": dist.n, "family": cfg.family,

@@ -77,10 +77,9 @@ def _coordinate_window(cfg: ExperimentConfig, tag: int, reach: int = 0,
     coordinate, and needs reach neighbours on each side. On m
     coordinates a coordinate refreshes about every m/k block updates,
     so unless cfg.probe_thin is set, retained states are spaced a
-    per_sweep-th of that apart. The rows come from collect_window: at
-    k = 1 from chains = _window_chains(rows) chains, chain by chain; at
-    k >= 2 from one chain (chains = 1). Every chain starts from an exact
-    draw and runs no burn-in, so each summary's burnin reads 0. Up to
+    per_sweep-th of that apart. The rows come from collect_window's
+    chains = _window_chains(rows) chains, chain by chain, each from an
+    exact draw with no burn-in, so each summary's burnin reads 0. Up to
     exact_states states the rows are exact rejection draws instead, with
     thin = 0 and every row its own chain. tag keys the random stream.
     """
@@ -101,8 +100,8 @@ def _coordinate_window(cfg: ExperimentConfig, tag: int, reach: int = 0,
     sampler = cfg.sampler_config(
         dist, stream_fingerprint(cfg.seed, tag),
         steps=cfg.probe_samples * thin, thin=thin)
-    chains = _window_chains(cfg.probe_samples) if cfg.k == 1 else 1
-    return dist, coord, collect_window(sampler, coords), thin, chains
+    return (dist, coord, collect_window(sampler, coords), thin,
+            _window_chains(cfg.probe_samples))
 
 
 def _edge_flags(coord: int, m: int) -> list:
@@ -112,10 +111,9 @@ def _edge_flags(coord: int, m: int) -> list:
 
 
 def _chain_se(values: np.ndarray, stat) -> np.ndarray:
-    """Standard error of stat over values from its spread over
-    _window_chains(len(values)) consecutive groups, cut as collect_window
-    deals rows to chains: the groups' sample SD over the root of their
-    number; nan below two groups."""
+    """Standard error of stat over a window's values from its spread
+    over the window's chains (collect_window's row runs): their sample
+    SD over the root of their number; nan below two chains."""
     per = np.array([stat(g) for g in
                     np.array_split(values, _window_chains(len(values)))])
     if len(per) < 2:
@@ -171,9 +169,7 @@ def probe_marginal(cfg: ExperimentConfig) -> ProbeResult:
     the interior law, which is what a mid-chain coordinate actually
     follows (the sine curve matches the edge; see the reference-cdf
     docstrings). A row's se is the spread of the empirical CDF at x over
-    _window_chains(samples) consecutive groups of rows, over the root of
-    their number: at k = 1 the groups are the window's independent
-    chains, at k >= 2 batches of its one chain. ess is the batch-means
+    the window's independent chains (_chain_se). ess is the batch-means
     effective sample size of the rows.
     """
     dist, coord, vals, thin, chains = _coordinate_window(cfg, 3)
@@ -213,11 +209,10 @@ def probe_tail(cfg: ExperimentConfig) -> ProbeResult:
     f should be nondecreasing and bounded by 16 times the coordinate
     cap. For flat mass its large-x limit is the marginal density at 0:
     pi/2 at the edge coordinate, 2 at interior coordinates. A row's se
-    is x times the spread of P[c < 1/x] over _window_chains(samples)
-    consecutive groups of rows, over the root of their number (the
-    groups as in probe_marginal), and the monotonicity and cap checks
-    allow 3 of it; a nan se, below two groups, flags nothing. ess is
-    the batch-means effective sample size of the rows.
+    is x times the spread of P[c < 1/x] over the window's chains
+    (_chain_se), and the monotonicity and cap checks allow 3 of it; a
+    nan se, below two chains, flags nothing. ess is the batch-means
+    effective sample size of the rows.
     """
     grid = sorted(float(x) for x in cfg.tail_grid)
     if not grid or grid[0] <= 0:

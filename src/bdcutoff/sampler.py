@@ -9,10 +9,10 @@ interval reads only its two neighbours, so the sites of one parity are
 conditionally independent given the others, and a half-sweep is one
 numpy expression over every chain. A chain at any k starts from an
 exact draw (monotone coupling from the past on the k = 1 half-sweeps),
-so it needs no burn-in, and a run with no updates is that draw. A k = 1
+so it needs no burn-in, and a run with no updates is that draw. A
 window (collect_window) runs independent chains from independent exact
-draws on a leading chain axis of the same half-sweeps. For k >= 2 each
-update picks a block start (endpoints reweighted by w) and
+draws, at k = 1 on a leading chain axis of the same half-sweeps. For
+k >= 2 each update picks a block start (endpoints reweighted by w) and
 rejection-samples the block from the product of per-site boxes
 [0, min(1, ratio)].
 
@@ -25,7 +25,7 @@ straight-line code, and builds the values that chains accept once.
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,7 +46,7 @@ _VECTOR_MIN_SITES = 76
 _BATCH = 1 << 14
 _CFTP_KEY = 0x43465450  # "CFTP", the exact start's substream tag
 _MAX_CFTP_SWEEPS = 1 << 16  # its deepest start; 4095 states needed <= 24
-# chains behind a k = 1 window (collect_window): at 200 states (2 vCPUs)
+# chains behind a window (collect_window): at k = 1 and 200 states (2 vCPUs)
 # 32 chains took 18 ns per site update on a 200 000-row window, against
 # 21 at 16 and 19 at 64, and as long as 16 on a 10 000-row one, where
 # 64 took a third longer (one exact start costs about 0.25 ms there)
@@ -124,8 +124,7 @@ class GibbsTrace:
 
 @dataclass(frozen=True)
 class CoupledTrace:
-    coalesced_at: int | None  # update index of exact merge, 1-based;
-                              # 0 when the pair starts equal
+    coalesced_at: int | None  # update index of exact merge, 1-based
 
 
 def greedy_max_state(dist: StationaryDist) -> np.ndarray:
@@ -555,38 +554,41 @@ def _run_block(dist, chains, total, config, rng, step):
 
 
 def _window_chains(rows: int) -> int:
-    """Chains behind a k = 1 window of rows rows: _WINDOW_CHAINS, or one
-    a row when there are fewer rows, so that no chain is empty."""
+    """Chains behind a window of rows rows: _WINDOW_CHAINS, or one a row
+    when there are fewer rows, so that no chain is empty."""
     return max(1, min(_WINDOW_CHAINS, rows))
 
 
-def collect_window(config: SamplerConfig, coords, initial=None) -> np.ndarray:
+def collect_window(config: SamplerConfig, coords) -> np.ndarray:
     """Retained values of selected coordinates: config.steps //
-    config.thin rows.
+    config.thin rows from R = _window_chains(rows) independent chains,
+    each from its own exact draw, so every row is stationary.
 
-    At k = 1 with no initial, R = _window_chains(rows) independent chains
-    run in one numpy scan, each from its own exact draw, so every row is
-    stationary. The rows come chain by chain, in the runs that
-    np.array_split(rows, R) cuts: chain j gives rows // R rows, one more
-    when j < rows % R. burnin and thin count one chain's site updates.
-    Else the rows are those of run_gibbs(config, initial, coords): at
-    k >= 2 with no initial, one block chain from an exact draw.
+    The rows come chain by chain, in the runs that np.array_split(rows,
+    R) cuts: chain j gives rows // R rows, one more when j < rows % R.
+    burnin and thin count one chain's updates. At k = 1 the chains run
+    in one numpy scan; at k >= 2 chain j is run_gibbs on seed
+    stream_fingerprint(config.seed, j).
     """
-    if config.k != 1 or initial is not None:
-        return run_gibbs(config, initial, coords).samples
     dist = config.dist
     _check_scan_weight(config.k, config.w)
     keep = _kept(coords, dist.n - 1)
     rows = config.steps // config.thin
+    if not rows:
+        return np.empty((0, keep.size))
     chains = _window_chains(rows)
-    longest = -(-rows // chains)
-    store = np.empty((chains, longest, keep.size))
-    if rows:
-        _run_scan(dist, _exact_start(dist, config.seed, (chains,)),
-                  config.burnin + longest * config.thin, config,
-                  substream(config.seed), store, keep)
-    return np.concatenate([store[j, :rows // chains + (j < rows % chains)]
-                           for j in range(chains)])
+    lengths = [rows // chains + (j < rows % chains) for j in range(chains)]
+    starts = _exact_start(dist, config.seed, (chains,))
+    if config.k == 1:
+        store = np.empty((chains, lengths[0], keep.size))
+        _run_scan(dist, starts, config.burnin + lengths[0] * config.thin,
+                  config, substream(config.seed), store, keep)
+    else:
+        store = [run_gibbs(replace(config, steps=g * config.thin,
+                                   seed=stream_fingerprint(config.seed, j)),
+                           starts[j], keep).samples
+                 for j, g in enumerate(lengths)]
+    return np.concatenate([s[:g] for s, g in zip(store, lengths)])
 
 
 def oracle_samples(dist: StationaryDist, count: int,
@@ -613,7 +615,7 @@ def oracle_samples(dist: StationaryDist, count: int,
     return out
 
 
-def run_coupled_pair(config: SamplerConfig, initial_pair=None) -> CoupledTrace:
+def run_coupled_pair(config: SamplerConfig) -> CoupledTrace:
     """Evolve two chains on shared randomness until they merge.
 
     Both chains see the same block starts and the same proposal stream;
@@ -621,32 +623,20 @@ def run_coupled_pair(config: SamplerConfig, initial_pair=None) -> CoupledTrace:
     chain is the plain Gibbs chain, and whenever the first shared
     proposal suits both, the block coalesces exactly.
 
-    The default antipodal pair, zero against 0.9375 * greedy_max_state,
-    backs the maximal state off its vertex by 1/16: at the vertex a
-    neighbor's conditional slab has width exactly 0 and no proposal can
-    ever be accepted. Scaling a feasible state by s in [0, 1] stays
-    feasible, and the backoff keeps every slab at least cap/16 wide. That
-    far state is made once and kept in the law's block plan (_block_plan),
-    which the pair's block loop shares, so later pairs on the law build
-    neither. Explicit boundary pairs are allowed and may stall by
-    construction. The pair runs until it merges or for config.burnin +
-    config.steps updates; config.thin plays no part.
+    The pair starts antipodal, zero against 0.9375 * greedy_max_state:
+    the backoff by 1/16 from the vertex, where a neighbour's conditional
+    slab has width exactly 0 and no proposal is ever accepted, keeps
+    every slab at least cap/16 wide (scaling a feasible state by s in
+    [0, 1] stays feasible). That far state is made once and kept in the
+    law's block plan (_block_plan). The pair runs until it merges or for
+    config.burnin + config.steps updates; config.thin plays no part.
     """
     dist = config.dist
-    m = dist.n - 1
-    if initial_pair is None:
-        plan = _block_plan(dist, config.k, config.w)
-        if plan.antipode is None:
-            plan.antipode = (0.9375 * greedy_max_state(dist)).tolist()
-        x, y = [0.0] * m, list(plan.antipode)
-    else:
-        x = [float(v) for v in np.asarray(initial_pair[0], dtype=float)]
-        y = [float(v) for v in np.asarray(initial_pair[1], dtype=float)]
-        if len(x) != m or len(y) != m:
-            raise ParameterError(f"initial states must have length {m}")
-
-    total = config.burnin + config.steps
-    coalesced_at = 0 if x == y else None
+    plan = _block_plan(dist, config.k, config.w)
+    if plan.antipode is None:
+        plan.antipode = (0.9375 * greedy_max_state(dist)).tolist()
+    x, y = [0.0] * (dist.n - 1), list(plan.antipode)
+    coalesced_at = None
 
     def step(done, s, tries):
         nonlocal coalesced_at
@@ -654,6 +644,6 @@ def run_coupled_pair(config: SamplerConfig, initial_pair=None) -> CoupledTrace:
             coalesced_at = done
             return True
 
-    if coalesced_at is None:
-        _run_block(dist, [x, y], total, config, substream(config.seed), step)
+    _run_block(dist, [x, y], config.burnin + config.steps, config,
+               substream(config.seed), step)
     return CoupledTrace(coalesced_at=coalesced_at)

@@ -440,6 +440,12 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
         rc, out, err = run_cli(capsys, command + reps)
         assert rc == 1 and out == "", command
         assert err.startswith("bdcutoff: ") and "Error" not in err
+    # a chain shorter than --thin keeps no state, so there is none to print
+    rc, out, err = run_cli(capsys, ["sample", "--n", "4", "--steps", "4",
+                                    "--thin", "5", "--reps", "1",
+                                    "--seed", "2"])
+    assert rc == 1 and out == ""
+    assert "--steps 4" in err and "--thin 5" in err
     # a comparison needs a kernel, and the levy and contraction probes a
     # replicate; an empty ensemble table is still valid
     for command in (["compare-metropolis", "--n", "16"],

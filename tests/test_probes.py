@@ -158,37 +158,50 @@ def test_probe_ess_reflects_autocorrelation():
         assert 0.0 < summary["ess"] < 0.5 * summary["samples"]
 
 
-def test_probe_se_matches_seed_to_seed_spread():
-    # n = 200, coordinate 0: the reported se of f(20) against the spread
-    # of f(20) itself over 96 seeds. The sample SD of s seeds is off by
-    # about 1/sqrt(2(s - 1)): 15% at 24 seeds, where blocks of 24 seeds
-    # gave ratios of 0.76-1.21 (0.985 over 240), and 7% at 96, so that
-    # the 20% band is about 3 of its errors wide
+def _se_over_spread(**settings):
+    """Coordinate 0: the mean reported se of f(20) over 96 seeds, over
+    the spread of f(20) itself."""
     f, se = [], []
     for seed in range(96):
-        row = probe_tail(ExperimentConfig(
-            n_list=(200,), coord=0, seed=seed)).rows[-1]
+        row = probe_tail(ExperimentConfig(coord=0, seed=seed,
+                                          **settings)).rows[-1]
         assert row["x"] == 20.0
         f.append(row["f"])
         se.append(row["se"])
-    ratio = float(np.mean(se)) / float(np.std(f, ddof=1))
+    return float(np.mean(se)) / float(np.std(f, ddof=1))
+
+
+def test_probe_se_matches_seed_to_seed_spread():
+    # n = 200. The sample SD of s seeds is off by about 1/sqrt(2(s - 1)):
+    # 15% at 24 seeds, where blocks of 24 seeds gave ratios of 0.76-1.21
+    # (0.985 over 240), and 7% at 96, so that the 20% band is about 3 of
+    # its errors wide
+    ratio = _se_over_spread(n_list=(200,))
+    assert 0.8 <= ratio <= 1.2, ratio
+
+
+def test_block_probe_se_matches_seed_to_seed_spread():
+    # the same band for a k = 2 window of block chains, n = 40
+    ratio = _se_over_spread(n_list=(40,), k=2, probe_samples=2000)
     assert 0.8 <= ratio <= 1.2, ratio
 
 
 @pytest.mark.parametrize("samples", [1, sampler._WINDOW_CHAINS - 1])
 def test_probes_run_with_fewer_rows_than_chains(samples):
-    # one chain a row, none empty; se is nan below two chains
-    cfg = ExperimentConfig(n_list=(64,), probe_samples=samples, seed=307)
-    for probe in (probe_marginal, probe_tail, probe_markov):
-        res = probe(cfg)
-        assert res.summary["samples"] == samples
-        assert res.summary["chains"] == samples
-    for probe in (probe_marginal, probe_tail):
-        ses = [r["se"] for r in probe(cfg).rows]
-        assert all(math.isnan(v) for v in ses) == (samples == 1)
-        assert all(v >= 0.0 for v in ses if not math.isnan(v))
-    # a nan se flags no cap or monotonicity violation
-    assert probe_tail(cfg).summary["bound_violations"] == 0
+    # one chain a row, none empty, at every k; se is nan below two chains
+    for k in (1, 2):
+        cfg = ExperimentConfig(n_list=(64,), k=k, probe_samples=samples,
+                               seed=307)
+        for probe in (probe_marginal, probe_tail, probe_markov):
+            res = probe(cfg)
+            assert res.summary["samples"] == samples
+            assert res.summary["chains"] == samples
+        for probe in (probe_marginal, probe_tail):
+            ses = [r["se"] for r in probe(cfg).rows]
+            assert all(math.isnan(v) for v in ses) == (samples == 1)
+            assert all(v >= 0.0 for v in ses if not math.isnan(v))
+        # a nan se flags no cap or monotonicity violation
+        assert probe_tail(cfg).summary["bound_violations"] == 0
 
 
 def test_tail_grid_validation():

@@ -339,7 +339,7 @@ def test_replay_window_and_start_match_scalar_loop():
     # a vertex, and a start off the polytope (odd sites at 1.5) whose
     # first half-sweep meets empty intervals: hi < 0, clipped to 0
     for start in (greedy_max_state(dist), 1.5 * (np.arange(199) % 2)):
-        got = collect_window(cfg, [0, 99, 198], initial=start)
+        got = run_gibbs(cfg, start, [0, 99, 198]).samples
         assert got.shape == (2000, 3)
         assert _same_bits(got, site_chain_reference(
             cfg, [0, 99, 198], initial=start)[1])
@@ -409,6 +409,33 @@ def test_window_chains_replay_single_chain_scans(monkeypatch, family, m):
         at += got
     assert at == rows
     monkeypatch.setattr(sampler, "substream", stream)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("family,m", [("uniform", 4), ("geometric", 31)])
+def test_block_window_chains_are_single_chain_runs(family, m, k):
+    # chain j of a k >= 2 window is run_gibbs from row j of the window's
+    # exact starts on seed stream_fingerprint(seed, j); rows % R != 0, so
+    # the first chains give one row more
+    dist = _sized(family, m)
+    chains = sampler._WINDOW_CHAINS
+    cfg = SamplerConfig(dist, k=k, w=2.0, burnin=37,
+                        steps=(2 * chains + 5) * 7, thin=7, seed=m + k)
+    rows = cfg.steps // cfg.thin
+    sub = sorted({0, m // 2, m - 1})
+    window = collect_window(cfg, sub)
+    assert window.shape == (rows, len(sub))
+    starts = sampler._exact_start(dist, cfg.seed, (chains,))
+    at = 0
+    for j in range(chains):
+        got = rows // chains + (j < rows % chains)
+        one = run_gibbs(SamplerConfig(
+            dist, k=k, w=2.0, burnin=cfg.burnin, steps=got * cfg.thin,
+            thin=cfg.thin, seed=stream_fingerprint(cfg.seed, j)),
+            initial=starts[j], coords=sub)
+        assert _same_bits(window[at:at + got], one.samples)
+        at += got
+    assert at == rows
 
 
 @pytest.mark.parametrize("name", ["uniform-3", "uniform-6", "uniform-12",
@@ -746,16 +773,6 @@ def test_oracle_samples_are_feasible():
 
 # coupled pairs
 
-def test_coupled_identical_start_coalesces_immediately():
-    dist = make_distribution("uniform", 6)
-    init = interior_state(dist)
-    trace = run_coupled_pair(
-        SamplerConfig(dist=dist, steps=50, seed=8),
-        initial_pair=(init, init.copy()))
-    assert isinstance(trace, CoupledTrace)
-    assert trace.coalesced_at == 0
-
-
 def test_coupled_coalescence_scales_like_coupon_collection():
     """Mean merge time over 200 runs stays within a fixed O(n log n) band."""
     for n in (32, 64, 128):
@@ -936,9 +953,9 @@ def _rejection_digests():
     t = run_gibbs(SamplerConfig(UNI3, k=2, steps=500, thin=5, seed=300),
                   initial=interior_state(UNI3))
     out["gibbs-uniform3-2"] = _digest(t.final, t.samples, t.block_tries)
-    v = collect_window(SamplerConfig(small["binomial"], k=2, burnin=100,
-                                     steps=4000, thin=4, seed=301), [0, 5, 10],
-                       initial=interior_state(small["binomial"]))
+    v = run_gibbs(SamplerConfig(small["binomial"], k=2, burnin=100,
+                                steps=4000, thin=4, seed=301),
+                  interior_state(small["binomial"]), [0, 5, 10]).samples
     out["collect-binomial-2"] = _digest(v)
     return out
 
