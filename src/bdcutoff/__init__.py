@@ -13,10 +13,9 @@ from .errors import (DomainError, EmptyEnsembleError, FeasibilityError,
 from .dist import FAMILIES, StationaryDist, make_distribution
 from .kernel import (BDKernel, check_feasibility, kernel_from_superdiagonal,
                      metropolis_kernel)
-from .sampler import (CoupledTrace, GibbsTrace, SamplerConfig,
-                      collect_window, greedy_max_state, oracle_samples,
-                      run_coupled_pair, run_gibbs, stream_fingerprint,
-                      substream)
+from .sampler import (SamplerConfig, collect_window, exact_draw,
+                      oracle_samples, run_coupled_pair, run_gibbs,
+                      stream_fingerprint, substream)
 from .analysis import (AnalysisReport, EXACT_TAU_LIMIT, MicloBounds, analyze,
                        expected_hitting_time, miclo_bounds, mixing_profile,
                        mixing_time, pairwise_distance_profile, spectral_gap)
@@ -32,9 +31,8 @@ __all__ = [
     "FAMILIES", "StationaryDist", "make_distribution",
     "BDKernel", "check_feasibility", "kernel_from_superdiagonal",
     "metropolis_kernel",
-    "CoupledTrace", "GibbsTrace", "SamplerConfig", "collect_window",
-    "greedy_max_state", "oracle_samples", "run_coupled_pair", "run_gibbs",
-    "stream_fingerprint", "substream",
+    "SamplerConfig", "collect_window", "exact_draw", "oracle_samples",
+    "run_coupled_pair", "run_gibbs", "stream_fingerprint", "substream",
     "AnalysisReport", "EXACT_TAU_LIMIT", "MicloBounds", "analyze",
     "expected_hitting_time", "miclo_bounds", "mixing_profile",
     "mixing_time", "pairwise_distance_profile", "spectral_gap",

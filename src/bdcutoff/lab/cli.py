@@ -16,7 +16,7 @@ import sys
 from ..compare import comparison_diagnostic
 from ..dist import FAMILIES
 from ..errors import ParameterError
-from ..sampler import _check_scan_weight, run_gibbs
+from ..sampler import _check_scan_weight, exact_draw, run_gibbs
 from .config import FORMATS, ExperimentConfig, _refuse_unread
 from .ensemble import (RECORD_FIELDS, analyze_kernel, record_rows,
                        replicate_seed, run_ensemble, sampled_kernel)
@@ -281,9 +281,9 @@ def _cmd_sample(cfg: ExperimentConfig) -> int:
         dist = cfg.make_dist(n)
         for rep in range(cfg.reps):
             seed_sub = replicate_seed(cfg.seed, n, rep)
-            trace = run_gibbs(cfg.sampler_config(
-                dist, seed_sub, steps=cfg.steps, thin=cfg.thin))
-            states = trace.samples if cfg.steps else [trace.final]
+            states = (run_gibbs(cfg.sampler_config(
+                dist, seed_sub, steps=cfg.steps, thin=cfg.thin)).samples
+                if cfg.steps else [exact_draw(dist, seed_sub)])
             for idx, state in enumerate(states):
                 for coord, value in enumerate(state):
                     rows.append({"n": dist.n, "family": cfg.family,

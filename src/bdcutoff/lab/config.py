@@ -104,7 +104,7 @@ class ExperimentConfig:
 
     def equilibration_budget(self, n: int) -> int:
         """0: every chain starts from an exact draw. Its only caller is
-        bench/checks.py::rebuild_kernel, and ROADMAP item 1 removes
+        bench/checks.py::rebuild_kernel, and ROADMAP item 2b removes
         that call."""
         return 0
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, fields
 from ..analysis import AnalysisReport, analyze
 from ..errors import ParameterError
 from ..kernel import BDKernel, kernel_from_superdiagonal
-from ..sampler import SamplerConfig, run_gibbs, stream_fingerprint
+from ..sampler import exact_draw, stream_fingerprint
 from .config import ExperimentConfig
 
 NAN = float("nan")
@@ -63,8 +63,8 @@ def sampled_kernel(cfg: ExperimentConfig, n: int, rep_id: int,
     cfg.make_dist(n), built once for a run's replicates."""
     seed_sub = replicate_seed(cfg.seed, n, rep_id)
     dist = cfg.make_dist(n) if dist is None else dist
-    trace = run_gibbs(SamplerConfig(dist, seed=seed_sub))
-    return seed_sub, kernel_from_superdiagonal(dist, trace.final)
+    return seed_sub, kernel_from_superdiagonal(dist,
+                                               exact_draw(dist, seed_sub))
 
 
 def analyze_kernel(cfg: ExperimentConfig, kernel: BDKernel) -> AnalysisReport:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ParameterError
-from ..sampler import (SamplerConfig, _start_sites, _window_chains,
-                       collect_window, oracle_samples, run_coupled_pair,
-                       run_gibbs, stream_fingerprint, substream)
+from ..sampler import (_start_sites, _window_chains, collect_window,
+                       exact_draw, oracle_samples, run_coupled_pair,
+                       stream_fingerprint, substream)
 from .config import ExperimentConfig, _refuse_unread
 
 SIN_REFERENCE_MEDIAN = 1.0 / 3.0
@@ -399,8 +399,7 @@ def probe_levy_sum(cfg: ExperimentConfig) -> ProbeResult:
     sums_full = np.empty(reps)
     for r in range(reps):
         seed = int(stream_fingerprint(cfg.seed, 7, r))
-        run = run_gibbs(SamplerConfig(dist, seed=seed))
-        window = run.final[lo:lo + 2 * nprime]
+        window = exact_draw(dist, seed)[lo:lo + 2 * nprime]
         with np.errstate(divide="ignore"):
             w = 1.0 / window
         sums_half[r] = np.sum(w[:nprime])

@@ -7,14 +7,14 @@ single scaled uniform, and the chain is a systematic scan: each sweep
 updates the even sites in ascending order, then the odd ones. A site's
 interval reads only its two neighbours, so the sites of one parity are
 conditionally independent given the others, and a half-sweep is one
-numpy expression over every chain. A chain at any k starts from an
-exact draw (monotone coupling from the past on the k = 1 half-sweeps),
-so it needs no burn-in, and a run with no updates is that draw. A
-window (collect_window) runs independent chains from independent exact
-draws, at k = 1 on a leading chain axis of the same half-sweeps. For
-k >= 2 each update picks a block start (endpoints reweighted by w) and
-rejection-samples the block from the product of per-site boxes
-[0, min(1, ratio)].
+numpy expression over every chain. exact_draw is the one draw of a
+state without a chain (monotone coupling from the past on the k = 1
+half-sweeps). A chain at any k starts from one, so it needs no burn-in.
+A window (collect_window) runs independent chains from independent
+exact draws, at k = 1 on a leading chain axis of the same half-sweeps
+(_run_scan), at k >= 2 one _block_chain each. For k >= 2 each update
+picks a block start (endpoints reweighted by w) and rejection-samples
+the block from the product of per-site boxes [0, min(1, ratio)].
 
 A brute-force rejection sampler over the whole polytope doubles as a
 ground-truth oracle for small state counts. A coupled pair (a coalescence-time
@@ -25,7 +25,7 @@ straight-line code, and builds the values that chains accept once.
 
 import math
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,14 +77,14 @@ def stream_fingerprint(seed: int, *key: int) -> int:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Settings for one Gibbs run.
+    """Settings for a Gibbs run, a window of chains or a coupled pair.
 
     steps counts post-burnin block updates; every thin-th state after
-    burnin is retained. run_gibbs starts from an exact draw at every k,
-    so burnin = 0 is already stationary. w weights the two endpoint
-    block starts (w = 1 is unbiased) where starts are drawn: at k >= 2
-    and in the coupled pair. run_gibbs at k = 1 scans every site in
-    turn, and takes only w = 1.
+    burnin is retained. Every chain starts from an exact draw, so
+    burnin = 0 is already stationary. w weights the two endpoint block
+    starts (w = 1 is unbiased) where starts are drawn: at k >= 2 and in
+    the coupled pair. The k = 1 scan updates every site in turn, and
+    takes only w = 1.
     """
 
     dist: StationaryDist
@@ -179,7 +179,7 @@ def run_gibbs(config: SamplerConfig, initial=None, coords=None) -> GibbsTrace:
     """Run the Gibbs chain (the k = 1 scan, or the k >= 2 block chain)
     and return its trace.
 
-    initial defaults to an exact draw (_exact_start) at every k. Each
+    initial defaults to exact_draw(config.dist, config.seed). Each
     retained state keeps the coordinates coords (default: all), so
     samples has config.steps // config.thin rows of len(coords) values.
     """
@@ -187,7 +187,7 @@ def run_gibbs(config: SamplerConfig, initial=None, coords=None) -> GibbsTrace:
     m = dist.n - 1
     _check_scan_weight(config.k, config.w)
     if initial is None:
-        initial = _exact_start(dist, config.seed)
+        initial = exact_draw(dist, config.seed)
     initial = np.asarray(initial, dtype=float)
     if initial.shape != (m,):
         raise ParameterError(f"initial state has length {initial.size}, expected {m}")
@@ -195,37 +195,16 @@ def run_gibbs(config: SamplerConfig, initial=None, coords=None) -> GibbsTrace:
         raise ParameterError("initial state must be finite")
     keep = _kept(coords, m)
     total = config.burnin + config.steps
-    if total == 0:  # a bare draw, as every sampled kernel is: no scan
-        return GibbsTrace(samples=np.empty((0, keep.size)),
-                          update_counts=np.zeros(m - config.k + 1, np.int64),
-                          block_updates=0, block_tries=0,
-                          final=initial.copy())
-
     rng = substream(config.seed)
     store = np.empty((config.steps // config.thin, keep.size))
-
     if config.k == 1:
         final, counts = _run_scan(dist, initial[None], total, config, rng,
                                   store[None], keep)
-        final = final[0]
-        tries = total  # one proposal per update
+        final, tries = final[0], total  # one proposal per update
     else:
-        burnin, thin = config.burnin, config.thin
-        idx = keep.tolist()
-        c = [float(v) for v in initial]
-        counts = [0] * (m - config.k + 1)
-        tries = 0
-
-        def step(done, s, drawn):
-            nonlocal tries
-            counts[s] += 1
-            tries += drawn
-            if done > burnin and (done - burnin) % thin == 0:
-                store[(done - burnin) // thin - 1] = [c[i] for i in idx]
-
-        _run_block(dist, [c], total, config, rng, step)
+        c = initial.tolist()
+        counts, tries = _block_chain(dist, c, total, config, rng, store, keep)
         final = np.asarray(c)
-
     return GibbsTrace(samples=store, update_counts=np.asarray(counts),
                       block_updates=total, block_tries=tries, final=final)
 
@@ -247,15 +226,16 @@ def _check_scan_weight(k: int, w: float) -> None:
             f"weight w to weight; w must be 1, got {w}")
 
 
-def _exact_start(dist, seed, lead=()):
-    """An exact uniform draw by monotone coupling from the past (Propp &
-    Wilson 1996): the heat bath is monotone in the order "even sites <=,
-    odd >=", and a site takes p = u1 * cap if p <= hi, else u2 * hi
-    (uniform on [0, hi]), so the pair from the order's extremes meets
-    where p is below both bounds. The start is m.bit_length() sweeps back
-    and doubles per retry; block j of sweeps (block 0 ends at time 0)
-    redraws substream(seed, _CFTP_KEY, j) on every pass, in chunks of
-    whole sweeps that hold, in order, the (u1, u2) rows of each half-sweep.
+def exact_draw(dist: StationaryDist, seed: int, lead=()) -> np.ndarray:
+    """An exact uniform draw of dist's super-diagonal, keyed by seed, by
+    monotone coupling from the past (Propp & Wilson 1996): the heat bath
+    is monotone in the order "even sites <=, odd >=", and a site takes
+    p = u1 * cap if p <= hi, else u2 * hi (uniform on [0, hi]), so the
+    pair from the order's extremes meets where p is below both bounds.
+    The start is m.bit_length() sweeps back and doubles per retry; block
+    j of sweeps (block 0 ends at time 0) redraws substream(seed,
+    _CFTP_KEY, j) on every pass, in chunks of whole sweeps that hold, in
+    order, the (u1, u2) rows of each half-sweep.
 
     lead = (R,) gives R independent draws as an (R, m) array: R pairs on
     one schedule. After each pass every pair that has met (bit for bit)
@@ -553,6 +533,26 @@ def _run_block(dist, chains, total, config, rng, step):
             return
 
 
+def _block_chain(dist, c, total, config, rng, store, keep):
+    """The k >= 2 block chain from the list c, updated in place, for total
+    updates; store[r] gets coordinates keep after update burnin + (r+1)*thin.
+    Returns each block start's update count and the proposals drawn."""
+    burnin, thin = config.burnin, config.thin
+    idx = keep.tolist()
+    counts = [0] * (dist.n - config.k)
+    tries = 0
+
+    def step(done, s, drawn):
+        nonlocal tries
+        counts[s] += 1
+        tries += drawn
+        if done > burnin and (done - burnin) % thin == 0:
+            store[(done - burnin) // thin - 1] = [c[i] for i in idx]
+
+    _run_block(dist, [c], total, config, rng, step)
+    return counts, tries
+
+
 def _window_chains(rows: int) -> int:
     """Chains behind a window of rows rows: _WINDOW_CHAINS, or one a row
     when there are fewer rows, so that no chain is empty."""
@@ -567,8 +567,8 @@ def collect_window(config: SamplerConfig, coords) -> np.ndarray:
     The rows come chain by chain, in the runs that np.array_split(rows,
     R) cuts: chain j gives rows // R rows, one more when j < rows % R.
     burnin and thin count one chain's updates. At k = 1 the chains run
-    in one numpy scan; at k >= 2 chain j is run_gibbs on seed
-    stream_fingerprint(config.seed, j).
+    in one numpy scan (_run_scan); at k >= 2 chain j is a _block_chain
+    on the stream substream(stream_fingerprint(config.seed, j)).
     """
     dist = config.dist
     _check_scan_weight(config.k, config.w)
@@ -578,16 +578,18 @@ def collect_window(config: SamplerConfig, coords) -> np.ndarray:
         return np.empty((0, keep.size))
     chains = _window_chains(rows)
     lengths = [rows // chains + (j < rows % chains) for j in range(chains)]
-    starts = _exact_start(dist, config.seed, (chains,))
+    starts = exact_draw(dist, config.seed, (chains,))
     if config.k == 1:
         store = np.empty((chains, lengths[0], keep.size))
         _run_scan(dist, starts, config.burnin + lengths[0] * config.thin,
                   config, substream(config.seed), store, keep)
     else:
-        store = [run_gibbs(replace(config, steps=g * config.thin,
-                                   seed=stream_fingerprint(config.seed, j)),
-                           starts[j], keep).samples
-                 for j, g in enumerate(lengths)]
+        store = [np.empty((g, keep.size)) for g in lengths]
+        for j, g in enumerate(lengths):
+            _block_chain(dist, starts[j].tolist(),
+                         config.burnin + g * config.thin, config,
+                         substream(stream_fingerprint(config.seed, j)),
+                         store[j], keep)
     return np.concatenate([s[:g] for s, g in zip(store, lengths)])
 
 

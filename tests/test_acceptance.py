@@ -6,10 +6,12 @@ run still reports the number that was actually observed. Criteria 4 and
 density pi/2 at 0); a mid-chain coordinate follows the interior law
 instead, which test_probes.py covers. Only the `if` half of criterion 7
 is expected to fail: it asks the interior-flat family's median cutoff
-product to more than double from n=256 to n=1024, the measured ratio is
-about 1.03, and a log-growth heuristic predicts about 1.2. Whether the
-threshold or the program is wrong waits on exact-tau evidence at these
-sizes, so the criterion stays as written.
+product to more than double from n=256 to n=1024, and the test reads
+1.145. On the same kernels exact tau times the gap grows by 1.203 and
+the gap times Kemeny's constant by 1.213, so the hitting-time proxy is
+not what holds the ratio down. Whether the threshold or the program is
+wrong is still open (ROADMAP item 11), so the criterion stays as
+written.
 """
 
 import math

@@ -23,7 +23,7 @@ from bdcutoff.lab.ensemble import (RECORD_FIELDS, record_rows,
 from bdcutoff.lab.tableio import (SCHEMA_TAG, format_value, jsonable,
                                   parse_value, read_csv_rows, render_csv,
                                   render_json, render_table, write_table)
-from bdcutoff.sampler import _exact_start, stream_fingerprint
+from bdcutoff.sampler import exact_draw, stream_fingerprint
 
 
 # configuration
@@ -305,7 +305,7 @@ def test_cli_sample_final_states_match_sampled_kernel(capsys):
         assert {r[3] for r in rows if r[2] == str(rep)} == {str(seed_sub)}
         assert np.array_equal(got.view(np.uint64), kern.c.view(np.uint64))
         assert np.array_equal(got.view(np.uint64),
-                              _exact_start(dist, seed_sub).view(np.uint64))
+                              exact_draw(dist, seed_sub).view(np.uint64))
         states.append(got.tobytes())
     assert states[0] != states[1]
     # the draw runs no chain, so a block size is never read

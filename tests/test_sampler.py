@@ -294,7 +294,7 @@ def _scan_matches_reference(dist, seed, initial=None):
     m = dist.n - 1
     sub = sorted({0, m // 2, m - 1})
     for cfg in _scan_configs(dist, seed):
-        start = (sampler._exact_start(dist, cfg.seed) if initial is None
+        start = (sampler.exact_draw(dist, cfg.seed) if initial is None
                  else initial)
         final, samples, counts = site_chain_reference(cfg, initial=start)
         assert samples.shape == (cfg.steps // cfg.thin, m)
@@ -381,7 +381,7 @@ def test_window_chains_replay_single_chain_scans(monkeypatch, family, m):
                         seed=m)
     rows = cfg.steps // cfg.thin
     sub = sorted({0, m // 2, m - 1})
-    starts = sampler._exact_start(dist, cfg.seed, (chains,))
+    starts = sampler.exact_draw(dist, cfg.seed, (chains,))
     stream = sampler.substream
     scan = []
 
@@ -425,7 +425,7 @@ def test_block_window_chains_are_single_chain_runs(family, m, k):
     sub = sorted({0, m // 2, m - 1})
     window = collect_window(cfg, sub)
     assert window.shape == (rows, len(sub))
-    starts = sampler._exact_start(dist, cfg.seed, (chains,))
+    starts = sampler.exact_draw(dist, cfg.seed, (chains,))
     at = 0
     for j in range(chains):
         got = rows // chains + (j < rows % chains)
@@ -436,6 +436,23 @@ def test_block_window_chains_are_single_chain_runs(family, m, k):
         assert _same_bits(window[at:at + got], one.samples)
         at += got
     assert at == rows
+
+
+def test_block_window_runs_no_gibbs_run(monkeypatch):
+    # a k >= 2 window runs its chains itself, with no per-chain run_gibbs
+    # call and its config and start checks; its bits are the same
+    dist = _sized("geometric", 31)
+    configs = [SamplerConfig(dist, k=2, burnin=11, steps=70 * 3, thin=3,
+                             seed=8),
+               SamplerConfig(dist, k=3, w=2.0, steps=45 * 5, thin=5, seed=9)]
+    want = [collect_window(cfg, [0, 15, 30]) for cfg in configs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a window chain called run_gibbs")
+
+    monkeypatch.setattr(sampler, "run_gibbs", refuse)
+    for cfg, window in zip(configs, want):
+        assert _same_bits(collect_window(cfg, [0, 15, 30]), window)
 
 
 @pytest.mark.parametrize("name", ["uniform-3", "uniform-6", "uniform-12",
@@ -523,7 +540,7 @@ def test_bounding_pair_stays_ordered_and_meets(monkeypatch):
         for seed in range(20):
             seen.clear()
             keys.clear()
-            draw = sampler._exact_start(dist, seed)
+            draw = sampler.exact_draw(dist, seed)
             # pass p starts p + 1 blocks back and redraws block j (j = 0
             # ends at time 0) from the same substream, earliest block first;
             # the first block is first / 2 sweeps long and each pass
@@ -558,7 +575,7 @@ def test_exact_start_matches_rejection_oracle(name):
     # 3000 draws against 3000 oracle draws: a two-sample KS test per
     # coordinate and per diagonal entry, each at 0.01 / (features)
     dist = EXACT_CASES[name]
-    draws = np.array([sampler._exact_start(dist, 7919 * s + len(name))
+    draws = np.array([sampler.exact_draw(dist, 7919 * s + len(name))
                       for s in range(3000)])
     for row in draws[::50]:
         assert check_feasibility(dist, row) is None
@@ -571,15 +588,15 @@ def test_exact_start_matches_rejection_oracle(name):
 
 def test_exact_start_edge_law_on_three_states():
     # the triangle c0 + c1 <= 1: c0 has CDF 1 - (1 - x)^2
-    draws = np.array([sampler._exact_start(UNI3, s)[0] for s in range(4000)])
+    draws = np.array([sampler.exact_draw(UNI3, s)[0] for s in range(4000)])
     assert stats.kstest(draws, lambda x: 1.0 - (1.0 - x) ** 2).pvalue > 0.01
 
 
 def test_exact_start_is_keyed_by_seed():
     dist = make_distribution("if", 40, a=2.0, eps=0.25)
-    a, b = sampler._exact_start(dist, 5), sampler._exact_start(dist, 5)
+    a, b = sampler.exact_draw(dist, 5), sampler.exact_draw(dist, 5)
     assert _same_bits(a, b)
-    assert not np.array_equal(a, sampler._exact_start(dist, 6))
+    assert not np.array_equal(a, sampler.exact_draw(dist, 6))
     assert check_feasibility(dist, a) is None
     # run_gibbs at k = 1 starts there; burnin runs scan updates after it
     trace = run_gibbs(SamplerConfig(dist, seed=5))
@@ -594,9 +611,9 @@ def test_exact_start_chain_axis():
     # chains give R distinct feasible draws
     dist = make_distribution("geometric", 30, a=1.5)
     for seed in range(5):
-        assert _same_bits(sampler._exact_start(dist, seed, (1,))[0],
-                          sampler._exact_start(dist, seed))
-    draws = sampler._exact_start(dist, 3, (8,))
+        assert _same_bits(sampler.exact_draw(dist, seed, (1,))[0],
+                          sampler.exact_draw(dist, seed))
+    draws = sampler.exact_draw(dist, 3, (8,))
     assert draws.shape == (8, 29)
     assert len({row.tobytes() for row in draws}) == 8
     for row in draws:
@@ -615,7 +632,7 @@ def _both_paths(monkeypatch, run):
 
 def _draw_or_error(dist, seed):
     try:
-        return sampler._exact_start(dist, seed)
+        return sampler.exact_draw(dist, seed)
     except NotCoalescedError as err:
         return str(err)
 
@@ -638,7 +655,7 @@ def test_exact_start_scalar_pair_matches_numpy_pair(monkeypatch, family):
             monkeypatch.setattr(sampler, "substream",
                                 lambda *key: keys.append(key) or stream(*key))
             scalar, vector = _both_paths(
-                monkeypatch, lambda: sampler._exact_start(dist, seed))
+                monkeypatch, lambda: sampler.exact_draw(dist, seed))
             monkeypatch.setattr(sampler, "substream", stream)
             assert scalar.shape == (dist.n - 1,)
             assert _same_bits(scalar, vector), (m, seed)
@@ -658,14 +675,14 @@ def test_exact_start_scalar_pair_matches_numpy_pair(monkeypatch, family):
 def test_exact_start_depth_ceiling(monkeypatch):
     dist = make_distribution("uniform", 32)
     first = (dist.n - 1).bit_length()
-    want = {s: sampler._exact_start(dist, s) for s in range(12)}
+    want = {s: sampler.exact_draw(dist, s) for s in range(12)}
     # with room for the first pass only, a draw that needs a deeper start
     # raises instead of going on
     monkeypatch.setattr(sampler, "_MAX_CFTP_SWEEPS", first)
     raised = 0
     for seed, draw in want.items():
         try:
-            assert _same_bits(sampler._exact_start(dist, seed), draw)
+            assert _same_bits(sampler.exact_draw(dist, seed), draw)
         except NotCoalescedError:
             raised += 1
     assert 0 < raised < len(want)
@@ -707,7 +724,7 @@ def test_window_retries_run_only_unmet_chains(monkeypatch):
             half_sweep(half, p, u2)
 
         monkeypatch.setattr(sampler, "_pair_half_sweep", spy)
-        draws = sampler._exact_start(dist, seed, (32,))
+        draws = sampler.exact_draw(dist, seed, (32,))
         monkeypatch.undo()
         assert _digest(draws.dtype.str, draws.shape, draws) == want
         assert len(pairs) == 2 and pairs[0].shape[1] == 32
@@ -720,7 +737,7 @@ def test_window_retries_run_only_unmet_chains(monkeypatch):
         monkeypatch.setattr(sampler, "_MAX_CFTP_SWEEPS",
                             (dist.n - 1).bit_length())
         with pytest.raises(NotCoalescedError) as err:
-            sampler._exact_start(dist, seed, (32,))
+            sampler.exact_draw(dist, seed, (32,))
         monkeypatch.undo()
         assert str(err.value) == "no meeting from 8 sweeps back"
 
@@ -1042,7 +1059,8 @@ def test_cli_outputs_match_golden_digests(capsys):
 # the benchmark's two probe calls (a k = 1 window at 200 uniform states,
 # whose exact start always retries; k = 2 coupled pairs), a k = 1
 # window on the if law with 199 states, where most pairs meet at once,
-# and one on 3 states: 20 chains of 2 coordinates
+# one on 3 states: 20 chains of 2 coordinates, the levy probe's exact
+# draws, and k = 2 and k = 3 windows of 32 block chains
 PROBE_DIGESTS = {
     "probe marginal --n 200 --probe-samples 10000 --seed 3":
         "bd592c6291e0a5053a39afeb0bbb856a308cb2d2c49a7f48495a20e9cfd1726f",
@@ -1053,6 +1071,20 @@ PROBE_DIGESTS = {
         "01ae1ceb4621185b6096a1219d55b73083af951f398b6e8bee748d9d58e4d066",
     "probe marginal --n 3 --probe-samples 20 --seed 4":
         "4f7192c33e032b96661ffa8151f65c394b28da6ac2ccb092644b89b606223aca",
+    "probe levy --n 128 --reps 8 --seed 4":
+        "074c9208c522809cff96ff0fd1a53aacf46e22d6524c2a6f90a45c72ec50655d",
+    "probe marginal --k 2 --n 40 --probe-samples 2000 --seed 4":
+        "25a1d20a8a933c8de6bdb3ce28d1f4ea6a6af80addad2c1ad9838253e04c4441",
+    "probe tail --k 3 --w 0.5 --n 64 --probe-samples 2000 --seed 4":
+        "51349c0b066af0e73c0af8e9c1601c6a49b00a4d15938332c3b1fa90cbe79671",
+}
+
+# the same digests of sample calls: bare exact draws, and a k = 2 chain
+SAMPLE_DIGESTS = {
+    "sample --n 12,40 --reps 3 --seed 4":
+        "d5fdd41a0b5733a605f809a7dbd10e277239a9aacbb77db53fe2561a5b3539b6",
+    "sample --k 2 --w 2 --n 12 --steps 60 --thin 3 --reps 2 --seed 4":
+        "b39863518f2f066f71691ae9edadbb576b84d8bc8b1a5f1566957aff7affc275",
 }
 
 
@@ -1079,6 +1111,8 @@ def _probe_digests(calls, out, capsys):
 def test_probe_outputs_match_golden_digests(tmp_path, capsys):
     got = _probe_digests(PROBE_DIGESTS, tmp_path / "probe.csv", capsys)
     assert got == PROBE_DIGESTS
+    got = _probe_digests(SAMPLE_DIGESTS, tmp_path / "sample.csv", capsys)
+    assert got == SAMPLE_DIGESTS
 
 
 def test_edge_k_probe_outputs_match_golden_digests(tmp_path, capsys):
