@@ -152,46 +152,39 @@ def spectral_gap(kernel: BDKernel) -> float:
     return 1.0 - lam2
 
 
-def _segments(rows: np.ndarray, k: int, n: int) -> np.ndarray:
-    """(..., k, n) view of the start laws in padded rows [0|v|0|v|...|0]."""
-    return rows[..., 1:].reshape(*rows.shape[:-1], k, n + 1)[..., :n]
-
-
-def _padded_coefficients(kernel: BDKernel, k: int) -> np.ndarray:
-    """diag, c shifted right and sub over the inner entries of a k-start
-    padded row, zero at the separators."""
+def _coefficients(kernel: BDKernel, k: int) -> np.ndarray:
+    """diag, c shifted right and sub over a row of k start laws side by
+    side, with the neighbour coefficients zero between two laws."""
     n = kernel.n
-    rows = np.zeros((3, k, n + 1))
-    rows[0, :, 1:] = kernel.diag
-    rows[1, :, 2:] = kernel.c
-    rows[2, :, 1:-1] = kernel.sub
-    return rows.reshape(3, k * (n + 1))[:, 1:]
+    rows = np.zeros((3, k, n))
+    rows[0] = kernel.diag
+    rows[1, :, 1:] = kernel.c
+    rows[2, :, :-1] = kernel.sub
+    return rows.reshape(3, k * n)
 
 
 def _advance(buf: np.ndarray, coef: np.ndarray) -> None:
-    """Fill rows 1.. of a block of padded rows, each one step on from the
-    row before, in BDKernel.evolve's order: (v*diag + v_left*c) +
-    v_right*sub. At a separator every coefficient is zero, so a
-    segment's edge entries gain an exact 0.0 and its law is bit for bit
-    the one evolve gives."""
-    diag, left, right = coef
-    buf[1:, [0, -1]] = 0.0
-    tmp = np.empty(buf.shape[1] - 2)
-    mids = buf[:, 1:-1]
-    for v, vl, vr, out in zip(mids[:-1], buf[:-1, :-2], buf[:-1, 2:],
-                              mids[1:]):
+    """Fill rows 1.. of a block, each one step on from the row before, in
+    BDKernel.evolve's order: (v*diag + v_left*c) + v_right*sub. Between
+    two laws the neighbour coefficient is zero, so a law's edge entries
+    gain an exact 0.0 and each law is bit for bit the one evolve gives."""
+    diag, left, right = coef[0], coef[1, 1:], coef[2, :-1]
+    tmp = np.empty(buf.shape[1] - 1)
+    for v, vl, vr, out, up, down in zip(buf[:-1], buf[:-1, :-1],
+                                        buf[:-1, 1:], buf[1:], buf[1:, 1:],
+                                        buf[1:, :-1]):
         np.multiply(v, diag, out=out)
         np.multiply(vl, left, out=tmp)
-        np.add(out, tmp, out=out)
+        np.add(up, tmp, out=up)
         np.multiply(vr, right, out=tmp)
-        np.add(out, tmp, out=out)
+        np.add(down, tmp, out=down)
 
 
-def _block_tv(buf: np.ndarray, pi: np.ndarray, k: int) -> np.ndarray:
+def _block_tv(buf: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """TV to pi of every start law in rows 1.. of a block, shape
-    (rows - 1, k); overwrites those laws. Each segment is summed alone
-    along its contiguous axis, the same pairwise sum as a 1-D .sum()."""
-    diff = _segments(buf[1:], k, pi.size)
+    (rows - 1, k); overwrites those laws. Each law is summed alone along
+    its contiguous axis, the same pairwise sum as a 1-D .sum()."""
+    diff = buf[1:].reshape(len(buf) - 1, -1, pi.size)
     np.subtract(diff, pi, out=diff)
     np.abs(diff, out=diff)
     tv = diff.sum(axis=2)
@@ -203,12 +196,12 @@ def _crossing_times(kernel: BDKernel, starts, levels, horizon: int):
     """First t >= 1 with TV(law at t from s, pi) < level, per start s and
     level: an int array of shape (len(starts), len(levels)).
 
-    levels must be sorted descending. All starts step together in one
-    padded row [0 | v_s0 | 0 | v_s1 | ... | 0] (_advance), in blocks of
-    rows of one buffer of at most _BLOCK_ENTRIES entries: a block has
-    _MIN_BLOCK steps or a quarter of the steps so far, whichever is
-    more. After a block, one reduction gives TV at each of its steps and
-    starts (_block_tv), and the checks run on the whole block.
+    levels must be sorted descending. All starts step side by side in
+    one row [v_s0 | v_s1 | ...] (_advance), in blocks of rows of one
+    buffer of at most _BLOCK_ENTRIES entries: a block has _MIN_BLOCK
+    steps or a quarter of the steps so far, whichever is more. After a
+    block, one reduction gives TV at each of its steps and starts
+    (_block_tv), and the checks run on the whole block.
 
     A start is done once its last level is crossed. It fails with
     DomainError when its TV grows, which no stochastic kernel with
@@ -229,25 +222,24 @@ def _crossing_times(kernel: BDKernel, starts, levels, horizon: int):
     live = np.arange(len(starts))
     laws = np.zeros((len(starts), n))
     laws[live, list(starts)] = 1.0
-    flat = np.empty(max(_BLOCK_ENTRIES, 2 * (len(starts) * (n + 1) + 1)))
-    # every segment has the same coefficients, so fewer starts take a prefix
-    coef = _padded_coefficients(kernel, len(starts))
+    flat = np.empty(max(_BLOCK_ENTRIES, 2 * laws.size))
+    # every law has the same coefficients, so fewer starts take a prefix
+    coef = _coefficients(kernel, len(starts))
     failure = None
     t = 0
     while live.size:
         k = live.size
-        width = k * (n + 1) + 1
+        width = k * n
         steps = min(max(_MIN_BLOCK, t // 4), flat.size // width - 1,
                     horizon - t)
         buf = flat[:(steps + 1) * width].reshape(steps + 1, width)
-        buf[0] = 0.0
-        _segments(buf[0], k, n)[...] = laws
-        _advance(buf, coef[:, :width - 2])
-        laws = _segments(buf[-1], k, n).copy()
-        tv = _block_tv(buf, pi, k)
+        buf[0] = laws.ravel()
+        _advance(buf, coef[:, :width])
+        laws = buf[-1].reshape(k, n).copy()
+        tv = _block_tv(buf, pi)
         if k > 1 and not np.isfinite(tv[-1]).all():
-            # inf * 0 is nan, so a non-finite law leaks through the zero
-            # separators; in rows of their own the starts stay exact
+            # inf * 0 is nan, so a non-finite law leaks into the laws next
+            # to it; in rows of their own the starts stay exact
             return np.vstack([_crossing_times(kernel, [s], levels, horizon)
                               for s in starts])
 

@@ -12,9 +12,8 @@ from conftest import (dense_gap, equilibrated_kernel, solve_hitting,
 
 from bdcutoff import analysis
 from bdcutoff.analysis import (_MIN_BLOCK, _advance, _block_tv,
-                               _padded_coefficients, _segments, analyze,
-                               expected_hitting_time, miclo_bounds,
-                               mixing_profile, mixing_time,
+                               _coefficients, analyze, expected_hitting_time,
+                               miclo_bounds, mixing_profile, mixing_time,
                                pairwise_distance_profile, spectral_gap)
 from bdcutoff.dist import StationaryDist, make_distribution
 from bdcutoff.errors import (DomainError, NonErgodicError, NotMixedError,
@@ -291,7 +290,7 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.uint64)
 
 
-def test_padded_step_matches_evolve_bitwise():
+def test_side_by_side_step_matches_evolve_bitwise():
     rng = np.random.default_rng(60)
     kernels = [single_state_kernel(), oracle_kernel("if", 2)]
     kernels += [oracle_kernel(f, 16) for f in ORACLE_DISTS]
@@ -301,15 +300,21 @@ def test_padded_step_matches_evolve_bitwise():
             laws = rng.random((k, n))
             laws[0] = 0.0
             laws[0, -1] = 1.0
-            buf = np.empty((3, k * (n + 1) + 1))
-            buf[0] = 0.0
-            _segments(buf[0], k, n)[...] = laws
-            _advance(buf, _padded_coefficients(kern, k))
+            buf = np.empty((3, k * n))
+            buf[0] = laws.ravel()
+            _advance(buf, _coefficients(kern, k))
             one = kern.evolve(laws)
-            assert (bits(_segments(buf[1], k, n)) == bits(one)).all()
-            assert (bits(_segments(buf[2], k, n))
+            assert (bits(buf[1].reshape(k, n)) == bits(one)).all()
+            assert (bits(buf[2].reshape(k, n))
                     == bits(kern.evolve(one))).all()
-            assert not buf[1:, ::n + 1].any()
+        # a law's next row ignores the laws beside it, however large
+        laws = np.vstack([rng.random(n), np.full(n, 1e300), rng.random(n)])
+        buf = np.empty((2, 3 * n))
+        buf[0] = laws.ravel()
+        _advance(buf, _coefficients(kern, 3))
+        for i in (0, 2):
+            assert (bits(buf[1, i * n:(i + 1) * n])
+                    == bits(kern.evolve(laws[i]))).all()
 
 
 def test_block_tv_matches_stepwise_sum_bitwise():
@@ -318,11 +323,10 @@ def test_block_tv_matches_stepwise_sum_bitwise():
         pi = rng.random(n)
         pi /= pi.sum()
         for k in (1, 2, 5):
-            buf = rng.random((4, k * (n + 1) + 1))
-            laws = _segments(buf[1:], k, n).copy()
-            want = [[0.5 * float(np.abs(v - pi).sum()) for v in row]
-                    for row in laws]
-            assert (bits(_block_tv(buf, pi, k)) == bits(want)).all(), (n, k)
+            buf = rng.random((4, k * n))
+            want = [[0.5 * float(np.abs(v - pi).sum())
+                     for v in row.reshape(k, n)] for row in buf[1:]]
+            assert (bits(_block_tv(buf, pi)) == bits(want)).all(), (n, k)
 
 
 def test_single_state_profile_matches_stepwise():

@@ -1028,7 +1028,12 @@ def test_rejection_chains_match_golden_digests():
 # half-sweeps have no site and one, then the gap, spectral or stepped tau
 # and the CSV), the proxy ensemble, one exact-tau analyze report, exact
 # starts on 75 coordinates (site by site) and 76 (numpy), and k = 1
-# traces on 2 and 10 coordinates, whose scans are a few sites wide
+# traces on 2 and 10 coordinates, whose scans are a few sites wide; then
+# four calls whose tau is stepped because the spectral route declines
+# their steep laws: if ensembles at 63 and 127 states (the two endpoint
+# starts side by side until one is done), the same at a 40-step horizon
+# (three NotMixedError rows), all 63 starts of one if kernel stepped
+# together, and a geometric a = 3 kernel analyzed without laziness
 CLI_DIGESTS = {
     "ensemble --exact-tau --horizon 100000 --n 2,3,32 --reps 6":
         "08dcc7499f986ea8bfb79a7727eec0f9fdfabcf0181ad547b36b2e2545438627",
@@ -1043,6 +1048,18 @@ CLI_DIGESTS = {
     "sample --family if --a 2 --eps 0.25 --n 6 --steps 3001 --thin 13 "
     "--reps 2 --seed 4":
         "6bbf3ab1594615fc0fb5d71b6efd581cf0c121cd886764f18fe4e42296d8cc13",
+    "ensemble --exact-tau --horizon 200000 --family if --a 2 --eps 0.25 "
+    "--n 32,64 --reps 4 --seed 4":
+        "d802c5ed8fbe31f9acb3fd44bff5ffacdcfa27cd130153c733547bf2710e59d8",
+    "ensemble --exact-tau --horizon 40 --family if --a 2 --eps 0.25 --n 32 "
+    "--reps 3 --seed 4":
+        "ad34d7a975553c43a155e99143630abe18f9dce961db969dcd7017725da49a4a",
+    "analyze --exact-tau --exhaustive-starts --family if --a 2 --eps 0.25 "
+    "--n 32 --seed 4":
+        "2bebf43ce4840de7b778ceed7cb15ea45ddfc4bdd90c2efa5b1a98fb18b04a2a",
+    "analyze --exact-tau --raw-kernel --family geometric --a 3 --n 24 "
+    "--seed 4":
+        "191eafc97601c6b9855e5694a46a15e38f1eee83c6c2331f97db7b1b0e74aaac",
 }
 
 
