@@ -12,14 +12,6 @@ __all__ = [
     "run_ensemble", "PROBES", "ProbeResult", "probe_contraction",
     "probe_levy_sum", "probe_marginal", "probe_markov", "probe_tail",
     "SCHEMA_TAG", "read_csv_rows", "render_csv", "render_json",
-    "write_table", "cli_main", "main",
+    "write_table",
 ]
 
-
-def __getattr__(name):
-    # cli is imported on first use, not with the package, so that
-    # "python -m bdcutoff.lab.cli" runs a module not yet imported
-    if name in ("cli_main", "main"):
-        from . import cli
-        return getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -64,6 +64,11 @@ class ExperimentConfig:
                            tuple(int(n) for n in self.n_list))
         if min(self.n_list) < 1:
             raise ParameterError(f"n must be >= 1, got {min(self.n_list)}")
+        # a size listed twice would repeat its rows, seeds and all
+        twice = sorted({n for n in self.n_list if self.n_list.count(n) > 1})
+        if twice:
+            raise ParameterError(
+                f"n lists {', '.join(map(str, twice))} more than once")
         if self.mass is not None:
             object.__setattr__(self, "mass",
                                tuple(float(v) for v in self.mass))

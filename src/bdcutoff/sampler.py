@@ -51,6 +51,7 @@ _MAX_CFTP_SWEEPS = 1 << 16  # its deepest start; 4095 states needed <= 24
 # 21 at 16 and 19 at 64, and as long as 16 on a 10 000-row one, where
 # 64 took a third longer (one exact start costs about 0.25 ms there)
 _WINDOW_CHAINS = 32
+_ORACLE_BATCH = 4096  # box proposals per round of oracle_samples
 # each law's block plans (_block_plan), by (k, w); keyed by the
 # StationaryDist itself, hashed by identity, so a law's plans die with it
 # and two laws of one size never share one
@@ -436,24 +437,26 @@ def _vector_sweeps(xp, halves, us, slot, hist):
 
 
 class _BlockPlan:
-    """The block loop's setup on one law for one (k, w): the caps and
-    1/r as lists, the start picker, and, each made on first use, each
-    start s's (caps, 1/r within, left and right 1/r, cap[s], cap[s + 1]
-    (cap[s] at k = 1), 1/r[s]) and run_coupled_pair's default far start."""
+    """The block loop's setup on one law for one (k, w), built whole: the
+    start picker, blocks[s] = (caps, 1/r within, left and right 1/r,
+    cap[s], cap[s + 1] (cap[s] at k = 1), 1/r[s]) for every start s, and
+    run_coupled_pair's default far start, the one field set later."""
 
-    __slots__ = ("caps", "rec", "pick", "blocks", "antipode")
+    __slots__ = ("pick", "blocks", "antipode")
 
     def __init__(self, dist, k, w):
-        self.caps = [float(v) for v in dist.caps]
-        self.rec = [1.0 / float(v) for v in dist.ratios]
+        caps = [float(v) for v in dist.caps]
+        rec = [1.0 / float(v) for v in dist.ratios]
         self.pick = _start_picker(dist.n - k, w)
-        self.blocks = {}
+        self.blocks = [(caps[s:s + k], rec[s:s + k - 1], rec[s - 1],
+                        rec[s + k - 1], caps[s], caps[s + (k > 1)], rec[s])
+                       for s in range(dist.n - k)]
         self.antipode = None
 
 
 def _block_plan(dist, k, w) -> _BlockPlan:
-    """dist's plan for (k, w), built on the first call and shared by
-    every later _run_block and run_coupled_pair call on that law."""
+    """dist's plan for (k, w), built whole on the first call and shared
+    by every later _run_block and run_coupled_pair call on that law."""
     plans = _PLANS.setdefault(dist, {})
     plan = plans.get((k, w))
     if plan is None:
@@ -469,15 +472,15 @@ def _run_block(dist, chains, total, config, rng, step):
     marginally the plain block Gibbs chain. A proposal's tests within the
     block run once (straight-line code for the first two sites), then
     each waiting chain tests its two ends with a full check's float
-    operations; chains that accept share one list of values. The setup
-    is the law's plan (_block_plan). After update done (1-based), at
+    operations; chains that accept share one list of values. It only
+    reads the law's plan (_block_plan). After update done (1-based), at
     block start s with tries proposals drawn, step(done, s, tries) does
     the caller's bookkeeping; a true return ends the run.
     """
     m = dist.n - 1
     k = config.k
     plan = _block_plan(dist, k, config.w)
-    caps, rec, pick, plans = plan.caps, plan.rec, plan.pick, plan.blocks
+    pick, blocks = plan.pick, plan.blocks
     max_tries = config.max_rejection_tries
     # uniforms read by index, in chunks that double from 256 to _BATCH
     us, i, size, refill = rng.random(256).tolist(), 0, 512, 256 - k
@@ -485,10 +488,7 @@ def _run_block(dist, chains, total, config, rng, step):
         s = pick(us[i])
         i += 1
         e = s + k
-        if s not in plans:
-            plans[s] = (caps[s:e], rec[s:e - 1], rec[s - 1], rec[e - 1],
-                        caps[s], caps[s + (k > 1)], rec[s])
-        box, within, rl, rr, cap0, cap1, rec0 = plans[s]
+        box, within, rl, rr, cap0, cap1, rec0 = blocks[s]
         # (chain, left bound, right neighbour); past an end no proposal
         # exceeds inf, and -inf exceeds no bound
         waiting = [(c, 1.0 - rl * c[s - 1] if s else math.inf,
@@ -565,10 +565,11 @@ def collect_window(config: SamplerConfig, coords) -> np.ndarray:
     each from its own exact draw, so every row is stationary.
 
     The rows come chain by chain, in the runs that np.array_split(rows,
-    R) cuts: chain j gives rows // R rows, one more when j < rows % R.
-    burnin and thin count one chain's updates. At k = 1 the chains run
-    in one numpy scan (_run_scan); at k >= 2 chain j is a _block_chain
-    on the stream substream(stream_fingerprint(config.seed, j)).
+    R) cuts: chain j writes rows // R rows, one more when j < rows % R,
+    to store[j] of one store as deep as the longest run. burnin and
+    thin count one chain's updates. At k = 1 the chains run in one
+    numpy scan (_run_scan); at k >= 2 chain j is a _block_chain on the
+    stream substream(stream_fingerprint(config.seed, j)).
     """
     dist = config.dist
     _check_scan_weight(config.k, config.w)
@@ -579,12 +580,11 @@ def collect_window(config: SamplerConfig, coords) -> np.ndarray:
     chains = _window_chains(rows)
     lengths = [rows // chains + (j < rows % chains) for j in range(chains)]
     starts = exact_draw(dist, config.seed, (chains,))
+    store = np.empty((chains, lengths[0], keep.size))
     if config.k == 1:
-        store = np.empty((chains, lengths[0], keep.size))
         _run_scan(dist, starts, config.burnin + lengths[0] * config.thin,
                   config, substream(config.seed), store, keep)
     else:
-        store = [np.empty((g, keep.size)) for g in lengths]
         for j, g in enumerate(lengths):
             _block_chain(dist, starts[j].tolist(),
                          config.burnin + g * config.thin, config,
@@ -594,7 +594,7 @@ def collect_window(config: SamplerConfig, coords) -> np.ndarray:
 
 
 def oracle_samples(dist: StationaryDist, count: int,
-                   rng: np.random.Generator, batch: int = 4096) -> np.ndarray:
+                   rng: np.random.Generator) -> np.ndarray:
     """Exact uniform polytope samples by whole-vector rejection.
 
     Acceptance decays fast with the state count (it is the polytope
@@ -606,7 +606,7 @@ def oracle_samples(dist: StationaryDist, count: int,
     out = np.empty((count, m))
     got = 0
     while got < count:
-        c = rng.random((batch, m)) * caps
+        c = rng.random((_ORACLE_BATCH, m)) * caps
         # np.all(axis=1) reduces along rows of m flags, about 7x slower
         # than and-ing the rows of the transposed copy
         ok = np.ascontiguousarray((c <= _bounds(dist, c)).T)

@@ -440,6 +440,18 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
         rc, out, err = run_cli(capsys, command + reps)
         assert rc == 1 and out == "", command
         assert err.startswith("bdcutoff: ") and "Error" not in err
+    # a size listed twice would repeat its rows, from a flag or from
+    # --config, so it exits 1 naming the size
+    sizes = tmp_path / "sizes.cfg"
+    sizes.write_text("n = 8,8\n")
+    for command, size in ((["ensemble", "--n", "8,8"], "8"),
+                          (["probe", "contraction", "--n", "16,16"], "16"),
+                          (["sample", "--n", "4,4"], "4"),
+                          (["ensemble", "--config", str(sizes)], "8")):
+        rc, out, err = run_cli(capsys, command)
+        assert rc == 1 and out == "", command
+        assert err.startswith("bdcutoff: ") and "Error" not in err
+        assert f"n lists {size} more than once" in err, command
     # a chain shorter than --thin keeps no state, so there is none to print
     rc, out, err = run_cli(capsys, ["sample", "--n", "4", "--steps", "4",
                                     "--thin", "5", "--reps", "1",

@@ -843,6 +843,38 @@ def test_block_plans_do_not_leak_between_laws(monkeypatch):
     assert gone() is None and list(sampler._PLANS) == kept
 
 
+def test_block_plan_holds_every_start_whole(monkeypatch):
+    # the plan holds every block start s = 0 .. n - k - 1, each entry
+    # written out here from the law's caps and 1/r, so no start reads
+    # past either end of the law; the picker reaches both end starts
+    # and no other index
+    monkeypatch.setattr(sampler, "_PLANS", weakref.WeakKeyDictionary())
+    grid = np.arange(2000) / 2000
+    for dist in (make_distribution("uniform", 20),
+                 make_distribution("geometric", 20, a=1.5),
+                 make_distribution("if", 12, a=2.0, eps=0.25)):
+        caps, rec = dist.caps, 1.0 / dist.ratios
+        for k in (1, 2, 3, 8):
+            for w in (1.0, 0.5):
+                plan = sampler._block_plan(dist, k, w)
+                assert len(plan.blocks) == dist.n - k
+                for s, block in enumerate(plan.blocks):
+                    box, within, rl, rr, cap0, cap1, rec0 = block
+                    assert len(box) == k and len(within) == k - 1
+                    assert box == [caps[s + t] for t in range(k)]
+                    assert within == [rec[s + t] for t in range(k - 1)]
+                    # no left neighbour at s = 0, where the loop reads no rl
+                    assert s == 0 or rl == rec[s - 1]
+                    assert rr == rec[s + k - 1]
+                    assert cap0 == caps[s] and rec0 == rec[s]
+                    assert cap1 == caps[s + 1 if k > 1 else s]
+                    assert all(type(v) is float
+                               for v in (*box, *within, rl, rr, cap0, cap1,
+                                         rec0))
+                picked = {plan.pick(u) for u in grid.tolist()}
+                assert picked == set(range(dist.n - k)), (dist.n, k, w)
+
+
 def test_contraction_builds_one_plan_per_size(monkeypatch):
     # every rep of a size shares the size's plan and far start
     built, greedy = [], sampler.greedy_max_state
