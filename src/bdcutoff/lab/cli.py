@@ -334,12 +334,16 @@ def _cmd_compare(cfg: ExperimentConfig) -> int:
     if cfg.reps < 1:
         raise ParameterError(
             f"compare-metropolis needs --reps >= 1, got {cfg.reps}")
+    dist = cfg.make_dist(cfg.n_list[0])
+    # metropolis_report's check, made before any replicate runs
+    if dist.n < 5:
+        raise ParameterError(
+            f"comparison statistics need n >= 5, got {dist.n}")
     records = run_ensemble(cfg)
     for r in records:
         if r.error:
             print(f"bdcutoff: {r.error}", file=sys.stderr)
             return 2
-    dist = cfg.make_dist(cfg.n_list[0])
     report = comparison_diagnostic(
         dist, [r.cutoff_product for r in records], alpha=cfg.alpha)
     _emit_json({

@@ -83,6 +83,12 @@ class ExperimentConfig:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.horizon < 1:
             raise ParameterError(f"horizon must be >= 1, got {self.horizon}")
+        # analyze's and find_xn's checks, made before any replicate runs
+        if not 0.5 <= self.delta < 1.0:
+            raise ParameterError(
+                f"proxy quantile delta must be in [0.5, 1), got {self.delta}")
+        if self.alpha is not None and not 0.0 < self.alpha <= 1.0:
+            raise ParameterError(f"alpha must be in (0, 1], got {self.alpha}")
         if self.probe_samples < 1:
             raise ParameterError(
                 f"probe_samples must be >= 1, got {self.probe_samples}")

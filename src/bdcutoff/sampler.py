@@ -117,7 +117,6 @@ class SamplerConfig:
 @dataclass(frozen=True)
 class GibbsTrace:
     samples: np.ndarray       # (kept, len(coords)) retained values
-    update_counts: np.ndarray  # updates per block start (per site at k=1)
     block_updates: int
     block_tries: int          # proposals drawn; equals block_updates at k=1
     final: np.ndarray
@@ -199,15 +198,15 @@ def run_gibbs(config: SamplerConfig, initial=None, coords=None) -> GibbsTrace:
     rng = substream(config.seed)
     store = np.empty((config.steps // config.thin, keep.size))
     if config.k == 1:
-        final, counts = _run_scan(dist, initial[None], total, config, rng,
-                                  store[None], keep)
-        final, tries = final[0], total  # one proposal per update
+        final = _run_scan(dist, initial[None], total, config, rng,
+                          store[None], keep)[0]
+        tries = total  # one proposal per update
     else:
         c = initial.tolist()
-        counts, tries = _block_chain(dist, c, total, config, rng, store, keep)
+        tries = _block_chain(dist, c, total, config, rng, store, keep)
         final = np.asarray(c)
-    return GibbsTrace(samples=store, update_counts=np.asarray(counts),
-                      block_updates=total, block_tries=tries, final=final)
+    return GibbsTrace(samples=store, block_updates=total, block_tries=tries,
+                      final=final)
 
 
 def _kept(coords, m: int) -> np.ndarray:
@@ -244,7 +243,11 @@ def exact_draw(dist: StationaryDist, seed: int, lead=()) -> np.ndarray:
     each still reading its own rows of the full draw. That is still
     exact, and the same bits as running every pair again, as a pair that
     met from some depth gives the same time-0 state from every deeper
-    start."""
+    start. Any other lead raises ParameterError before a draw."""
+    if not (isinstance(lead, tuple) and (lead == () or len(lead) == 1 and (
+            isinstance(lead[0], (int, np.integer)) and lead[0] > 0))):
+        raise ParameterError(
+            f"lead must be () or (R,) with R a positive int, got {lead!r}")
     m, caps, rat = dist.n - 1, dist.caps, dist.ratios
     recl = np.r_[0.0, 1.0 / rat[:-1]]
     pair = np.zeros((2, *lead, m + 2))  # [0 | top | 0] over [0 | bottom | 0]
@@ -354,7 +357,7 @@ def _upper(left_nb, right_nb, rl, rr):
 
 def _run_scan(dist, x, total, config, rng, store, keep):
     """The k = 1 chains from the rows of x, total updates each; returns
-    their final states and the update count of each site.
+    their final states.
 
     Each sweep updates the even sites in ascending order, then the odd
     ones, so a run of total updates ends inside a sweep unless m divides
@@ -393,9 +396,7 @@ def _run_scan(dist, x, total, config, rng, store, keep):
                            place[keep], m)
         row += stops.size
         next_keep += stops.size * thin
-    counts = np.full(m, total // m)
-    counts[order[:total % m]] += 1
-    return xp[:, 1:-1].copy(), counts
+    return xp[:, 1:-1].copy()
 
 
 def _rows_from_history(out, hist, stops, keep_place, m):
@@ -536,21 +537,19 @@ def _run_block(dist, chains, total, config, rng, step):
 def _block_chain(dist, c, total, config, rng, store, keep):
     """The k >= 2 block chain from the list c, updated in place, for total
     updates; store[r] gets coordinates keep after update burnin + (r+1)*thin.
-    Returns each block start's update count and the proposals drawn."""
+    Returns the proposals drawn."""
     burnin, thin = config.burnin, config.thin
     idx = keep.tolist()
-    counts = [0] * (dist.n - config.k)
     tries = 0
 
     def step(done, s, drawn):
         nonlocal tries
-        counts[s] += 1
         tries += drawn
         if done > burnin and (done - burnin) % thin == 0:
             store[(done - burnin) // thin - 1] = [c[i] for i in idx]
 
     _run_block(dist, [c], total, config, rng, step)
-    return counts, tries
+    return tries
 
 
 def _window_chains(rows: int) -> int:

@@ -50,8 +50,8 @@ def site_chain_reference(config, coords=None, initial=None):
     then the odd ones, as uniform j times the site's conditional
     interval. Draws every uniform in one call, where the library draws
     them a chunk at a time (split Philox draws equal one long draw).
-    initial defaults to interior_state. Returns (final, samples,
-    update_counts) as run_gibbs would."""
+    initial defaults to interior_state. Returns (final, samples) as
+    run_gibbs would."""
     dist = config.dist
     m = dist.n - 1
     rat = [float(v) for v in dist.ratios]
@@ -63,7 +63,6 @@ def site_chain_reference(config, coords=None, initial=None):
     if initial is None:
         initial = interior_state(dist)
     c = [float(v) for v in initial]
-    counts = [0] * m
     rows = []
     for done in range(1, total + 1):
         i = order[(done - 1) % m]
@@ -73,11 +72,10 @@ def site_chain_reference(config, coords=None, initial=None):
         if hi < 0.0:
             hi = 0.0
         c[i] = us[done - 1] * hi
-        counts[i] += 1
         if done > config.burnin and (done - config.burnin) % config.thin == 0:
             rows.append([c[s] for s in keep])
     samples = np.array(rows, dtype=float).reshape(len(rows), len(keep))
-    return np.array(c), samples, np.array(counts)
+    return np.array(c), samples
 
 
 def _block_ok(c, s, prop, k, rec, m) -> bool:

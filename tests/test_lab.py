@@ -370,6 +370,25 @@ def test_cli_compare_metropolis(tmp_path, capsys):
         replicate_seed(6, 16, rep) for rep in range(3)]
 
 
+# compare-metropolis calls that exit 1 before run_ensemble, and why
+COMPARE_USAGE_ERRORS = (
+    (["compare-metropolis", "--n", "1024", "--alpha", "2", "--reps", "20"],
+     "alpha must be in (0, 1], got 2.0"),
+    (["compare-metropolis", "--n", "4", "--reps", "20"],
+     "comparison statistics need n >= 5, got 4"),
+)
+
+
+def test_compare_usage_errors_run_no_replicate(capsys, monkeypatch):
+    def no_ensemble(cfg):
+        raise AssertionError("ran the ensemble")
+
+    monkeypatch.setattr("bdcutoff.lab.cli.run_ensemble", no_ensemble)
+    for command, why in COMPARE_USAGE_ERRORS:
+        rc, out, err = run_cli(capsys, command)
+        assert (rc, out, err) == (1, "", f"bdcutoff: {why}\n"), command
+
+
 def test_cli_usage_errors_exit_one(tmp_path, capsys):
     assert run_cli(capsys, ["ensemble", "--family", "cauchy"])[0] == 1
     assert run_cli(capsys, ["probe", "bogus", "--n", "8"])[0] == 1
@@ -468,13 +487,26 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
         assert err.startswith("bdcutoff: ") and "Error" not in err
     rc, out, _ = run_cli(capsys, ["ensemble", "--n", "8", "--reps", "0"])
     assert rc == 0 and out.startswith(SCHEMA_TAG)
-    # with no replicates the distribution settings are still checked
-    for command in (["ensemble", "--family", "if", "--n", "8"],
-                    ["ensemble", "--family", "uniform", "--a", "3",
-                     "--n", "8"]):
+    # with no replicates the distribution and analysis settings are
+    # still checked, from a flag or from --config
+    delta = tmp_path / "delta.cfg"
+    delta.write_text("delta = 3\n")
+    for command, why in (
+            (["ensemble", "--family", "if", "--n", "8"], ""),
+            (["ensemble", "--family", "uniform", "--a", "3", "--n", "8"], ""),
+            (["ensemble", "--n", "64", "--delta", "3"],
+             "proxy quantile delta must be in [0.5, 1), got 3.0"),
+            (["ensemble", "--n", "64", "--config", str(delta)],
+             "proxy quantile delta must be in [0.5, 1), got 3.0")):
         rc, out, err = run_cli(capsys, command + ["--reps", "0"])
         assert rc == 1 and out == "", command
         assert err.startswith("bdcutoff: ") and "Error" not in err
+        assert why in err, command
+    # a comparison's alpha and state count are checked before any
+    # replicate runs
+    for command, why in COMPARE_USAGE_ERRORS:
+        rc, out, err = run_cli(capsys, command)
+        assert (rc, out, err) == (1, "", f"bdcutoff: {why}\n"), command
     # a chain setting exits 1 where no chain runs, from a flag or from
     # --config: sample without --steps, and the markov probe's exact
     # rejection draws at 12 states or fewer

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import math
+import re
 import weakref
 
 import numpy as np
@@ -49,7 +50,6 @@ def test_site_update_pinched_interval_is_deterministic():
     for seed in range(8):
         trace = run_gibbs(SamplerConfig(UNI3, steps=1, seed=seed),
                           initial=[0.25, 1.0])
-        assert trace.update_counts.tolist() == [1, 0]
         assert trace.final.tolist() == [0.0, 1.0]
 
 
@@ -180,7 +180,7 @@ def test_run_gibbs_samples_stay_feasible(family, kw, k):
     for row in trace.samples:
         assert check_feasibility(dist, row) is None
     assert check_feasibility(dist, trace.final) is None
-    assert trace.update_counts.sum() == 3200
+    assert trace.block_updates == 3200
     assert trace.block_tries >= trace.block_updates
 
 
@@ -205,15 +205,22 @@ def test_run_gibbs_rejects_bad_coords(m):
 
 def test_endpoint_weighting():
     # first block start carries probability w / (nstarts - 2 + 2w); at
-    # k = 2 on 7 coordinates there are 6 starts
-    cfg = SamplerConfig(dist=make_distribution("uniform", 8), k=2, w=5.0,
-                        steps=20000, seed=77)
-    trace = run_gibbs(cfg)
+    # k = 2 on 7 coordinates there are 6 starts. The block loop's step
+    # sees each update's start; the chain runs from run_gibbs's start on
+    # run_gibbs's stream
+    dist = make_distribution("uniform", 8)
+    cfg = SamplerConfig(dist=dist, k=2, w=5.0, steps=20000, seed=77)
+    counts = [0] * 6
+
+    def step(done, s, tries):
+        counts[s] += 1
+
+    sampler._run_block(dist, [sampler.exact_draw(dist, 77).tolist()],
+                       cfg.steps, cfg, substream(77), step)
     p = 5.0 / (4 + 2 * 5.0)
-    freq = trace.update_counts[0] / trace.update_counts.sum()
+    freq = counts[0] / sum(counts)
     assert abs(freq - p) <= 3.0 * math.sqrt(p * (1 - p) / 20000)
-    assert trace.update_counts[0] == pytest.approx(
-        trace.update_counts[-1], rel=0.1)
+    assert counts[0] == pytest.approx(counts[-1], rel=0.1)
 
 
 def test_site_scan_rejects_endpoint_weight():
@@ -290,19 +297,17 @@ def _scan_configs(dist, seed):
 def _scan_matches_reference(dist, seed, initial=None):
     """run_gibbs on the _scan_configs of dist against site_chain_reference
     from initial, or from run_gibbs's default start, the exact draw:
-    every state, three kept coordinates, the update counts and tries."""
+    every state, three kept coordinates and the tries."""
     m = dist.n - 1
     sub = sorted({0, m // 2, m - 1})
     for cfg in _scan_configs(dist, seed):
         start = (sampler.exact_draw(dist, cfg.seed) if initial is None
                  else initial)
-        final, samples, counts = site_chain_reference(cfg, initial=start)
+        final, samples = site_chain_reference(cfg, initial=start)
         assert samples.shape == (cfg.steps // cfg.thin, m)
         got = run_gibbs(cfg, initial)
         assert _same_bits(got.final, final)
         assert _same_bits(got.samples, samples)
-        assert np.array_equal(got.update_counts, counts)
-        assert got.update_counts.dtype == counts.dtype
         assert got.block_tries == cfg.burnin + cfg.steps
         picked = run_gibbs(cfg, initial, coords=sub).samples
         assert _same_bits(picked, samples[:, sub])
@@ -620,6 +625,20 @@ def test_exact_start_chain_axis():
         assert check_feasibility(dist, row) is None
 
 
+def test_exact_start_rejects_bad_lead(monkeypatch):
+    # a lead other than () or (R,) with R >= 1 is refused, naming it,
+    # before any uniform is drawn
+    dist = make_distribution("uniform", 20)
+
+    def no_draw(*key):
+        raise AssertionError("drew uniforms")
+
+    monkeypatch.setattr(sampler, "substream", no_draw)
+    for lead in ((2, 3), (0,), (-1,)):
+        with pytest.raises(ParameterError, match=re.escape(repr(lead))):
+            sampler.exact_draw(dist, 5, lead)
+
+
 def _both_paths(monkeypatch, run):
     """run() with a single exact start's bounding pair site by site, then
     with it on the numpy half-sweeps, whatever the coordinate count."""
@@ -908,8 +927,8 @@ def _block_runs(dist, k, w, seed):
     def gibbs(**kw):
         t = run_gibbs(SamplerConfig(dist, k=k, w=w, burnin=500, steps=1500,
                                     thin=3, seed=seed + 1, **kw))
-        return (t.final.tobytes(), t.samples.tobytes(),
-                t.update_counts.tolist(), t.block_updates, t.block_tries)
+        return (t.final.tobytes(), t.samples.tobytes(), t.block_updates,
+                t.block_tries)
 
     callers = [pair, gibbs][:1 + (k >= 2)]
     stalls = [lambda n=n, f=f: f(max_rejection_tries=n)
@@ -992,8 +1011,7 @@ def _rejection_digests():
                                         seed=100 + 10 * i + k),
                           initial=interior_state(small[name]))
             out[f"gibbs-{name}-{k}"] = _digest(
-                t.final, t.samples, t.update_counts.astype(np.int64),
-                t.block_updates, t.block_tries)
+                t.final, t.samples, t.block_updates, t.block_tries)
         for k in (1, 2):
             t = run_coupled_pair(SamplerConfig(pairs[name], k=k, w=0.5,
                                                steps=20000, thin=3,
@@ -1013,33 +1031,33 @@ def _rejection_digests():
 # or the bookkeeping of either caller of the block rejection loop shows here
 REJECTION_DIGESTS = {
     "gibbs-uniform-2":
-        "cd66ed4964538f546dedac8aebbf3aefffdec311ef1cc08225bcfd5a88289fab",
+        "3b453cfa9dc0298f6e9723e1fabbc523521962bf338abb9f45826f9edffaa648",
     "gibbs-uniform-3":
-        "a3c83a0c7dc9a0df76cc7ffb3b11e5e987b24fdc5bb9de8d19fa931a72a76f52",
+        "d727f8adb73695540b83ecdde30fc108e2bb88dfa195b49c22ab6f78b2accd5c",
     "coupled-uniform-1":
         "0dfcddb0440e967f05bb68ca09a5e2188b8abc36bfb5b95b83b88be59c42c6e7",
     "coupled-uniform-2":
         "9bdb2af6799204a299c603994b8e400e4b1fd625efdb74066cc869fee42c9df3",
     "gibbs-geometric-2":
-        "d041c94480047a6d1d91341f30f5dd89f6ee27c31ff871114fe37f2306bb8581",
+        "b274fbed4e4050f3dd79d171148cdade18228108262b98e351b2304cc55b40d6",
     "gibbs-geometric-3":
-        "2638d8220bd9d7bde3ba6621d5f741b7c986542cdd66d61e67454aa41ba9c859",
+        "2b5e36855c4d02d533e724e6c713a0e995df9094e2c134d8fa53ce4b8b961fe7",
     "coupled-geometric-1":
         "560aa3e6e94314c78236109e209ac79e15e05ec8bf2dcb78300ae65e720edf9e",
     "coupled-geometric-2":
         "2abaca4911e68fa9bfbf3482ee797fd5b9045b841fdff7253557c5fe15de6477",
     "gibbs-binomial-2":
-        "b53a8e69769b399709a65f37a0466673c139a59b8c4a60d4cbb237ea1c4f991e",
+        "b872ccb5ed76abc33ecbb560ddc5acb22b6606e356364c653b6260c430524b1e",
     "gibbs-binomial-3":
-        "017b03c46facfb0ec53ce3978806fdc5ff45807e6cb73521bd01e6cabb922512",
+        "e7023abf65bc898840c8c99b84e73f11184d77cb51b034fecdf0df67c5c1c577",
     "coupled-binomial-1":
         "c76b405781134be1dab7fe45adfb8c32104805a01de7b863e1004b66d56edf9f",
     "coupled-binomial-2":
         "81b8a03f97e8787c53fe1a86bda042b6f0de9b0ec9c09357e107c99ba4d6948a",
     "gibbs-if-2":
-        "5cc8fc9789d3d3b6455157800bbd6c1ea60e907821164d50a1bca491c6e8fe10",
+        "7624de14b213574918d16a8afe069f2e1d4863cf9fc49220aadc87a2966a751d",
     "gibbs-if-3":
-        "1e48680fab4432a5468306e70b7794c5251f6b8e2f2020ea8d3a3dfb09c9791b",
+        "4661a1832697d1d941aa000f342284f13778a14b9ff283c1e7a777b0fdfaf9ea",
     "coupled-if-1":
         "d874e4e4a5df21173b0f83e313151f813bea4f488686efe670ae47f87c177595",
     "coupled-if-2":
@@ -1128,12 +1146,15 @@ PROBE_DIGESTS = {
         "51349c0b066af0e73c0af8e9c1601c6a49b00a4d15938332c3b1fa90cbe79671",
 }
 
-# the same digests of sample calls: bare exact draws, and a k = 2 chain
+# the same digests of sample calls: bare exact draws, and k = 2 and k = 3
+# chains
 SAMPLE_DIGESTS = {
     "sample --n 12,40 --reps 3 --seed 4":
         "d5fdd41a0b5733a605f809a7dbd10e277239a9aacbb77db53fe2561a5b3539b6",
     "sample --k 2 --w 2 --n 12 --steps 60 --thin 3 --reps 2 --seed 4":
         "b39863518f2f066f71691ae9edadbb576b84d8bc8b1a5f1566957aff7affc275",
+    "sample --k 3 --w 0.5 --n 24 --steps 600 --thin 6 --reps 2 --seed 4":
+        "8670dc7afa0c9425b73270d59bd5c0d08875c55182f3349d9058a4005561244b",
 }
 
 
@@ -1173,7 +1194,7 @@ def test_edge_k_probe_outputs_match_golden_digests(tmp_path, capsys):
 
 def _trace_fields(t):
     out = []
-    for a in (t.samples, t.update_counts, t.final):
+    for a in (t.samples, t.final):
         out += [a.dtype.str, a.shape, a]
     return out + [t.block_updates, t.block_tries]
 
@@ -1182,15 +1203,15 @@ def _trace_fields(t):
 # with burnin + steps == 0 when it still set up the scan
 NO_UPDATE_DIGESTS = {
     "uniform32-exact":
-        "a80031850b96b1ea2c7959f314fb1c569ceb6ca12bf282ea575b52c29a05345f",
+        "3a4cad0cbfa953819f3cc55a79ea8a22dc780c3234fec12f303d3c3707ceba4a",
     "if8-exact-coords":
-        "ff86edc4bc88384738671c9cf78537acf960a3e86a06f4261c404007e8b6bd97",
+        "22042eef1bd4b32db7fc9ae0d1b95a22b17154e569c5db0465a0f6457345592e",
     "uniform32-initial":
-        "928ffcd77ba44678edb2504d0865b56b5c3708db8b0c460fe49f13e24f94695a",
+        "6c2a3fea4ff80ba5b42776abcf8ee192261407b10dd8aac6eea8d5e2bc96042f",
     "geometric10-k2":
-        "29bcf5f5648204e9b42af5629feba65590fb0d6d8eeed2586ff60545d6112711",
+        "813387d11bb71c521e05eb06fdc6bd10770885e365a1a8c00560a4d0ba736246",
     "geometric10-k3-coords":
-        "e7d9de7c65564dd7d171949c99f8fbd5d2dbf1088a787a0bbf9f3cfd243404d0",
+        "467c9b8683c68081fa9d840dc359071bc48d590e520d3a12fffc692b37f97f02",
 }
 
 
