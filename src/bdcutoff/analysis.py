@@ -399,6 +399,8 @@ def mixing_profile(kernel: BDKernel, levels, *, exhaustive: bool = False,
     The spectral evaluator is tried first; where it declines, every
     start is stepped (_crossing_times)."""
     levels = [float(e) for e in levels]
+    if not levels:
+        raise ParameterError("mixing_profile needs at least one TV level")
     for e in levels:
         if not 0.0 < e < 1.0:
             raise ParameterError(f"TV level must be in (0, 1), got {e}")
@@ -432,6 +434,8 @@ def pairwise_distance_profile(kernel: BDKernel, tmax: int) -> np.ndarray:
     This is the standardized distance whose submultiplicativity the
     tests exercise; it needs all n starts, so keep n modest.
     """
+    if tmax < 0:
+        raise ParameterError(f"tmax must be >= 0, got {tmax}")
     n = kernel.n
     p = np.eye(n)
     out = np.empty(tmax + 1)

@@ -15,6 +15,7 @@ from .errors import DomainError, ParameterError
 _FAMILY_PARAMS = {"uniform": (), "geometric": ("a",), "if": ("a", "eps"),
                   "binomial": (), "explicit": ("mass", "log_mass")}
 FAMILIES = tuple(_FAMILY_PARAMS)
+_LOG_MAX = math.log(np.finfo(float).max)  # ln of the largest float
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,10 +27,6 @@ class StationaryDist:
     n : int
         Number of states. For the ``if`` family this is the full state
         count 2*m-1 produced from the size parameter m, never inferred.
-    family : str
-        One of ``FAMILIES``.
-    params : dict
-        Family parameters used to build the distribution.
     log_mass : ndarray
         Normalized log masses, length n.
     log_prefix, log_suffix : ndarray
@@ -40,11 +37,12 @@ class StationaryDist:
         n-1. These are the single source of truth for neighbor ratios;
         everything downstream (kernels, samplers) uses them so that
         feasibility arithmetic is bit-for-bit consistent.
+    caps, rec : ndarray
+        ``min(1, ratios)`` and ``1 / ratios``, length n-1, each computed
+        once here for every consumer.
     """
 
     n: int
-    family: str
-    params: dict
     log_mass: np.ndarray
     log_prefix: np.ndarray
     log_suffix: np.ndarray
@@ -52,6 +50,7 @@ class StationaryDist:
     mass: np.ndarray = field(init=False, repr=False)
     prefix: np.ndarray = field(init=False, repr=False)
     caps: np.ndarray = field(init=False, repr=False)
+    rec: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         # linear views; entries may underflow to 0.0 for extreme families,
@@ -59,6 +58,7 @@ class StationaryDist:
         object.__setattr__(self, "mass", np.exp(self.log_mass))
         object.__setattr__(self, "prefix", np.exp(self.log_prefix))
         object.__setattr__(self, "caps", np.minimum(1.0, self.ratios))
+        object.__setattr__(self, "rec", 1.0 / self.ratios)
 
     def quantile(self, delta: float) -> int:
         """Smallest state k whose prefix mass reaches delta."""
@@ -67,7 +67,7 @@ class StationaryDist:
         return int(np.searchsorted(self.prefix, delta, side="left"))
 
 
-def _finish(family: str, n: int, params: dict, log_unnorm: np.ndarray,
+def _finish(n: int, log_unnorm: np.ndarray,
             ratios: np.ndarray) -> StationaryDist:
     lp = np.logaddexp.accumulate(log_unnorm)
     total = lp[-1]
@@ -76,8 +76,21 @@ def _finish(family: str, n: int, params: dict, log_unnorm: np.ndarray,
     lp = lp - total
     lp[-1] = 0.0
     ls[0] = 0.0
-    return StationaryDist(n=n, family=family, params=params, log_mass=lm,
-                          log_prefix=lp, log_suffix=ls, ratios=ratios)
+    return StationaryDist(n=n, log_mass=lm, log_prefix=lp, log_suffix=ls,
+                          ratios=ratios)
+
+
+def _check_steps(log_unnorm, error) -> None:
+    """Raise error naming the first pair i, i+1 whose log masses differ by
+    more than _LOG_MAX, where pi(i+1)/pi(i) or its reciprocal leaves the
+    double range."""
+    with np.errstate(over="ignore"):  # a step of inf is refused too
+        steep = np.abs(np.diff(log_unnorm)) > _LOG_MAX
+    if steep.any():
+        i = int(steep.argmax())
+        raise error(f"log masses of states {i} and {i + 1} differ by more "
+                    "than ln of the largest float (709.78...), so their "
+                    "ratio leaves the double range")
 
 
 def make_distribution(family: str, n: int, *, a: float | None = None,
@@ -99,7 +112,10 @@ def make_distribution(family: str, n: int, *, a: float | None = None,
         Flat-region exponent in (0, 1), required for ``if``.
     mass, log_mass : sequence, optional
         Explicit masses (strictly positive) or log masses for the
-        ``explicit`` family. Exactly one of the two.
+        ``explicit`` family. Exactly one of the two. Neighbouring log
+        masses may differ by at most ln of the largest float, so that
+        every ratio and its reciprocal are finite and positive; a
+        steeper step raises DomainError.
 
     A parameter the family does not read raises ParameterError.
     """
@@ -115,15 +131,14 @@ def make_distribution(family: str, n: int, *, a: float | None = None,
         raise ParameterError(f"need at least 2 states, got n={n}")
 
     if family == "uniform":
-        return _finish(family, n, {}, np.zeros(n), np.ones(n - 1))
+        return _finish(n, np.zeros(n), np.ones(n - 1))
     if family in ("geometric", "if") and (
             a is None or not 1.0 < a < math.inf):
         raise ParameterError(f"{family} family needs a finite a > 1, got {a}")
 
     if family == "geometric":
         idx = np.arange(n, dtype=float)
-        return _finish(family, n, {"a": a}, idx * math.log(a),
-                       np.full(n - 1, float(a)))
+        return _finish(n, idx * math.log(a), np.full(n - 1, float(a)))
 
     if family == "binomial":
         coins = n - 1
@@ -133,7 +148,7 @@ def make_distribution(family: str, n: int, *, a: float | None = None,
                           for v in range(n)]))
         i = np.arange(n - 1, dtype=float)
         ratios = (coins - i) / (i + 1.0)
-        return _finish(family, n, {"coins": coins}, lu, ratios)
+        return _finish(n, lu, ratios)
 
     if family == "if":
         if eps is None or not 0.0 < eps < 1.0:
@@ -147,8 +162,7 @@ def make_distribution(family: str, n: int, *, a: float | None = None,
         lu = -depth.astype(float) * math.log(a)
         dd = np.diff(depth)
         ratios = np.where(dd < 0, float(a), np.where(dd > 0, 1.0 / a, 1.0))
-        params = {"n": n, "a": a, "eps": eps, "flat_halfwidth": flat}
-        return _finish(family, nstates, params, lu, ratios)
+        return _finish(nstates, lu, ratios)
 
     # explicit
     if (mass is None) == (log_mass is None):
@@ -166,4 +180,5 @@ def make_distribution(family: str, n: int, *, a: float | None = None,
             raise ParameterError(f"log_mass list has length {lu.size}, expected {n}")
         if not np.all(np.isfinite(lu)):
             raise DomainError("explicit log masses must be finite")
-    return _finish("explicit", n, {}, lu, np.exp(np.diff(lu)))
+    _check_steps(lu, DomainError)
+    return _finish(n, lu, np.exp(np.diff(lu)))

@@ -22,9 +22,8 @@ def _bounds(dist: StationaryDist, c: np.ndarray):
     last row stays stochastic. The conjunction over all i equals the
     usual two-sided min() constraints (each pair constraint appears as
     the left term of the higher coordinate)."""
-    rec = 1.0 / dist.ratios
     upper = np.ones(c.shape)
-    upper[..., 1:] = 1.0 - c[..., :-1] * rec[:-1]
+    upper[..., 1:] = 1.0 - c[..., :-1] * dist.rec[:-1]
     upper[..., -1] = np.minimum(upper[..., -1], dist.ratios[-1])
     return upper
 
@@ -37,13 +36,15 @@ def check_feasibility(dist: StationaryDist, c):
     with the out-of-range neighbors treated as 0. Violations are
     tested with slack FEASIBILITY_TOL on both sides and attributed
     row-wise: a broken pair constraint names the higher coordinate,
-    whose row's diagonal would go negative.
+    whose row's diagonal would go negative. A non-finite entry is never
+    inside its bounds, so it is a violation too.
     """
     c = np.asarray(c, dtype=float)
     if c.shape != (dist.n - 1,):
         raise ParameterError(
             f"superdiagonal has length {c.size}, expected {dist.n - 1}")
-    bad = (c < -FEASIBILITY_TOL) | (c > _bounds(dist, c) + FEASIBILITY_TOL)
+    bad = ~((c >= -FEASIBILITY_TOL)
+            & (c <= _bounds(dist, c) + FEASIBILITY_TOL))
     if not bad.any():
         return None
     return int(np.nonzero(bad)[0][0])

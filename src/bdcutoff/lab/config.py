@@ -1,11 +1,13 @@
 """Experiment configuration shared by the runner, probes, and CLI."""
 
 import math
-import sys
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from ..analysis import DEFAULT_HORIZON
-from ..dist import FAMILIES, StationaryDist, make_distribution
+from ..dist import (_LOG_MAX, FAMILIES, StationaryDist, _check_steps,
+                    make_distribution)
 from ..errors import ParameterError
 from ..sampler import SamplerConfig
 
@@ -75,6 +77,7 @@ class ExperimentConfig:
             if not all(0.0 < v < math.inf for v in self.mass):
                 raise ParameterError(
                     f"mass must be finite and positive, got {self.mass}")
+            _check_steps(np.log(self.mass), ParameterError)
         if self.reps < 0:
             raise ParameterError(f"reps must be >= 0, got {self.reps}")
         if self.k < 1:
@@ -96,7 +99,7 @@ class ExperimentConfig:
             raise ParameterError(
                 f"probe_thin must be >= 1, got {self.probe_thin}")
         # the contraction probe's limit law takes exp(coupon_c)
-        if not -math.inf < self.coupon_c <= math.log(sys.float_info.max):
+        if not -math.inf < self.coupon_c <= _LOG_MAX:
             raise ParameterError(
                 f"coupon_c must be finite and at most ln of the largest "
                 f"float (709.78...), got {self.coupon_c}")

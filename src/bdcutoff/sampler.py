@@ -130,8 +130,7 @@ class CoupledTrace:
 def greedy_max_state(dist: StationaryDist) -> np.ndarray:
     """Left-to-right maximal state; a vertex-like start far from typical."""
     m = dist.n - 1
-    caps = dist.caps
-    rec = 1.0 / dist.ratios
+    caps, rec = dist.caps, dist.rec
     c = np.zeros(m)
     prev = 0.0
     for i in range(m):
@@ -210,12 +209,15 @@ def run_gibbs(config: SamplerConfig, initial=None, coords=None) -> GibbsTrace:
 
 
 def _kept(coords, m: int) -> np.ndarray:
-    """coords as an index array (default: all m coordinates), checked."""
-    keep = np.arange(m) if coords is None else np.asarray(coords, dtype=np.intp)
-    if keep.ndim != 1 or np.any((keep < 0) | (keep >= m)):
+    """coords as an index array (default: all m coordinates), checked:
+    a float or bool entry is refused, not cast to an index."""
+    keep = np.arange(m) if coords is None else np.asarray(coords)
+    # [] reads as floats, so an empty list passes the integer check
+    if (keep.ndim != 1 or keep.size and keep.dtype.kind not in "iu"
+            or np.any((keep < 0) | (keep >= m))):
         raise ParameterError(
-            f"coords must be a list of coordinates in [0, {m - 1}]")
-    return keep
+            f"coords must be a list of integer coordinates in [0, {m - 1}]")
+    return keep.astype(np.intp, copy=False)
 
 
 def _check_scan_weight(k: int, w: float) -> None:
@@ -249,7 +251,7 @@ def exact_draw(dist: StationaryDist, seed: int, lead=()) -> np.ndarray:
         raise ParameterError(
             f"lead must be () or (R,) with R a positive int, got {lead!r}")
     m, caps, rat = dist.n - 1, dist.caps, dist.ratios
-    recl = np.r_[0.0, 1.0 / rat[:-1]]
+    recl = np.r_[0.0, dist.rec[:-1]]
     pair = np.zeros((2, *lead, m + 2))  # [0 | top | 0] over [0 | bottom | 0]
     halves = _halves(pair, m, recl, rat, caps)
     # one pair on fewer than _VECTOR_MIN_SITES sites runs site by site
@@ -369,15 +371,14 @@ def _run_scan(dist, x, total, config, rng, store, keep):
     history of the kept sites.
     """
     chains, m = x.shape
-    rat = np.asarray(dist.ratios, dtype=float)
-    recl = np.r_[0.0, 1.0 / rat[:-1]]  # 1/r[i-1]; times the pad at i = 0
+    recl = np.r_[0.0, dist.rec[:-1]]  # 1/r[i-1]; times the pad at i = 0
     order = np.r_[0:m:2, 1:m:2]
     place = np.empty(m, dtype=np.intp)  # each site's place in a sweep
     place[order] = np.arange(m)
     # [0 | x | 0]: site i sits at i + 1, between its two neighbours
     xp = np.zeros((chains, m + 2))
     xp[:, 1:-1] = x
-    halves = _halves(xp, m, recl, rat)
+    halves = _halves(xp, m, recl, dist.ratios)
     slot = keep + 1
     per = max(1, _BATCH // (chains * m))
     hist = np.empty((chains, per + 1, keep.size))
@@ -446,8 +447,8 @@ class _BlockPlan:
     __slots__ = ("pick", "blocks", "antipode")
 
     def __init__(self, dist, k, w):
-        caps = [float(v) for v in dist.caps]
-        rec = [1.0 / float(v) for v in dist.ratios]
+        caps = dist.caps.tolist()
+        rec = dist.rec.tolist()
         self.pick = _start_picker(dist.n - k, w)
         self.blocks = [(caps[s:s + k], rec[s:s + k - 1], rec[s - 1],
                         rec[s + k - 1], caps[s], caps[s + (k > 1)], rec[s])

@@ -219,6 +219,26 @@ def test_mixing_profile_levels_and_validation():
         mixing_profile(kern, [0.0])
 
 
+@pytest.mark.parametrize("family,kw,n", [
+    ("uniform", {}, 12),  # the spectral route
+    ("if", {"a": 2.0, "eps": 0.25}, 40),  # stepped: log pi spans > 20
+])
+def test_profiles_refuse_bad_arguments_before_any_solve(family, kw, n,
+                                                        monkeypatch):
+    kern = sampled(family, kw, n, stream_fingerprint(56)).lazy(0.5)
+
+    def solve(*args):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(analysis, "_spectral_crossing_times", solve)
+    monkeypatch.setattr(analysis, "_crossing_times", solve)
+    monkeypatch.setattr(type(kern), "evolve", solve)
+    with pytest.raises(ParameterError, match="at least one TV level"):
+        mixing_profile(kern, [])
+    with pytest.raises(ParameterError, match="tmax must be >= 0, got -1"):
+        pairwise_distance_profile(kern, -1)
+
+
 def test_slow_start_from_a_thin_flank_mixes():
     """TV rounds to 1 (within rounding) for hundreds of steps from a
     flank of mass about 2**-250, yet the chain mixes; tau is checked
@@ -262,8 +282,7 @@ def oracle_kernel(family, n):
 
 
 def single_state_kernel():
-    dist = StationaryDist(n=1, family="explicit", params={},
-                          log_mass=np.zeros(1), log_prefix=np.zeros(1),
+    dist = StationaryDist(n=1, log_mass=np.zeros(1), log_prefix=np.zeros(1),
                           log_suffix=np.zeros(1), ratios=np.ones(0))
     return BDKernel(dist=dist, c=np.empty(0), sub=np.empty(0),
                     diag=np.ones(1))

@@ -1,6 +1,7 @@
 """Stationary-distribution families: masses, ratios, prefix sums, quantiles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,10 @@ def test_if_ratio_by_region():
     d = make_distribution("if", 100, eps=0.5, a=2.0)
     assert d.n == 199
     center = d.n // 2
-    flat = d.params["flat_halfwidth"]
+    # the middle run of unit ratios is 2 * flat long, flat = 100**0.5
+    ones = np.flatnonzero(d.ratios == 1.0)
+    assert np.array_equal(ones, np.arange(ones[0], ones[0] + 20))
+    flat = ones.size // 2
     assert d.ratios[0] == pytest.approx(2.0, rel=1e-15)
     assert d.ratios[center] == pytest.approx(1.0, rel=1e-15)
     assert d.ratios[center - flat] == pytest.approx(1.0, rel=1e-15)
@@ -113,6 +117,44 @@ def test_explicit_family_validation():
         make_distribution("explicit", 3, mass=(0.5, 0.0, 0.5))
     with pytest.raises(DomainError):
         make_distribution("explicit", 2, log_mass=(0.0, float("inf")))
+
+
+@pytest.mark.parametrize("family,kw", [
+    ("uniform", {}),
+    ("geometric", {"a": 3.0}),
+    ("binomial", {}),
+    ("if", {"eps": 0.5, "a": 7.0}),
+    ("explicit", {"mass": (1.0, 3.0, 0.2, 5.0, 1e-100, 1e100, 7.0)}),
+])
+def test_rec_is_bitwise_reciprocal(family, kw):
+    d = make_distribution(family, 7, **kw)
+    want = np.array([1.0 / float(v) for v in d.ratios])
+    assert d.rec.shape == (d.n - 1,)
+    assert np.array_equal(d.rec.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("step", [709.78, -709.78])
+def test_explicit_step_at_the_float_range_is_kept(step):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = make_distribution("explicit", 3, log_mass=(1.0, 1.0, 1.0 + step))
+    for v in (d.ratios, d.rec):
+        assert np.all(np.isfinite(v) & (v > 0.0))
+
+
+@pytest.mark.parametrize("lu,pair", [
+    ((0.0, 709.79), "0 and 1"),
+    ((709.79, 0.0), "0 and 1"),
+    ((0.0, 1.0, 710.79, 1.0), "1 and 2"),
+    ((-1e308, 1e308), "0 and 1"),  # the step itself overflows
+])
+def test_explicit_step_past_the_float_range_is_refused(lu, pair):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"states {pair} differ"):
+            make_distribution("explicit", len(lu), log_mass=lu)
+        with pytest.raises(DomainError, match="states 1 and 2 differ"):
+            make_distribution("explicit", 4, mass=(1, 1e200, 1e-200, 1))
 
 
 def test_family_and_parameter_validation():

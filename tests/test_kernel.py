@@ -38,6 +38,18 @@ def test_check_feasibility_tolerance():
     assert check_feasibility(UNI3, [-0.1, 0.2]) == 0
 
 
+@pytest.mark.parametrize("at", [0, 3])
+def test_nan_entry_is_infeasible(at):
+    dist = make_distribution("uniform", 8)
+    c = np.full(7, 0.25)
+    c[at] = np.nan
+    assert check_feasibility(dist, c) == at
+    with pytest.raises(FeasibilityError) as err:
+        kernel_from_superdiagonal(dist, c)
+    assert err.value.index == at
+    assert check_feasibility(dist, [np.nan] * 7) == 0
+
+
 def test_lazy_examples():
     assert np.allclose(
         kernel_from_superdiagonal(UNI3, [0.0, 0.0]).lazy(0.3).c, 0.0)

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -387,6 +388,47 @@ def test_compare_usage_errors_run_no_replicate(capsys, monkeypatch):
     for command, why in COMPARE_USAGE_ERRORS:
         rc, out, err = run_cli(capsys, command)
         assert (rc, out, err) == (1, "", f"bdcutoff: {why}\n"), command
+
+
+STEEP_MASS_CALLS = (
+    (["analyze", "--family", "explicit", "--mass", "1e-300,1e300", "--n", "2"],
+     "0 and 1"),
+    (["analyze", "--family", "explicit", "--mass", "1e300,1e-300", "--n", "2"],
+     "0 and 1"),
+    (["ensemble", "--family", "explicit", "--mass", "1,1e200,1e-200,1",
+      "--n", "4", "--reps", "1"], "1 and 2"),
+    (["sample", "--family", "explicit", "--mass", "1,1e200,1e-200,1",
+      "--n", "4"], "1 and 2"),
+    (["probe", "contraction", "--family", "explicit", "--mass",
+      "1,1e300,1e-300,1", "--n", "4", "--k", "2", "--reps", "2",
+      "--coupon-runs", "2"], "1 and 2"),
+)
+
+
+def test_cli_refuses_steep_explicit_masses(capsys, monkeypatch):
+    # a neighbour ratio past the double range exits 1 naming the pair,
+    # before any law is built and with no numpy warning
+    monkeypatch.setattr(ExperimentConfig, "make_dist",
+                        lambda *a: pytest.fail("a law was built"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for command, pair in STEEP_MASS_CALLS:
+            rc, out, err = run_cli(capsys, command)
+            assert rc == 1 and out == "", command
+            assert f"log masses of states {pair} differ" in err, command
+            assert err.startswith("bdcutoff: ") and "Error" not in err
+    with pytest.raises(ParameterError, match="states 1 and 2"):
+        ExperimentConfig(family="explicit", n_list=(3,),
+                         mass=(1.0, 1.0, math.exp(-709.79)))
+
+
+def test_cli_explicit_law_runs_with_warnings_as_errors(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, _ = run_cli(capsys, ["analyze", "--family", "explicit",
+                                      "--mass", "1,2,3,4", "--n", "4",
+                                      "--exact-tau", "--seed", "1"])
+    assert rc == 0 and json.loads(out)["tau"] >= 1
 
 
 def test_cli_usage_errors_exit_one(tmp_path, capsys):

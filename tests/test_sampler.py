@@ -203,6 +203,16 @@ def test_run_gibbs_rejects_bad_coords(m):
             run_gibbs(cfg, coords=bad)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_run_gibbs_refuses_float_and_bool_coords(k):
+    cfg = SamplerConfig(make_distribution("uniform", 8), k=k, steps=4)
+    for bad in ([1.5], [True], [0, 1.0], np.array([1.0])):
+        with pytest.raises(ParameterError, match="integer coordinates"):
+            run_gibbs(cfg, coords=bad)
+    assert run_gibbs(cfg, coords=np.array([1], np.uint8)).samples.shape \
+        == (4, 1)
+
+
 def test_endpoint_weighting():
     # first block start carries probability w / (nstarts - 2 + 2w); at
     # k = 2 on 7 coordinates there are 6 starts. The block loop's step
@@ -498,6 +508,16 @@ def test_window_chain_counts():
         collect_window(SamplerConfig(dist, steps=4), [39])
     with pytest.raises(ParameterError, match="w must be 1"):
         collect_window(SamplerConfig(dist, w=2.0, steps=4), [0])
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_collect_window_refuses_float_and_bool_coords(k):
+    cfg = SamplerConfig(make_distribution("uniform", 8), k=k, steps=4)
+    for bad in ([1.5], [True], [2, 1.0], [[1]]):
+        with pytest.raises(ParameterError, match="integer coordinates"):
+            collect_window(cfg, bad)
+    assert collect_window(cfg, []).shape == (4, 0)
+    assert collect_window(cfg, [1, 6]).shape == (4, 2)
 
 
 def test_start_sites_match_picker():
